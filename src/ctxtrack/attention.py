@@ -1,10 +1,9 @@
 """Transformer building blocks.
 
-Provides the shared plumbing (affine projection, layer normalization,
-feed-forward sublayer), a per-image windowed self-attention block, and the
-joint cross-frame attention layer that mixes target, previous-frame, and
-search tokens with content, absolute-position, and relative-displacement
-logits.
+Provides the plumbing (affine projection, layer normalization, feed-forward
+sublayer) and one pre-norm attention block that runs over two token sets:
+per-image windows, and the joint target/previous-frame/search sequence,
+whose logits add absolute-position and relative-displacement terms.
 """
 
 from __future__ import annotations
@@ -56,7 +55,63 @@ class FeedForward(Module):
         return self.fc2(gelu(self.fc1(x)))
 
 
-class WindowAttentionBlock(Module):
+class _PreNormAttention(Module):
+    """Pre-norm residual attention with a feed-forward sublayer.
+
+    Token tensors may carry leading batch axes (one per window); heads split
+    and merge over the last two axes. Bias modules made in `_init_bias` sit
+    between the projections and the norms in parameter and draw order.
+    """
+
+    def __init__(self, dim: int, heads: int, logit_terms: int,
+                 rng: np.random.Generator, init_scale: float):
+        if dim % heads != 0:
+            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+        self.dim = dim
+        self.heads = heads
+        self.head_dim = dim // heads
+        # logits that sum `logit_terms` terms keep the spread of one content term
+        self.scale = 1.0 / np.sqrt(logit_terms * self.head_dim)
+        self.w_query = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
+        self.w_key = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
+        self.w_value = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
+        self.w_out = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
+        self._init_bias(rng, init_scale)
+        self.norm1 = LayerNorm(dim)
+        self.norm2 = LayerNorm(dim)
+        self.ff = FeedForward(dim, rng)
+
+    def _init_bias(self, rng: np.random.Generator, init_scale: float) -> None:
+        """No logit bias terms by default."""
+
+    def _split(self, t: Tensor) -> Tensor:  # (..., L, dim) -> (..., heads, L, head_dim)
+        return t.reshape(*t.shape[:-1], self.heads, self.head_dim).swapaxes(-3, -2)
+
+    def _merge(self, t: Tensor) -> Tensor:  # (..., heads, L, head_dim) -> (..., L, dim)
+        t = t.swapaxes(-3, -2)
+        return t.reshape(*t.shape[:-2], self.dim)
+
+    def weights(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
+        """Post-softmax (..., heads, Lq, Lk) weights of normed tokens; each
+        bias term is added to the scaled content logits in turn."""
+        q = self._split(self.w_query(xq))
+        k = self._split(self.w_key(xk))
+        logits = matmul(q, k.swapaxes(-1, -2)) * self.scale
+        for bias in biases:
+            logits = logits + bias
+        return softmax_lastdim(logits)
+
+    def attend(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
+        """Projected attention output (..., Lq, dim) of normed tokens."""
+        v = self._split(self.w_value(xk))
+        return self.w_out(self._merge(matmul(self.weights(xq, xk, biases), v)))
+
+    def _residual(self, tokens: Tensor, attn: Tensor) -> Tensor:
+        res = tokens + attn
+        return res + self.ff(self.norm2(res))
+
+
+class WindowAttentionBlock(_PreNormAttention):
     """Pre-norm self-attention over non-overlapping square windows.
 
     Operates on one image's token grid (H, W, C); tokens only attend to
@@ -65,57 +120,24 @@ class WindowAttentionBlock(Module):
 
     def __init__(self, dim: int, heads: int, window: int,
                  rng: np.random.Generator, init_scale: float = 0.02):
-        if dim % heads != 0:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
         if window < 1:
             raise ValueError(f"window must be positive, got {window}")
-        self.dim = dim
-        self.heads = heads
-        self.head_dim = dim // heads
         self.window = window
-        self.scale = 1.0 / np.sqrt(self.head_dim)
-        self.w_query = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_key = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_value = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_out = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.norm1 = LayerNorm(dim)
-        self.norm2 = LayerNorm(dim)
-        self.ff = FeedForward(dim, rng)
-
-    def _windows(self, x: Tensor, h: int, w: int) -> Tensor:
-        win = self.window
-        x = x.reshape(h // win, win, w // win, win, self.dim)
-        return x.transpose(0, 2, 1, 3, 4).reshape(-1, win * win, self.dim)
-
-    def _unwindows(self, x: Tensor, h: int, w: int) -> Tensor:
-        win = self.window
-        x = x.reshape(h // win, w // win, win, win, self.dim)
-        return x.transpose(0, 2, 1, 3, 4).reshape(h, w, self.dim)
+        super().__init__(dim, heads, 1, rng, init_scale)
 
     def __call__(self, tokens: Tensor) -> Tensor:
         if tokens.ndim != 3 or tokens.shape[2] != self.dim:
             raise ValueError(f"expected (H, W, {self.dim}) tokens, got {tokens.shape}")
-        h, w, _ = tokens.shape
-        if h % self.window or w % self.window:
-            raise ValueError(
-                f"grid {h}x{w} not divisible by window {self.window}")
-        x = self.norm1(tokens)
-        n_win = (h // self.window) * (w // self.window)
-        area = self.window * self.window
-
-        def split(t: Tensor) -> Tensor:
-            return t.reshape(n_win, area, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
-        q = split(self.w_query(self._windows(x, h, w)))
-        k = split(self.w_key(self._windows(x, h, w)))
-        v = split(self.w_value(self._windows(x, h, w)))
-        weights = softmax_lastdim(matmul(q, k.swapaxes(2, 3)) * self.scale)
-        attn = matmul(weights, v).transpose(0, 2, 1, 3).reshape(n_win, area, self.dim)
-        res = tokens + self._unwindows(self.w_out(attn), h, w)
-        return res + self.ff(self.norm2(res))
+        (h, w, dim), win = tokens.shape, self.window
+        if h % win or w % win:
+            raise ValueError(f"grid {h}x{w} not divisible by window {win}")
+        x = self.norm1(tokens).reshape(h // win, win, w // win, win, dim)
+        x = x.transpose(0, 2, 1, 3, 4).reshape(-1, win * win, dim)
+        attn = self.attend(x, x).reshape(h // win, w // win, win, win, dim)
+        return self._residual(tokens, attn.transpose(0, 2, 1, 3, 4).reshape(h, w, dim))
 
 
-class CrossFrameAttention(Module):
+class CrossFrameAttention(_PreNormAttention):
     """Joint attention over the concatenated target/previous/search tokens.
 
     Per-head logits sum three terms: scaled content dot products, absolute
@@ -128,82 +150,43 @@ class CrossFrameAttention(Module):
 
     def __init__(self, layout: SegmentLayout, dim: int, heads: int,
                  rng: np.random.Generator, init_scale: float = 0.02):
-        if dim % heads != 0:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.layout = layout
-        self.dim = dim
-        self.heads = heads
-        self.head_dim = dim // heads
-        self.scale = 1.0 / np.sqrt(2.0 * self.head_dim)
-        self.w_query = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_key = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_value = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_out = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.abs_bias = UntiedPositionBias(layout, dim, heads, rng, init_scale)
-        self.rel_bias = PairwiseRegionBias(layout, heads, rng, init_scale)
-        self.norm1 = LayerNorm(dim)
-        self.norm2 = LayerNorm(dim)
-        self.ff = FeedForward(dim, rng)
+        super().__init__(dim, heads, 2, rng, init_scale)
 
-    # ------------------------------------------------------------------
-    # shared pieces
-    # ------------------------------------------------------------------
-    def _check(self, tokens: Tensor) -> None:
-        expected = (self.layout.length, self.dim)
-        if tokens.shape != expected:
-            raise ValueError(
-                f"token shape {tokens.shape} does not match layout {expected}")
+    def _init_bias(self, rng: np.random.Generator, init_scale: float) -> None:
+        self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng, init_scale)
+        self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng, init_scale)
 
-    def _heads_view(self, t: Tensor, length: int) -> Tensor:
-        return t.reshape(length, self.heads, self.head_dim).transpose(1, 0, 2)
+    def _select(self, tokens: Tensor, keys: str | None = None):
+        """Normed query and key tokens, bias terms and key segment names.
 
-    def _merge_heads(self, t: Tensor, length: int) -> Tensor:
-        return t.transpose(1, 0, 2).reshape(length, self.dim)
-
-    def _full_weights(self, x: Tensor) -> Tensor:
-        """Post-softmax (heads, L, L) weights for pre-normalized tokens."""
-        length = self.layout.length
-        q = self._heads_view(self.w_query(x), length)
-        k = self._heads_view(self.w_key(x), length)
-        logits = matmul(q, k.swapaxes(1, 2)) * self.scale
-        logits = logits + self.abs_bias.bias() + self.rel_bias.bias()
-        return softmax_lastdim(logits)
-
-    def _restricted_weights(self, x: Tensor, keys: str) -> tuple[Tensor, Tensor, list[str]]:
-        """Search-query weights and values against the selected key set."""
+        keys=None gives the full map. "templates" or "all" keep only the
+        search tokens as queries against that key set, and gather only the
+        relative-bias blocks those rows use.
+        """
+        if tokens.shape != (self.layout.length, self.dim):
+            raise ValueError(f"token shape {tokens.shape} does not match layout "
+                             f"{(self.layout.length, self.dim)}")
+        x = self.norm1(tokens)
+        names = self.layout.names()
+        if keys is None:
+            return x, x, (self.abs_bias.bias(), self.rel_bias.bias()), names
         if keys not in ("templates", "all"):
             raise ValueError(f"unknown key mode: {keys!r}")
-        search = self.layout.segment_slice("search")
-        n_search = search.stop - search.start
-        key_stop = self.layout.offset("search") if keys == "templates" else self.layout.length
-        key_names = [n for n in self.layout.names()
-                     if keys == "all" or n != "search"]
-        xq, xk = x[search], x[0:key_stop]
-        q = self._heads_view(self.w_query(xq), n_search)
-        k = self._heads_view(self.w_key(xk), key_stop)
-        v = self._heads_view(self.w_value(xk), key_stop)
-        logits = matmul(q, k.swapaxes(1, 2)) * self.scale
-        logits = logits + self.abs_bias.bias()[:, search, 0:key_stop]
-        logits = logits + concat(
-            [self.rel_bias.block("search", name) for name in key_names], axis=2)
-        return softmax_lastdim(logits), v, key_names
+        rows, stop = self.layout.segment_slice("search"), self.layout.length
+        if keys == "templates":
+            names = tuple(n for n in names if n != "search")
+            stop = rows.start
+        rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
+        return x[rows], x[0:stop], (self.abs_bias.bias()[:, rows, 0:stop], rel), names
 
-    # ------------------------------------------------------------------
-    # public forward variants
-    # ------------------------------------------------------------------
     def __call__(self, tokens: Tensor) -> Tensor:
         return self.forward(tokens)
 
     def forward(self, tokens: Tensor) -> Tensor:
         """Full joint attention; output layout equals input layout."""
-        self._check(tokens)
-        length = self.layout.length
-        x = self.norm1(tokens)
-        weights = self._full_weights(x)
-        v = self._heads_view(self.w_value(x), length)
-        attn = self._merge_heads(matmul(weights, v), length)
-        res = tokens + self.w_out(attn)
-        return res + self.ff(self.norm2(res))
+        xq, xk, biases, _ = self._select(tokens)
+        return self._residual(tokens, self.attend(xq, xk, biases))
 
     def forward_search_queries(self, tokens: Tensor, keys: str = "templates") -> Tensor:
         """Final-layer variant: only search tokens act as queries.
@@ -212,14 +195,9 @@ class CrossFrameAttention(Module):
         tokens only; keys="all" keeps search tokens in the key set too.
         Returns just the search-segment tokens.
         """
-        self._check(tokens)
-        x = self.norm1(tokens)
-        weights, v, _ = self._restricted_weights(x, keys)
-        search = self.layout.segment_slice("search")
-        n_search = search.stop - search.start
-        attn = self._merge_heads(matmul(weights, v), n_search)
-        res = tokens[search] + self.w_out(attn)
-        return res + self.ff(self.norm2(res))
+        xq, xk, biases, _ = self._select(tokens, keys)
+        search = tokens[self.layout.segment_slice("search")]
+        return self._residual(search, self.attend(xq, xk, biases))
 
     def attention_blocks(self, tokens: Tensor, restricted: bool = False,
                          keys: str = "templates") -> dict[tuple[str, str], np.ndarray]:
@@ -229,20 +207,13 @@ class CrossFrameAttention(Module):
         restricted variant yields only the search-query rows against the
         selected key set.
         """
-        self._check(tokens)
-        x = self.norm1(tokens)
-        names = self.layout.names()
-        if restricted:
-            weights, _, key_names = self._restricted_weights(x, keys)
-            data = weights.data
-            out = {}
-            col = 0
-            for kn in key_names:
-                hk, wk = self.layout.grid(kn)
-                out[("search", kn)] = data[:, :, col:col + hk * wk]
-                col += hk * wk
-            return out
-        data = self._full_weights(x).data
-        return {(qn, kn): data[:, self.layout.segment_slice(qn),
-                               self.layout.segment_slice(kn)]
-                for qn in names for kn in names}
+        xq, xk, biases, key_names = self._select(tokens, keys if restricted else None)
+        query_names = ("search",) if restricted else self.layout.names()
+
+        def split(a: np.ndarray, names, axis: int) -> list[np.ndarray]:
+            sizes = [h * w for h, w in map(self.layout.grid, names)]
+            return np.split(a, np.cumsum(sizes)[:-1], axis=axis)
+
+        rows = split(self.weights(xq, xk, biases).data, query_names, 1)
+        return {(qn, kn): block for qn, row in zip(query_names, rows)
+                for kn, block in zip(key_names, split(row, key_names, 2))}

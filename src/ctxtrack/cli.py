@@ -22,8 +22,9 @@ from .imageops import box_window, crop_resize
 from .model import TrackerNet
 from .respmap import response_maps, write_response_maps
 from .synthetic import gen_sequence
-from .tracker import compute_metrics, run_tracker, simulate_updates
+from .tracker import compute_metrics, make_template, run_tracker, simulate_updates
 from .train import toy_train
+from .update import MODES
 
 METRICS_HEADER = ["sequence_id", "frame", "iou", "confidence", "threshold",
                   "updated"]
@@ -165,17 +166,15 @@ def _cmd_respmap(args) -> int:
     spec = cfg.spec
     context = cfg.track.context_scale
 
-    target_window = box_window(sequence.boxes[0], context, spec.target_size)
-    target = crop_resize(sequence.frames[0], target_window)
-    prev_window = box_window(sequence.boxes[frame - 1], context,
-                             spec.search_size)
-    previous = crop_resize(sequence.frames[frame - 1], prev_window)
-    prev_box = prev_window.to_crop(sequence.boxes[frame - 1])
-    search_window = box_window(sequence.boxes[frame - 1], context,
-                               spec.search_size)
+    target = make_template(sequence.frames[0], sequence.boxes[0], context,
+                           spec.target_size)
+    previous = make_template(sequence.frames[frame - 1], sequence.boxes[frame - 1],
+                             context, spec.search_size)
+    search_window = box_window(sequence.boxes[frame - 1], context, spec.search_size)
     search = crop_resize(sequence.frames[frame], search_window)
 
-    maps = response_maps(net, target, previous, search, prev_box=prev_box,
+    maps = response_maps(net, target.crop, previous.crop, search,
+                         prev_box=previous.box,
                          layer_indices=_parse_layers(args.layers))
     paths = write_response_maps(maps, args.out_dir)
     print(f"wrote {len(paths)} response maps to {args.out_dir}")
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text file, one confidence in [0, 1] per line")
     p.add_argument("--out", required=True, help="output decision CSV")
     p.add_argument("--mode", default=None,
-                   choices=["never", "always-last", "mean", "p-mean"],
+                   choices=MODES,
                    help="override the config's update mode")
     p.add_argument("--seed-confidence", type=float, default=None,
                    help="override the config's seed confidence")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .attention import Linear
 from .backbone import Box, _validate_box
-from .tensor import Module, Tensor, as_tensor, gelu, maximum, minimum, no_grad
+from .tensor import (Module, Tensor, as_tensor, concat, gelu, maximum, minimum,
+                     no_grad)
 
 
 @dataclass
@@ -85,17 +86,8 @@ def decode_box(outputs: HeadOutputs, stride: float) -> DecodedBox:
                       position=(ky, kx), degenerate=(l + r <= 0 or t + b <= 0))
 
 
-def ltrb_to_boxes(reg: np.ndarray) -> np.ndarray:
-    """Per-position decoded boxes in grid units, (H, W, 4)."""
-    h, w, _ = reg.shape
-    ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    return np.stack([kx - reg[..., 0], ky - reg[..., 1],
-                     kx + reg[..., 2], ky + reg[..., 3]], axis=-1)
-
-
 def _ltrb_to_boxes_tensor(reg: Tensor) -> Tensor:
-    from .tensor import concat
+    """Per-position decoded boxes in grid units, (H, W, 4)."""
     h, w, _ = reg.shape
     ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -108,22 +100,27 @@ def _ltrb_to_boxes_tensor(reg: Tensor) -> Tensor:
 # losses
 # ----------------------------------------------------------------------
 
+def _overlap(pred: Tensor, gt: Box) -> tuple[tuple[Tensor, ...], Tensor, Tensor]:
+    """Corners of predicted boxes (..., 4), and their intersection and union
+    with one validated box."""
+    gx1, gy1, gx2, gy2 = gt
+    px1, py1, px2, py2 = corners = tuple(pred[..., i] for i in range(4))
+    inter_w = (minimum(px2, gx2) - maximum(px1, gx1)).relu()
+    inter_h = (minimum(py2, gy2) - maximum(py1, gy1)).relu()
+    inter = inter_w * inter_h
+    pred_area = (px2 - px1).relu() * (py2 - py1).relu()
+    gt_area = (gx2 - gx1) * (gy2 - gy1)
+    return corners, inter, pred_area + gt_area - inter
+
+
 def giou_values(pred: Tensor, gt_box: Box) -> Tensor:
     """Generalized IoU of predicted boxes (..., 4) against one ground truth.
 
     GIoU = IoU - (hull - union) / hull, always in [-1, 1]. The ground-truth
     box must be non-degenerate, which keeps union and hull positive.
     """
-    gx1, gy1, gx2, gy2 = _validate_box(gt_box)
-    pred = as_tensor(pred)
-    px1, py1 = pred[..., 0], pred[..., 1]
-    px2, py2 = pred[..., 2], pred[..., 3]
-    inter_w = (minimum(px2, gx2) - maximum(px1, gx1)).relu()
-    inter_h = (minimum(py2, gy2) - maximum(py1, gy1)).relu()
-    inter = inter_w * inter_h
-    pred_area = (px2 - px1).relu() * (py2 - py1).relu()
-    gt_area = (gx2 - gx1) * (gy2 - gy1)
-    union = pred_area + gt_area - inter
+    gx1, gy1, gx2, gy2 = gt = _validate_box(gt_box)
+    (px1, py1, px2, py2), inter, union = _overlap(as_tensor(pred), gt)
     hull = (maximum(px2, gx2) - minimum(px1, gx1)) * \
            (maximum(py2, gy2) - minimum(py1, gy1))
     return inter / union - (hull - union) / hull
@@ -169,19 +166,6 @@ class TrainingTarget:
     box: Box               # ground truth in pixels
 
 
-def _iou_grid(boxes: np.ndarray, gt: tuple[float, float, float, float]) -> np.ndarray:
-    gx1, gy1, gx2, gy2 = gt
-    inter_w = np.clip(np.minimum(boxes[..., 2], gx2) - np.maximum(boxes[..., 0], gx1),
-                      0.0, None)
-    inter_h = np.clip(np.minimum(boxes[..., 3], gy2) - np.maximum(boxes[..., 1], gy1),
-                      0.0, None)
-    inter = inter_w * inter_h
-    pred_area = np.clip(boxes[..., 2] - boxes[..., 0], 0.0, None) * \
-        np.clip(boxes[..., 3] - boxes[..., 1], 0.0, None)
-    union = pred_area + (gx2 - gx1) * (gy2 - gy1) - inter
-    return inter / union
-
-
 def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
                   reg) -> TrainingTarget:
     """Positives are cells whose centers fall strictly inside the gt box;
@@ -195,8 +179,9 @@ def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
                          (np.arange(w) + 0.5) * stride, indexing="ij")
     positives = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     with no_grad():
-        boxes = ltrb_to_boxes(_data(reg))
-        iou = _iou_grid(boxes, (x1 / stride, y1 / stride, x2 / stride, y2 / stride))
+        boxes = _ltrb_to_boxes_tensor(as_tensor(reg))
+        _, inter, union = _overlap(boxes, tuple(v / stride for v in (x1, y1, x2, y2)))
+        iou = (inter / union).data
     q = np.where(positives, np.clip(iou, 0.0, 1.0), 0.0)[..., None]
     return TrainingTarget(q=q, positives=positives, box=(x1, y1, x2, y2))
 

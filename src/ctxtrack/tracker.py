@@ -58,8 +58,9 @@ class _Template(NamedTuple):
     box: Box           # box position inside the crop
 
 
-def _make_template(frame: np.ndarray, box: Box, context: float,
-                   out_size: int) -> _Template:
+def make_template(frame: np.ndarray, box: Box, context: float,
+                  out_size: int) -> _Template:
+    """Crop of `out_size` pixels around `box`, with the box in crop pixels."""
     window = box_window(box, context, out_size)
     return _Template(crop=crop_resize(frame, window),
                      box=window.to_crop(box))
@@ -75,14 +76,11 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     spec = net.spec
     first_box = sequence.boxes[0]
 
-    target_window = box_window(first_box, cfg.context_scale, spec.target_size)
-    target_crop = crop_resize(sequence.frames[0], target_window)
-    state = TrackState(
-        target_template=target_crop,
-        previous_template=_make_template(sequence.frames[0], first_box,
-                                         cfg.context_scale, spec.search_size),
-        mode=cfg.update_mode,
-        seed_confidence=cfg.seed_confidence)
+    target = make_template(sequence.frames[0], first_box, cfg.context_scale,
+                           spec.target_size).crop
+    previous = make_template(sequence.frames[0], first_box, cfg.context_scale,
+                             spec.search_size)
+    state = TrackState(cfg.update_mode, cfg.seed_confidence)
 
     last_box = first_box
     records: list[FrameRecord] = []
@@ -90,9 +88,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         search_window = box_window(last_box, cfg.context_scale,
                                    spec.search_size)
         search_crop = crop_resize(sequence.frames[t], search_window)
-        previous = state.previous_template
-        outputs = net.forward(state.target_template, previous.crop,
-                              search_crop, prev_box=previous.box)
+        outputs = net.forward(target, previous.crop, search_crop,
+                              prev_box=previous.box)
         decoded = decode_box(outputs, STRIDE)
         confidence = float(decoded.confidence)
 
@@ -106,9 +103,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         decision = state.should_update(confidence)
         updated = decision.update and not decoded.degenerate
         if updated:
-            state.previous_template = _make_template(
-                sequence.frames[t], pred_box, cfg.context_scale,
-                spec.search_size)
+            previous = make_template(sequence.frames[t], pred_box,
+                                     cfg.context_scale, spec.search_size)
 
         records.append(FrameRecord(
             frame=t, box=pred_box,
@@ -142,8 +138,7 @@ def simulate_updates(trace, mode: str, seed_confidence: float = 1.0):
     Returns one (update, threshold) decision per trace element, in order.
     """
     try:
-        state = TrackState(None, None, mode=mode,
-                           seed_confidence=seed_confidence)
+        state = TrackState(mode, seed_confidence)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     decisions = []

@@ -1,11 +1,11 @@
 """Online template-update policy.
 
-A per-sequence track state keeps a fixed target template, a replaceable
-previous template, and the history of classification confidences. Two
-dynamic thresholds are maintained in constant time per frame: the plain
-running mean, and a penalized variant equal to the mean of all prefix
-means, which weights early (typically high-quality) frames more and so
-rises more slowly after a run of bad frames.
+A per-sequence track state keeps the history of classification
+confidences and decides whether the tracker replaces its previous-frame
+template. Two dynamic thresholds are maintained in constant time per
+frame: the plain running mean, and a penalized variant equal to the mean
+of all prefix means, which weights early (typically high-quality) frames
+more and so rises more slowly after a run of bad frames.
 """
 
 from __future__ import annotations
@@ -54,19 +54,12 @@ class UpdateDecision(NamedTuple):
 
 
 class TrackState:
-    """Tracking state for one sequence.
+    """Update policy for one sequence: a mode plus the confidence history,
+    started from the seed confidence."""
 
-    The target template is fixed at initialization and never replaced; the
-    previous template is swapped out whenever the policy accepts a frame.
-    Both templates are opaque payloads to this module.
-    """
-
-    def __init__(self, target_template, previous_template, mode: str = "p-mean",
-                 seed_confidence: float = 1.0):
+    def __init__(self, mode: str = "p-mean", seed_confidence: float = 1.0):
         if mode not in MODES:
             raise ValueError(f"unknown update mode: {mode!r} (expected one of {MODES})")
-        self.target_template = target_template
-        self.previous_template = previous_template
         self.mode = mode
         self.history = ConfidenceHistory()
         self.history.append(seed_confidence)
@@ -97,10 +90,3 @@ class TrackState:
             update = confidence > threshold
         self.history.append(confidence)
         return UpdateDecision(update=update, threshold=threshold)
-
-    def apply_update(self, confidence: float, new_template) -> UpdateDecision:
-        """should_update plus the template replacement on acceptance."""
-        decision = self.should_update(confidence)
-        if decision.update:
-            self.previous_template = new_template
-        return decision

@@ -121,6 +121,19 @@ def test_window_block_full_window_equals_plain_attention():
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 
+def test_window_block_each_window_equals_plain_attention():
+    rng = np.random.default_rng(23)
+    blk = WindowAttentionBlock(8, 2, 2, rng)
+    tokens = rng.normal(size=(4, 6, 8))
+    out = blk(Tensor(tokens)).data
+    params = {k: v.data for k, v in blk.parameters().items()}
+    for r in range(0, 4, 2):
+        for c in range(0, 6, 2):
+            ref = reference_block(tokens[r:r + 2, c:c + 2].reshape(4, 8), params,
+                                  heads=2, scale=1.0 / np.sqrt(4.0))
+            assert np.max(np.abs(out[r:r + 2, c:c + 2].reshape(4, 8) - ref)) <= 1e-12
+
+
 def test_window_block_gradcheck():
     rng = np.random.default_rng(8)
     blk = WindowAttentionBlock(4, 2, 2, rng)
@@ -313,3 +326,13 @@ def test_attention_blocks_restricted_drops_search_keys():
     row = np.concatenate([blocks[("search", "target")],
                           blocks[("search", "previous")]], axis=2)
     assert np.allclose(row.sum(axis=2), 1.0, atol=1e-9)
+
+
+def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
+    layer, layout, rng = toy_layer(seed=24)
+    tokens = Tensor(rng.normal(size=(9, 8)))
+    full = layer.attention_blocks(tokens)
+    restricted = layer.attention_blocks(tokens, restricted=True, keys="all")
+    assert set(restricted) == {("search", kn) for kn in layout.names()}
+    for key, block in restricted.items():
+        assert np.max(np.abs(block - full[key])) <= 1e-12

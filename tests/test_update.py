@@ -96,20 +96,20 @@ def test_decreasing_trace_penalized_mean_dominates():
 # ----------------------------------------------------------------------
 
 def test_should_update_mean_examples():
-    state = TrackState("T", "P", mode="mean", seed_confidence=0.9)
+    state = TrackState(mode="mean", seed_confidence=0.9)
     state.history.append(0.7)  # history now [0.9, 0.7], mean 0.8
     decision = state.should_update(0.85)
     assert decision.update and decision.threshold == pytest.approx(0.8)
 
-    state = TrackState("T", "P", mode="mean", seed_confidence=0.9)
+    state = TrackState(mode="mean", seed_confidence=0.9)
     state.history.append(0.7)
     decision = state.should_update(0.75)
     assert not decision.update
 
 
 def test_never_and_always_last_modes():
-    never = TrackState("T", "P", mode="never")
-    last = TrackState("T", "P", mode="always-last")
+    never = TrackState(mode="never")
+    last = TrackState(mode="always-last")
     for s in (0.0, 0.5, 1.0):
         d = never.should_update(s)
         assert not d.update and math.isnan(d.threshold)
@@ -121,51 +121,39 @@ def test_decision_excludes_current_frame():
     # with history [0.5], a confidence of 0.6 beats the threshold 0.5 even
     # though including it would push the mean to 0.55 (still below, but the
     # boundary case 0.5 itself shows the exclusion: 0.5 > 0.5 is false)
-    state = TrackState("T", "P", mode="mean", seed_confidence=0.5)
+    state = TrackState(mode="mean", seed_confidence=0.5)
     assert state.should_update(0.6).threshold == 0.5
-    state = TrackState("T", "P", mode="mean", seed_confidence=0.5)
+    state = TrackState(mode="mean", seed_confidence=0.5)
     assert not state.should_update(0.5).update  # strict inequality
 
 
 def test_seed_makes_first_comparison_unbeatable():
-    state = TrackState("T", "P", mode="mean")
+    state = TrackState(mode="mean")
     assert not state.should_update(1.0).update  # 1.0 > 1.0 is false
     assert state.history.values[0] == 1.0
 
 
 def test_confidence_range_validated():
-    state = TrackState("T", "P", mode="mean")
+    state = TrackState(mode="mean")
     with pytest.raises(ValueError, match="confidence"):
         state.should_update(1.2)
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
-        TrackState("T", "P", mode="sometimes")
+        TrackState(mode="sometimes")
 
 
 def test_history_append_only_and_decision_side_effects():
-    state = TrackState("T", "P", mode="p-mean")
+    state = TrackState(mode="p-mean")
     before = list(state.history.values)
     state.should_update(0.4)
     assert state.history.values[:len(before)] == before
     assert state.history.values[-1] == 0.4
 
 
-def test_apply_update_swaps_previous_template_only():
-    state = TrackState("T", "P0", mode="always-last")
-    decision = state.apply_update(0.3, "P1")
-    assert decision.update
-    assert state.previous_template == "P1"
-    assert state.target_template == "T"
-
-    state = TrackState("T", "P0", mode="never")
-    state.apply_update(0.99, "P1")
-    assert state.previous_template == "P0"
-
-
 def test_mean_mode_update_sequence():
-    state = TrackState("T", "P", mode="mean")
+    state = TrackState(mode="mean")
     outcomes = [state.should_update(s).update
                 for s in (0.4, 0.9, 0.9, 0.2, 0.8)]
     # thresholds: 1.0, 0.7, 0.7667, 0.8, 0.68
