@@ -3,15 +3,18 @@
 Three images flow through shared-weight early stages (patch embedding,
 windowed local attention, two downsamplings to stride 16). The final
 backbone stage alternates per-image local attention with joint layers that
-mix all three token sets. The neck stacks more joint layers, injecting the
-previous-frame box into the previous-template tokens once at entry, and
-ends with a layer where only search tokens act as queries. The heads turn
-the resulting search features into per-position scores and box distances.
+mix all three token sets. Everything before the first joint layer is per
+image, so `encode` can compute it once for a template that stays fixed.
+The neck stacks more joint layers, injecting the previous-frame box into
+the previous-template tokens once at entry, and ends with a layer where
+only search tokens act as queries. The heads turn the resulting search
+features into per-position scores and box distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +25,13 @@ from .positional import SegmentLayout, segment_layout
 from .tensor import Module, Tensor, concat
 
 STRIDE = 16
+
+
+class Encoded(NamedTuple):
+    """One image's (H, W, d) token grid at stride 16, after the early
+    stages and the first local block pair of the last backbone stage."""
+
+    grid: Tensor
 
 
 @dataclass(frozen=True)
@@ -108,17 +118,24 @@ class TrackerNet(Module):
     # ------------------------------------------------------------------
     # backbone
     # ------------------------------------------------------------------
-    def _as_image(self, image) -> Tensor:
-        return image if isinstance(image, Tensor) else Tensor(np.asarray(image))
+    def encode(self, image) -> Encoded:
+        """Features of one image up to the first joint layer.
 
-    def _early_stages(self, image) -> Tensor:
-        t = self.patch(self._as_image(image))
+        A template that does not change between frames can be encoded once
+        and passed to `forward` in place of its image.
+        """
+        if not isinstance(image, Tensor):
+            image = Tensor(np.asarray(image))
+        t = self.patch(image)
         for blk in self.stage1:
             t = blk(t)
         t = self.down1(t)
         for blk in self.stage2:
             t = blk(t)
-        return self.down2(t)
+        t = self.down2(t)
+        for blk in self.stage3_local[0:2]:
+            t = blk(t)
+        return Encoded(t)
 
     def _flatten(self, grids: list[Tensor]) -> Tensor:
         return concat([g.reshape(-1, self.spec.dim) for g in grids], axis=0)
@@ -134,14 +151,17 @@ class TrackerNet(Module):
                          taps: list | None = None) -> Tensor:
         """Token sequence (L, d) at stride 16 for the three input images.
 
-        With joint=False the mixing layers are skipped, leaving three
-        independent per-image pipelines (ablation mode). A list passed as
-        `taps` receives a copy of the token values after each joint layer.
+        Each input is an image or its `encode` output. With joint=False the
+        mixing layers are skipped, leaving three independent per-image
+        pipelines (ablation mode). A list passed as `taps` receives a copy
+        of the token values after each joint layer.
         """
-        grids = [self._early_stages(img) for img in (target, previous, search)]
+        grids = [(x if isinstance(x, Encoded) else self.encode(x)).grid
+                 for x in (target, previous, search)]
         for g in range(self.spec.n1):
-            for blk in self.stage3_local[2 * g: 2 * g + 2]:
-                grids = [blk(t) for t in grids]
+            if g:   # `encode` ran the first local pair
+                for blk in self.stage3_local[2 * g: 2 * g + 2]:
+                    grids = [blk(t) for t in grids]
             if joint:
                 tokens = self.stage3_joint[g](self._flatten(grids))
                 if taps is not None:

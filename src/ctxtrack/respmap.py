@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .fileio import to_uint8, write_pgm
 from .model import TrackerNet
+from .tensor import no_grad
 
 
 def indexable_layers(net: TrackerNet) -> int:
@@ -51,7 +52,8 @@ def response_maps(net: TrackerNet, target: np.ndarray, previous: np.ndarray,
                 f"layer index {i} out of range [0, {total})")
 
     taps: list[np.ndarray] = []
-    net.forward(target, previous, search, prev_box=prev_box, taps=taps)
+    with no_grad():
+        net.forward(target, previous, search, prev_box=prev_box, taps=taps)
     if len(taps) != total:
         raise RuntimeError(
             f"expected {total} tapped layers, got {len(taps)}")

@@ -4,7 +4,10 @@ The tracker crops a search window around the last known box, runs the
 network against the fixed target template and the current previous-frame
 template, decodes the best box, and maps it back to frame coordinates.
 After every frame the update policy decides whether the previous-frame
-template is replaced with a crop around the new prediction.
+template is replaced with a crop around the new prediction. Inference
+builds no autodiff tape, and each template is encoded only when it
+changes: the target once per sequence, the previous template at the first
+frame after each replacement.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .heads import decode_box
 from .imageops import Box, box_iou, box_window, crop_resize
 from .model import STRIDE, TrackerNet
 from .synthetic import SyntheticSequence
+from .tensor import no_grad
 from .update import MODES, TrackState
 
 
@@ -66,6 +70,7 @@ def make_template(frame: np.ndarray, box: Box, context: float,
                      box=window.to_crop(box))
 
 
+@no_grad()
 def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
                 cfg: TrackConfig = TrackConfig()) -> list[FrameRecord]:
     """Track through the sequence; returns one record per frame after the
@@ -81,6 +86,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     previous = make_template(sequence.frames[0], first_box, cfg.context_scale,
                              spec.search_size)
     state = TrackState(cfg.update_mode, cfg.seed_confidence)
+    target_features = net.encode(target)
+    previous_features = None   # encoded at the first forward that uses it
 
     last_box = first_box
     records: list[FrameRecord] = []
@@ -88,8 +95,13 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         search_window = box_window(last_box, cfg.context_scale,
                                    spec.search_size)
         search_crop = crop_resize(sequence.frames[t], search_window)
-        outputs = net.forward(target, previous.crop, search_crop,
+        if previous_features is None:
+            previous_features = net.encode(previous.crop)
+        outputs = net.forward(target_features, previous_features, search_crop,
                               prev_box=previous.box)
+        if not (np.all(np.isfinite(outputs.cls.data))
+                and np.all(np.isfinite(outputs.reg.data))):
+            raise NumericError(f"non-finite head outputs at frame {t}")
         decoded = decode_box(outputs, STRIDE)
         confidence = float(decoded.confidence)
 
@@ -105,6 +117,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         if updated:
             previous = make_template(sequence.frames[t], pred_box,
                                      cfg.context_scale, spec.search_size)
+            previous_features = None
 
         records.append(FrameRecord(
             frame=t, box=pred_box,

@@ -69,6 +69,25 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_track_numeric_failure_is_exit_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # NaN weights make every head output non-finite.
+        import ctxtrack.cli as cli_mod
+
+        original = cli_mod._build_net
+
+        def poisoned(cfg, params_path=None):
+            net = original(cfg, params_path)
+            net.patch.proj.weight.data[:] = np.nan
+            return net
+
+        monkeypatch.setattr(cli_mod, "_build_net", poisoned)
+        config = _write_config(tmp_path)
+        code = main(["track", "--config", config,
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "numeric failure" in capsys.readouterr().err
+
 
 class TestGen(object):
     def test_writes_frames_and_annotations(self, tmp_path, capsys):

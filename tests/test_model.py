@@ -179,6 +179,17 @@ def test_forward_is_deterministic():
     assert np.array_equal(out_a.reg.data, out_b.reg.data)
 
 
+def test_forward_on_encoded_templates_is_byte_identical():
+    net, _ = toy_net(seed=13)
+    target, previous, search = toy_images(np.random.default_rng(13))
+    box = (16, 16, 48, 48)
+    direct = net.forward(target, previous, search, prev_box=box)
+    cached = net.forward(net.encode(target), net.encode(previous), search,
+                         prev_box=box)
+    assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
+    assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
+
+
 def test_forward_gradients_match_finite_differences():
     spec = toy_spec(target_size=32, search_size=32, channels=4,
                     n1=1, n2=1, n3=1)

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ctxtrack.errors import ConfigError
+import ctxtrack.tracker as tracker_mod
+from ctxtrack.backbone import PatchEmbed
+from ctxtrack.errors import ConfigError, NumericError
 from ctxtrack.heads import HeadOutputs
 from ctxtrack.model import TrackerNet, toy_spec
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
 from ctxtrack.tensor import Tensor
-from ctxtrack.tracker import (TrackConfig, compute_metrics, run_tracker,
-                              simulate_updates)
+from ctxtrack.tracker import (TrackConfig, compute_metrics, make_template,
+                              run_tracker, simulate_updates)
+from ctxtrack.update import TrackState, UpdateDecision
 
 
 def _sequence(num_frames=6, seed=0, **kw):
@@ -88,6 +91,9 @@ class TestRunTracker:
             def __init__(self):
                 self.spec = spec
 
+            def encode(self, image):
+                return image
+
             def forward(self, target, previous, search, prev_box=None):
                 cls = Tensor(np.full((grid, grid, 1), 0.9))
                 reg = Tensor(np.zeros((grid, grid, 4)))
@@ -98,6 +104,87 @@ class TestRunTracker:
                               TrackConfig(update_mode="always-last"))
         assert all(r.box == seq.boxes[0] for r in records)
         assert all(not r.updated for r in records)
+
+
+class TestInference:
+    """Tape-free inference with templates encoded once per change."""
+
+    @pytest.mark.parametrize("mode", ["never", "always-last"])
+    def test_patch_embedding_runs_once_per_new_image(self, monkeypatch, mode):
+        calls = []
+        original = PatchEmbed.__call__
+
+        def counting(self, image):
+            calls.append(image.shape)
+            return original(self, image)
+
+        monkeypatch.setattr(PatchEmbed, "__call__", counting)
+        seq = _sequence(num_frames=5)
+        records = run_tracker(_net(), seq, TrackConfig(update_mode=mode))
+        # the target once, every search crop, and each previous template
+        # that a later frame uses
+        frames = len(seq)
+        assert all(r.updated == (mode == "always-last") for r in records)
+        assert len(calls) == (frames + 1 if mode == "never" else 2 * frames - 1)
+
+    def test_previous_features_follow_the_last_accepted_frame(self, monkeypatch):
+        pattern = iter([True, False, False, True, True, False, True])
+        monkeypatch.setattr(TrackState, "should_update",
+                            lambda self, c: UpdateDecision(next(pattern), 0.5))
+        net = _net()
+        seen = []
+        original = net.forward
+
+        def recording(target, previous, search, prev_box=None):
+            seen.append((previous.grid.data.copy(), prev_box))
+            return original(target, previous, search, prev_box=prev_box)
+
+        monkeypatch.setattr(net, "forward", recording)
+        seq = _sequence(num_frames=8)
+        cfg = TrackConfig()
+        records = run_tracker(net, seq, cfg)
+        assert [r.updated for r in records] == [True, False, False, True,
+                                               True, False, True]
+
+        template = make_template(seq.frames[0], seq.boxes[0],
+                                 cfg.context_scale, net.spec.search_size)
+        for record, (features, prev_box) in zip(records, seen):
+            assert prev_box == template.box
+            assert features.tobytes() == \
+                net.encode(template.crop).grid.data.tobytes()
+            if record.updated:
+                template = make_template(seq.frames[record.frame], record.box,
+                                         cfg.context_scale,
+                                         net.spec.search_size)
+
+    def test_decoded_outputs_carry_no_tape(self, monkeypatch):
+        flags = []
+        original = tracker_mod.decode_box
+
+        def recording(outputs, stride):
+            flags.append(outputs.cls.requires_grad or outputs.reg.requires_grad)
+            return original(outputs, stride)
+
+        monkeypatch.setattr(tracker_mod, "decode_box", recording)
+        records = run_tracker(_net(), _sequence())
+        assert len(flags) == len(records)
+        assert not any(flags)
+
+    @pytest.mark.parametrize("poison", ["nan_weights", "overflowing_reg"])
+    def test_non_finite_head_outputs_raise_numeric_error(self, poison):
+        net = _net()
+        if poison == "nan_weights":
+            net.patch.proj.weight.data[:] = np.nan
+        else:
+            net.head.reg_out.bias.data[:] = 1e3   # exp overflows to inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="frame 1"):
+                run_tracker(net, _sequence())
+            # the failed run leaves tape recording switched back on
+            rng = np.random.default_rng(0)
+            out = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
+                              rng.random((64, 64, 3)))
+        assert out.cls.requires_grad and out.cls._parents
 
 
 class TestComputeMetrics:
