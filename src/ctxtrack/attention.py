@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
-from .tensor import Module, Tensor, concat, gelu, matmul, parameter, softmax_lastdim
+from .tensor import (Module, Tensor, concat, gelu, layer_norm, matmul, parameter,
+                     softmax_lastdim)
 
 
 class Linear(Module):
@@ -38,10 +39,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered * ((var + self.eps) ** -0.5) * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class FeedForward(Module):

@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, collect_grads
+from .tensor import Tensor
 
 
 class Adam:
     """Standard first/second-moment update. Parameters with zero gradient
-    (and fresh state) are left untouched."""
+    (and fresh state) are left untouched.
+
+    The moments `m` and `v` are flat vectors over all parameters in
+    insertion order. Each step updates one concatenated gradient with the
+    per-element formula, in place in two work buffers, and then writes every
+    parameter back as a fresh array.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -18,12 +24,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        sizes = [p.data.size for p in params.values()]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros_like(self.m)
+        self._grad = np.empty_like(self.m)
+        self._work = np.empty_like(self.m)
+        self._splits = np.cumsum(sizes)[:-1]
 
     def step(self, grads: dict[str, np.ndarray] | None = None) -> None:
         if grads is None:
-            grads = collect_grads(self.params)
+            grads = {name: p.grad for name, p in self.params.items()
+                     if p.grad is not None}
         for name, g in grads.items():
             if name not in self.params:
                 raise ValueError(f"gradient for unknown parameter {name!r}")
@@ -32,11 +43,30 @@ class Adam:
                     f"gradient shape {np.asarray(g).shape} does not match "
                     f"parameter {name!r} shape {self.params[name].data.shape}")
         self.step_count += 1
+        if not self.params:
+            return
         t = self.step_count
-        for name, p in self.params.items():
-            g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, work, m, v = self._grad, self._work, self.m, self.v
+        np.concatenate(
+            [np.asarray(grads[name], dtype=np.float64).reshape(-1) if name in grads
+             else np.zeros(p.data.size) for name, p in self.params.items()],
+            out=g)
+        # the per-element operations, in order, of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p = p - lr * m_hat / (sqrt(v_hat) + eps)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=work)
+        np.multiply(g, 1.0 - self.beta2, out=work)
+        work *= g
+        v *= self.beta2
+        v += work
+        update = np.divide(m, 1.0 - self.beta1 ** t, out=work)
+        update *= self.lr
+        denom = np.divide(v, 1.0 - self.beta2 ** t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        flat = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        flat -= update
+        for p, piece in zip(self.params.values(), np.split(flat, self._splits)):
+            p.data = piece.reshape(p.data.shape)

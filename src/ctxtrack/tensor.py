@@ -86,8 +86,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # `+ 0.0` turns -0.0 into +0.0, as summing onto zeros did, so a
+            # stored gradient never holds -0.0
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # ------------------------------------------------------------------
     # tape plumbing
@@ -154,10 +157,19 @@ class Tensor:
         return Tensor._make(-self.data, (a,), bwd)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        other = as_tensor(other)
+        a, b = self, other
+
+        def bwd(g):
+            if a.requires_grad:
+                a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                b.accumulate_grad(-_unbroadcast(g, b.data.shape))
+
+        return Tensor._make(self.data - other.data, (a, b), bwd)
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -317,10 +329,19 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         a = self
         in_shape = self.data.shape
+        items = idx if isinstance(idx, tuple) else (idx,)
+        # ints and slices pick each element at most once; the trailing
+        # Ellipsis keeps an all-int index a 0-d view rather than a scalar
+        basic = all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
+                                             and not isinstance(i, bool))
+                    for i in items)
 
         def bwd(g):
             full = np.zeros(in_shape)
-            np.add.at(full, idx, g)
+            if basic:
+                np.add(g, 0.0, out=full[items + (Ellipsis,)])
+            else:
+                np.add.at(full, idx, g)
             a.accumulate_grad(full)
 
         return Tensor._make(self.data[idx], (a,), bwd)
@@ -425,11 +446,95 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                         tuple(tensors), bwd)
 
 
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh((x + x*x*x*0.044715) * sqrt(2/pi)), in one fresh array."""
+    out = x * x
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= _GELU_C
+    return np.tanh(out, out=out)
+
+
 def gelu(t: Tensor) -> Tensor:
-    """Smooth gelu (tanh form), composed from primitive ops."""
-    c = 0.7978845608028654  # sqrt(2/pi)
-    inner = (t + t * t * t * 0.044715) * c
-    return t * (inner.tanh() + 1.0) * 0.5
+    """Smooth gelu (tanh form), x * (tanh(...) + 1) * 0.5, as one tape node.
+
+    Forward and backward repeat, in order, the float operations of the
+    same formula built from primitive ops, so both match it bit for bit.
+    """
+    t = as_tensor(t)
+    x = t.data
+    out = _gelu_tanh(x)
+    out += 1.0
+    out *= x
+    out *= 0.5
+
+    def bwd(g):
+        # t receives, one term at a time, g8*(th + 1), g4, g2*x*x, g1*x and
+        # g1*x, where g8 = g*0.5, g4 = g8*x*(1 - th*th)*c,
+        # g2 = g4*0.044715 and g1 = g2*x
+        th = _gelu_tanh(x)
+        g8 = g * 0.5
+        t.accumulate_grad(g8 * (th + 1.0))
+        grad = t.grad
+        th *= th
+        g4 = g8 * x
+        g4 *= np.subtract(1.0, th, out=th)
+        g4 *= _GELU_C
+        grad += g4
+        g2 = g4 * 0.044715
+        grad += g2 * (x * x)
+        g1x = g2 * x
+        g1x *= x
+        grad += g1x
+        grad += g1x
+
+    return Tensor._make(out, (t,), bwd)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by gamma and shift by beta.
+
+    One tape node. The forward keeps the centred input and the (..., 1)
+    variance term; the backward repeats, in order, the float operations of
+    the mean / centre / variance / scale formula built from primitive ops,
+    so values and gradients match it bit for bit.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    k = 1.0 / x.data.shape[-1]
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * k
+    ve = (c * c).sum(axis=-1, keepdims=True) * k + eps
+    out = c * np.power(ve, -0.5)
+    out *= gamma.data
+    out += beta.data
+
+    def bwd(g):
+        inv = np.power(ve, -0.5)
+        if beta.requires_grad:
+            beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            normed = c * inv
+            normed *= g
+            gamma.accumulate_grad(_unbroadcast(normed, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        # x receives gci*inv + gcc + gcc (the gradient of c), then the
+        # broadcast of (-sum(gc)) * k through the mean
+        gci = g * gamma.data
+        ginv = _unbroadcast(gci * c, ve.shape)
+        gvar = (ginv * -0.5) * np.power(ve, -1.5)
+        gcc = (gvar * k) * c
+        gc = gci
+        gc *= inv
+        gc += gcc
+        gc += gcc
+        x.accumulate_grad(gc)
+        x.accumulate_grad(np.broadcast_to(-_unbroadcast(gc, ve.shape) * k, x.data.shape))
+
+    return Tensor._make(out, (x, gamma, beta), bwd)
 
 
 # ----------------------------------------------------------------------

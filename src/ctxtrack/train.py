@@ -154,6 +154,8 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
 
         outputs = net.forward(target_crop, prev_crop, search_crop,
                               prev_box=prev_box)
+        if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
+            raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(
             outputs, gt_box, STRIDE, alpha=cfg.alpha, gamma=cfg.gamma,
             lambda_cls=cfg.lambda_cls, lambda_giou=cfg.lambda_giou)

@@ -69,6 +69,25 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_saturated_training_output_is_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # A classification bias of 40 saturates the sigmoid at exactly 1.0.
+        import ctxtrack.cli as cli_mod
+
+        original = cli_mod._build_net
+
+        def saturated(cfg, params_path=None):
+            net = original(cfg, params_path)
+            net.head.cls_out.bias.data[:] = 40.0
+            return net
+
+        monkeypatch.setattr(cli_mod, "_build_net", saturated)
+        config = _write_config(tmp_path)
+        code = main(["train", "--config", config,
+                     "--params", str(tmp_path / "m.params")])
+        assert code == 2
+        assert "saturated classification output" in capsys.readouterr().err
+
     def test_track_numeric_failure_is_exit_2(self, tmp_path, capsys,
                                              monkeypatch):
         # NaN weights make every head output non-finite.

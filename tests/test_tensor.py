@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ctxtrack.tensor import (
-    Tensor, concat, collect_grads, finite_diff_grad, gelu, matmul, maximum,
-    minimum, no_grad, parameter, softmax_lastdim, softplus,
+    Tensor, concat, collect_grads, finite_diff_grad, gelu, layer_norm, matmul,
+    maximum, minimum, no_grad, parameter, softmax_lastdim, softplus,
 )
 from ctxtrack.optim import Adam
 
@@ -257,3 +257,226 @@ def test_adam_missing_grad_means_zero():
     opt = Adam({"p": p, "q": q}, lr=0.1)
     opt.step({"p": np.array([1.0])})
     assert q.data[0] == 2.0
+
+
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                        eps=1e-8):
+    """Per-parameter Adam, the update the flat optimizer must reproduce."""
+    for name, p in params.items():
+        g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        m_hat = m[name] / (1.0 - beta1 ** t)
+        v_hat = v[name] / (1.0 - beta2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_flat_update_matches_per_parameter_reference_bitwise():
+    rng = np.random.default_rng(21)
+    shapes = {"w": (3, 4), "b": (5,), "idle": (2, 2), "s": ()}
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = {name: parameter(init[name].copy()) for name in shapes}
+    ref = {name: parameter(init[name].copy()) for name in shapes}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = Adam(params, lr=0.05)
+    for t, lr in enumerate((0.05, 0.02, 0.07), start=1):
+        grads = {name: rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-6, 3)
+                 for name in ("w", "b", "s")}
+        grads["w"][0, :2] = [0.0, -0.0]
+        for name, p in params.items():
+            p.grad = grads[name].copy() if name in grads else None
+        opt.lr = lr
+        opt.step()
+        reference_adam_step(ref, grads, m, v, t, lr)
+        for name in shapes:
+            assert np.array_equal(params[name].data, ref[name].data), (t, name)
+            assert params[name].data.shape == shapes[name]
+    assert opt.step_count == 3
+    assert np.array_equal(params["idle"].data, init["idle"])
+
+
+# ----------------------------------------------------------------------
+# fused ops against the primitive-op compositions they replace
+# ----------------------------------------------------------------------
+
+def composite_gelu(t):
+    """gelu as nine primitive tape ops; `gelu` must match it bit for bit."""
+    c = 0.7978845608028654
+    inner = (t + t * t * t * 0.044715) * c
+    return t * (inner.tanh() + 1.0) * 0.5
+
+
+def composite_layer_norm(x, gamma, beta, eps):
+    """Layer norm as twelve primitive tape ops, centring by adding -mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x + (-mu)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * ((var + eps) ** -0.5) * gamma + beta
+
+
+def seeded_root(out, seed):
+    """A scalar whose backward hands `out` exactly `seed` as its gradient.
+
+    `accumulate_grad` turns -0.0 into +0.0; this bypasses it so the op under
+    test sees -0.0 in its incoming gradient.
+    """
+    def bwd(_):
+        out.grad = np.array(seed, dtype=np.float64)
+
+    return Tensor._make(np.zeros(()), (out,), bwd)
+
+
+def _inputs(rng, shape):
+    x = rng.normal(scale=2.0, size=shape)
+    x.flat[:4] = [0.0, -0.0, 1e-160, -30.0]
+    return x
+
+
+def _gelu_run(op, x0, upstream, residual, seed=None):
+    p = parameter(x0.copy())
+    x = p * 1.5                     # an op node, not a leaf
+    y = op(x)
+    if residual:
+        y = y + x
+    if seed is not None:
+        seeded_root(y, seed).backward()
+    else:
+        (y * upstream).sum().backward()
+    return y.data, p.grad
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_gelu_matches_composite_bitwise(residual):
+    rng = np.random.default_rng(30)
+    x0 = _inputs(rng, (7, 9))
+    upstream = rng.normal(size=(7, 9))
+    upstream[0, :3] = [0.0, -0.0, 1e-300]
+    fused = _gelu_run(gelu, x0, upstream, residual)
+    ref = _gelu_run(composite_gelu, x0, upstream, residual)
+    assert np.array_equal(fused[0], ref[0])
+    assert np.array_equal(fused[1], ref[1])
+
+
+def test_gelu_incoming_negative_zero_gradient_matches_composite():
+    rng = np.random.default_rng(31)
+    x0 = _inputs(rng, (4, 6))
+    seed = rng.normal(size=(4, 6))
+    seed[::2, ::2] = -0.0
+    seed[1, 1] = -5e-324
+    fused = _gelu_run(gelu, x0, None, True, seed=seed)
+    ref = _gelu_run(composite_gelu, x0, None, True, seed=seed)
+    assert np.array_equal(fused[0], ref[0])
+    assert np.array_equal(fused[1], ref[1])
+    assert not np.any(np.signbit(fused[1]) & (fused[1] == 0.0))
+
+
+def test_gelu_is_one_tape_node():
+    x = parameter(np.ones(3))
+    out = gelu(x)
+    assert out._parents == (x,)
+
+
+def _ln_run(op, x0, g0, b0, upstream, residual, seed=None):
+    p = parameter(x0.copy())
+    gamma, beta = parameter(g0.copy()), parameter(b0.copy())
+    x = p * 1.5
+    y = op(x, gamma, beta, 1e-5)
+    if residual:
+        y = y + x
+    if seed is not None:
+        seeded_root(y, seed).backward()
+    else:
+        (y * upstream).sum().backward()
+    return y.data, p.grad, gamma.grad, beta.grad
+
+
+def _ln_params(rng, dim):
+    gamma = rng.normal(size=dim)
+    gamma[:2] = [-0.0, 0.0]
+    return gamma, rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (3, 5, 8), (1, 4, 8)])
+@pytest.mark.parametrize("residual", [False, True])
+def test_layer_norm_matches_composite_bitwise(shape, residual):
+    rng = np.random.default_rng(32)
+    x0 = _inputs(rng, shape)
+    x0[-1] = 3.0                    # constant rows: zero variance
+    g0, b0 = _ln_params(rng, shape[-1])
+    upstream = rng.normal(size=shape)
+    upstream.flat[:3] = [0.0, -0.0, 1e-300]
+    fused = _ln_run(layer_norm, x0, g0, b0, upstream, residual)
+    ref = _ln_run(composite_layer_norm, x0, g0, b0, upstream, residual)
+    for a, b in zip(fused, ref):
+        assert np.array_equal(a, b)
+
+
+def test_layer_norm_incoming_negative_zero_gradient_matches_composite():
+    rng = np.random.default_rng(33)
+    x0 = _inputs(rng, (5, 6))
+    g0, b0 = _ln_params(rng, 6)
+    seed = rng.normal(size=(5, 6))
+    seed[:, 0] = -0.0
+    seed[2] = -0.0
+    fused = _ln_run(layer_norm, x0, g0, b0, None, True, seed=seed)
+    ref = _ln_run(composite_layer_norm, x0, g0, b0, None, True, seed=seed)
+    for a, b in zip(fused, ref):
+        assert np.array_equal(a, b)
+
+
+def test_layer_norm_is_one_tape_node():
+    x, gamma, beta = (parameter(np.ones((2, 3))), parameter(np.ones(3)),
+                      parameter(np.zeros(3)))
+    out = layer_norm(x, gamma, beta, 1e-5)
+    assert out._parents == (x, gamma, beta)
+
+
+def test_layer_norm_gradients_match_finite_differences():
+    rng = np.random.default_rng(34)
+    x = parameter(rng.normal(size=(2, 3, 5)))
+    gamma = parameter(rng.normal(size=5))
+    beta = parameter(rng.normal(size=5))
+    weight = rng.normal(size=(2, 3, 5))
+
+    def loss_fn(_=None):
+        return (layer_norm(x, gamma, beta, 1e-5) * weight).sum()
+
+    loss_fn().backward()
+    for p in (x, gamma, beta):
+        fd = finite_diff_grad(lambda _: loss_fn().item(), p, eps=1e-5)
+        assert rel_err(p.grad, fd) < 1e-6
+
+
+def test_sub_is_one_tape_node_and_matches_add_neg_bitwise():
+    rng = np.random.default_rng(35)
+    a0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+    w = rng.normal(size=(4, 3))
+    results = []
+    for fused in (True, False):
+        a, b = parameter(a0.copy()), parameter(b0.copy())
+        x = a * 2.0
+        out = x - b if fused else x + (-b)
+        if fused:
+            assert out._parents == (x, b)
+        ((out * w).sum() + (b * x).sum()).backward()
+        results.append((out.data, a.grad, b.grad))
+    for u, v in zip(*results):
+        assert np.array_equal(u, v)
+    c = parameter(b0.copy())
+    (1.0 - c).sum().backward()
+    assert np.array_equal(c.grad, -np.ones((1, 3)))
+
+
+def test_getitem_basic_index_grads_match_scatter_add():
+    rng = np.random.default_rng(36)
+    data = rng.normal(size=(3, 4, 5))
+    for idx in (1, (2, 3), (0, 1, 4), (slice(1, None), 2),
+                (slice(None), slice(0, 4, 2), np.int64(3))):
+        p = parameter(data.copy())
+        picked = p[idx]
+        w = rng.normal(size=picked.shape)
+        (picked * w).sum().backward()
+        expect = np.zeros(data.shape)
+        np.add.at(expect, idx, w)
+        assert np.array_equal(p.grad, expect), idx

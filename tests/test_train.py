@@ -107,3 +107,11 @@ class TestToyTrain:
         net.patch.proj.weight.data[:] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             toy_train(net, _static_sequence(), TrainConfig(steps=1))
+
+    def test_saturated_classification_raises_numeric_error(self):
+        # sigmoid(40) rounds to exactly 1.0, which the loss cannot take
+        net = _net(9)
+        net.head.cls_out.bias.data[:] = 40.0
+        with pytest.raises(NumericError,
+                           match="saturated classification output at step 0"):
+            toy_train(net, _static_sequence(), TrainConfig(steps=1))
