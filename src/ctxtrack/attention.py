@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
-from .tensor import (Module, Tensor, concat, gelu, layer_norm, matmul, parameter,
-                     softmax_lastdim)
+from .tensor import (Module, Tensor, concat, gelu, grad_enabled, layer_norm,
+                     matmul, no_grad, parameter, softmax_lastdim)
 
 
 class Linear(Module):
@@ -150,33 +150,60 @@ class CrossFrameAttention(_PreNormAttention):
                  rng: np.random.Generator, init_scale: float = 0.02):
         self.layout = layout
         super().__init__(dim, heads, 2, rng, init_scale)
+        self._held = None   # (keys, bias terms) while held
 
     def _init_bias(self, rng: np.random.Generator, init_scale: float) -> None:
         self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng, init_scale)
         self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng, init_scale)
 
-    def _select(self, tokens: Tensor, keys: str | None = None):
-        """Normed query and key tokens, bias terms and key segment names.
+    def _search_keys(self, keys: str) -> tuple[slice, int, tuple[str, ...]]:
+        """Search query rows, key stop and key segment names for `keys`."""
+        if keys not in ("templates", "all"):
+            raise ValueError(f"unknown key mode: {keys!r}")
+        rows, names = self.layout.segment_slice("search"), self.layout.names()
+        if keys == "templates":
+            return rows, rows.start, tuple(n for n in names if n != "search")
+        return rows, self.layout.length, names
+
+    def bias_terms(self, keys: str | None = None) -> tuple[Tensor, Tensor]:
+        """Absolute and relative logit terms for the rows and keys of `keys`.
 
         keys=None gives the full map. "templates" or "all" keep only the
-        search tokens as queries against that key set, and gather only the
-        relative-bias blocks those rows use.
+        search rows against that key set, and gather only the relative-bias
+        blocks those rows use. While no tape is recorded, terms kept by
+        `hold_bias_terms` for the same keys are returned instead.
         """
+        if self._held is not None and self._held[0] == keys and not grad_enabled():
+            return self._held[1]
+        if keys is None:
+            return self.abs_bias.bias(), self.rel_bias.bias()
+        rows, stop, names = self._search_keys(keys)
+        rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
+        return self.abs_bias.bias()[:, rows, 0:stop], rel
+
+    def hold_bias_terms(self, keys: str | None = None) -> None:
+        """Build the bias terms for `keys` once, tape-free, and reuse them
+        in every tape-free call until `release_bias_terms`. They depend
+        only on the weights, which must not change meanwhile."""
+        with no_grad():
+            terms = self.bias_terms(keys)
+        # a search-row slice is copied, so the full term behind it is freed
+        self._held = (keys, tuple(Tensor(np.ascontiguousarray(t.data)) for t in terms))
+
+    def release_bias_terms(self) -> None:
+        self._held = None
+
+    def _select(self, tokens: Tensor, keys: str | None = None):
+        """Normed query and key tokens, bias terms and key segment names;
+        `keys` as in `bias_terms`."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
-        names = self.layout.names()
         if keys is None:
-            return x, x, (self.abs_bias.bias(), self.rel_bias.bias()), names
-        if keys not in ("templates", "all"):
-            raise ValueError(f"unknown key mode: {keys!r}")
-        rows, stop = self.layout.segment_slice("search"), self.layout.length
-        if keys == "templates":
-            names = tuple(n for n in names if n != "search")
-            stop = rows.start
-        rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
-        return x[rows], x[0:stop], (self.abs_bias.bias()[:, rows, 0:stop], rel), names
+            return x, x, self.bias_terms(), self.layout.names()
+        rows, stop, names = self._search_keys(keys)
+        return x[rows], x[0:stop], self.bias_terms(keys), names
 
     def __call__(self, tokens: Tensor) -> Tensor:
         return self.forward(tokens)

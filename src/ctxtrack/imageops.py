@@ -80,25 +80,33 @@ def crop_resize(frame: np.ndarray, window: CropWindow) -> np.ndarray:
     if frame.ndim != 3:
         raise ValueError(f"expected (H, W, C) frame, got {frame.shape}")
     h, w, c = frame.shape
-    fill = frame.reshape(-1, c).mean(axis=0)
     out = window.out_size
     step = window.size / out
     xs = window.left + (np.arange(out) + 0.5) * step - 0.5
     ys = window.top + (np.arange(out) + 0.5) * step - 0.5
-    ys, xs = np.meshgrid(ys, xs, indexing="ij")
+    # floor(v) + 1 must be an int64; this also rejects inf and NaN
+    if not (np.all(np.abs(xs) < 2.0 ** 63) and np.all(np.abs(ys) < 2.0 ** 63)):
+        raise ValueError(f"window {window} samples outside int64 pixel indices")
 
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
-    fx = (xs - x0)[..., None]
-    fy = (ys - y0)[..., None]
+    fx = (xs - x0)[None, :, None]
+    fy = (ys - y0)[:, None, None]
 
-    def fetch(yi: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        pix = frame[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-        return np.where(valid[..., None], pix, fill)
+    # rows y0, y0 + 1 and columns x0, x0 + 1, clipped; one gather fetches
+    # the four corners as (2, 2, out, out, c), and off-frame corners take
+    # the frame mean
+    yi = np.stack([y0, y0 + 1])[:, None, :, None]
+    xi = np.stack([x0, x0 + 1])[None, :, None, :]
+    flat = frame.reshape(-1, c)
+    pix = np.take(flat, np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1), axis=0)
+    outside = (yi < 0) | (yi >= h) | (xi < 0) | (xi >= w)
+    if outside.any():
+        pix[outside] = flat.mean(axis=0)
 
-    top = fetch(y0, x0) * (1 - fx) + fetch(y0, x0 + 1) * fx
-    bot = fetch(y0 + 1, x0) * (1 - fx) + fetch(y0 + 1, x0 + 1) * fx
+    (p00, p01), (p10, p11) = pix
+    top = p00 * (1 - fx) + p01 * fx
+    bot = p10 * (1 - fx) + p11 * fx
     return top * (1 - fy) + bot * fy
 
 

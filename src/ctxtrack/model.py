@@ -13,6 +13,7 @@ features into per-position scores and box distances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -202,6 +203,25 @@ class TrackerNet(Module):
         out = self.neck_last.forward_search_queries(tokens, keys=self.spec.final_keys)
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
+
+    @contextmanager
+    def reused_bias_terms(self):
+        """Hold every joint layer's position-bias terms inside the block.
+
+        The terms depend only on the weights, so each tape-free forward in
+        the block reuses one copy per layer instead of rebuilding them; a
+        taped forward still builds its own. The weights must not change in
+        the block. The terms are dropped on exit.
+        """
+        layers = [(layer, None) for layer in self.stage3_joint + self.neck_full]
+        layers.append((self.neck_last, self.spec.final_keys))
+        try:
+            for layer, keys in layers:
+                layer.hold_bias_terms(keys)
+            yield
+        finally:
+            for layer, _ in layers:
+                layer.release_bias_terms()
 
     def forward(self, target, previous, search, prev_box: Box | None = None,
                 collect: list | None = None, taps: list | None = None,

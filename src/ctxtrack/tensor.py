@@ -28,6 +28,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a tape right now."""
+    return _GRAD_ENABLED
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast when producing it."""
     while grad.ndim > len(shape):

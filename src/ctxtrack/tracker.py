@@ -7,11 +7,14 @@ After every frame the update policy decides whether the previous-frame
 template is replaced with a crop around the new prediction. Inference
 builds no autodiff tape, and each template is encoded only when it
 changes: the target once per sequence, the previous template at the first
-frame after each replacement.
+frame after each replacement. The joint layers' position-bias terms depend
+only on the weights, so a sequence with two or more frames to track builds
+them once for all its forwards.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,40 +94,51 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
 
     last_box = first_box
     records: list[FrameRecord] = []
-    for t in range(1, len(sequence)):
-        search_window = box_window(last_box, cfg.context_scale,
-                                   spec.search_size)
-        search_crop = crop_resize(sequence.frames[t], search_window)
-        if previous_features is None:
-            previous_features = net.encode(previous.crop)
-        outputs = net.forward(target_features, previous_features, search_crop,
-                              prev_box=previous.box)
-        if not (np.all(np.isfinite(outputs.cls.data))
-                and np.all(np.isfinite(outputs.reg.data))):
-            raise NumericError(f"non-finite head outputs at frame {t}")
-        decoded = decode_box(outputs, STRIDE)
-        confidence = float(decoded.confidence)
+    # held bias terms pay off once two or more forwards share them; for a
+    # single forward, holding them would only cost memory
+    with net.reused_bias_terms() if len(sequence) > 2 else nullcontext():
+        for t in range(1, len(sequence)):
+            try:
+                search_window = box_window(last_box, cfg.context_scale,
+                                           spec.search_size)
+                search_crop = crop_resize(sequence.frames[t], search_window)
+            except ValueError as exc:
+                raise NumericError(f"cannot crop frame {t}: {exc}") from exc
+            if previous_features is None:
+                previous_features = net.encode(previous.crop)
+            outputs = net.forward(target_features, previous_features,
+                                  search_crop, prev_box=previous.box)
+            if not (np.all(np.isfinite(outputs.cls.data))
+                    and np.all(np.isfinite(outputs.reg.data))):
+                raise NumericError(f"non-finite head outputs at frame {t}")
+            decoded = decode_box(outputs, STRIDE)
+            confidence = float(decoded.confidence)
 
-        if decoded.degenerate:
-            pred_box = last_box   # hold position rather than collapse
-        else:
-            pred_box = search_window.to_frame(decoded.box)
-        if cfg.oracle:
-            pred_box = sequence.boxes[t]
+            if decoded.degenerate:
+                pred_box = last_box   # hold position rather than collapse
+            else:
+                pred_box = search_window.to_frame(decoded.box)
+            if cfg.oracle:
+                pred_box = sequence.boxes[t]
 
-        decision = state.should_update(confidence)
-        updated = decision.update and not decoded.degenerate
-        if updated:
-            previous = make_template(sequence.frames[t], pred_box,
-                                     cfg.context_scale, spec.search_size)
-            previous_features = None
+            decision = state.should_update(confidence)
+            updated = decision.update and not decoded.degenerate
+            if updated:
+                try:
+                    previous = make_template(sequence.frames[t], pred_box,
+                                             cfg.context_scale,
+                                             spec.search_size)
+                except ValueError as exc:
+                    raise NumericError(
+                        f"cannot crop the template at frame {t}: {exc}") from exc
+                previous_features = None
 
-        records.append(FrameRecord(
-            frame=t, box=pred_box,
-            iou=box_iou(pred_box, sequence.boxes[t]),
-            confidence=confidence, threshold=decision.threshold,
-            updated=updated))
-        last_box = pred_box
+            records.append(FrameRecord(
+                frame=t, box=pred_box,
+                iou=box_iou(pred_box, sequence.boxes[t]),
+                confidence=confidence, threshold=decision.threshold,
+                updated=updated))
+            last_box = pred_box
     return records
 
 

@@ -107,6 +107,27 @@ class TestExitCodes:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_track_runaway_box_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A large but finite regression bias grows the box until its crop
+        # window leaves int64 pixel indices.
+        import ctxtrack.cli as cli_mod
+
+        original = cli_mod._build_net
+
+        def runaway(cfg, params_path=None):
+            net = original(cfg, params_path)
+            net.head.reg_out.bias.data[:] = 30.0
+            return net
+
+        monkeypatch.setattr(cli_mod, "_build_net", runaway)
+        config = _write_config(tmp_path, track={"update_mode": "always-last"},
+                               sequence={"num_frames": 6})
+        code = main(["track", "--config", config,
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "int64" in err
+
 
 class TestGen(object):
     def test_writes_frames_and_annotations(self, tmp_path, capsys):

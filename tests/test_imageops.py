@@ -11,6 +11,32 @@ def _random_frame(rng, h=48, w=48):
     return rng.uniform(0.0, 1.0, size=(h, w, 3))
 
 
+def reference_crop_resize(frame, window):
+    """Per-corner bilinear resample: four 2-D gathers, one per corner."""
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w, c = frame.shape
+    fill = frame.reshape(-1, c).mean(axis=0)
+    out = window.out_size
+    step = window.size / out
+    xs = window.left + (np.arange(out) + 0.5) * step - 0.5
+    ys = window.top + (np.arange(out) + 0.5) * step - 0.5
+    ys, xs = np.meshgrid(ys, xs, indexing="ij")
+
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = (xs - x0)[..., None]
+    fy = (ys - y0)[..., None]
+
+    def fetch(yi, xi):
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        pix = frame[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+        return np.where(valid[..., None], pix, fill)
+
+    top = fetch(y0, x0) * (1 - fx) + fetch(y0, x0 + 1) * fx
+    bot = fetch(y0 + 1, x0) * (1 - fx) + fetch(y0 + 1, x0 + 1) * fx
+    return top * (1 - fy) + bot * fy
+
+
 class TestCropWindow:
     def test_scale_and_origin(self):
         win = crop_window((10.0, 20.0), 32.0, 64)
@@ -128,6 +154,48 @@ class TestCropResize:
         win = CropWindow(cx=32.0, cy=32.0, size=64.0, out_size=16)
         out = crop_resize(frame, win)
         assert abs(out.mean() - 0.5) < 0.05
+
+
+    def test_matches_per_corner_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        kinds = ("inside", "off_frame", "outside", "sub_pixel", "up", "down")
+        for i in range(600):
+            kind = kinds[i % len(kinds)]
+            h, w = (int(v) for v in rng.integers(8, 97, size=2))
+            frame = rng.uniform(0.0, 1.0, size=(h, w, int(rng.integers(1, 4))))
+            out_size = (16, 64, 224)[i % 3]
+            cx, cy = rng.uniform(0.0, w), rng.uniform(0.0, h)
+            size = rng.uniform(4.0, 1.5 * max(h, w))
+            if kind == "off_frame":      # straddles an edge
+                cx, cy = rng.uniform(-0.5, 0.5) * w, rng.uniform(-0.5, 1.5) * h
+            elif kind == "outside":      # no sample lands on the frame
+                cx, cy = -3.0 * w - size, rng.uniform(-2.0, 3.0) * h
+            elif kind == "sub_pixel":
+                size = rng.uniform(0.05, 1.0)
+            elif kind == "up":           # more output than source pixels
+                size = rng.uniform(1.0, out_size / 2.0)
+            elif kind == "down":
+                size = rng.uniform(2.0 * out_size, 4.0 * out_size)
+            win = CropWindow(cx=float(cx), cy=float(cy), size=float(size),
+                             out_size=out_size)
+            assert crop_resize(frame, win).tobytes() == \
+                reference_crop_resize(frame, win).tobytes(), (i, kind, win)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("cx, size", [
+        (float("nan"), 32.0), (float("inf"), 32.0), (16.0, float("inf")),
+        (1e19, 32.0), (-1e19, 32.0), (16.0, 1e20)])
+    def test_rejects_samples_outside_int64_indices(self, cx, size):
+        frame = np.zeros((32, 32, 3))
+        with pytest.raises(ValueError, match="int64"):
+            crop_resize(frame, CropWindow(cx=cx, cy=16.0, size=size, out_size=16))
+
+    def test_samples_near_int64_limit_still_crop(self):
+        # 2**62 is far outside any frame but inside int64 indices
+        frame = np.full((8, 8, 3), 0.25)
+        out = crop_resize(frame, CropWindow(cx=2.0 ** 62, cy=4.0, size=8.0,
+                                            out_size=16))
+        assert np.all(out == 0.25)
 
 
 class TestBoxIoU:

@@ -1,6 +1,8 @@
 """Tracker loop, metrics, and update-simulation tests."""
 
 import math
+from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from ctxtrack.backbone import PatchEmbed
 from ctxtrack.errors import ConfigError, NumericError
 from ctxtrack.heads import HeadOutputs
 from ctxtrack.model import TrackerNet, toy_spec
+from ctxtrack.positional import PairwiseRegionBias, UntiedPositionBias
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
-from ctxtrack.tensor import Tensor
+from ctxtrack.tensor import Tensor, no_grad
 from ctxtrack.tracker import (TrackConfig, compute_metrics, make_template,
                               run_tracker, simulate_updates)
 from ctxtrack.update import TrackState, UpdateDecision
@@ -93,6 +96,9 @@ class TestRunTracker:
 
             def encode(self, image):
                 return image
+
+            def reused_bias_terms(self):
+                return nullcontext()
 
             def forward(self, target, previous, search, prev_box=None):
                 cls = Tensor(np.full((grid, grid, 1), 0.9))
@@ -185,6 +191,139 @@ class TestInference:
             out = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
                               rng.random((64, 64, 3)))
         assert out.cls.requires_grad and out.cls._parents
+
+
+    def test_runaway_box_raises_numeric_error(self):
+        # A large regression bias grows the box about 1e13-fold per frame;
+        # the frame-2 template window then samples beyond int64 indices.
+        net = _net()
+        net.head.reg_out.bias.data[:] = 30.0
+        with pytest.raises(NumericError, match="frame 2"):
+            run_tracker(net, _sequence(),
+                        TrackConfig(update_mode="always-last"))
+
+
+def _joint_layers(net):
+    return [*net.stage3_joint, *net.neck_full, net.neck_last]
+
+
+def _images(seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.random((32, 32, 3)), rng.random((64, 64, 3)),
+            rng.random((64, 64, 3)))
+
+
+class TestReusedBiasTerms:
+    """Each joint layer's position-bias terms are built once per sequence."""
+
+    @staticmethod
+    def _count_bias_calls(monkeypatch):
+        calls = Counter()
+        for cls, name in ((UntiedPositionBias, "bias"),
+                          (PairwiseRegionBias, "bias"),
+                          (PairwiseRegionBias, "block")):
+            original = getattr(cls, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls[(id(self), _name, args)] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    @staticmethod
+    def _record_held(monkeypatch, net):
+        held = []
+        original = net.forward
+
+        def recording(*args, **kwargs):
+            held.append([layer._held is not None for layer in _joint_layers(net)])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(net, "forward", recording)
+        return held
+
+    @pytest.mark.parametrize("mode", ["p-mean", "always-last"])
+    def test_terms_are_built_once_per_layer_per_sequence(self, monkeypatch, mode):
+        calls = self._count_bias_calls(monkeypatch)
+        net = _net()
+        run_tracker(net, _sequence(num_frames=5), TrackConfig(update_mode=mode))
+        layers = _joint_layers(net)
+        # every layer builds its absolute term; the last layer gathers its
+        # search-row relative blocks instead of the full relative term
+        assert {key[0] for key in calls if key[1] == "bias"} == \
+            {id(layer.abs_bias) for layer in layers} | \
+            {id(layer.rel_bias) for layer in layers[:-1]}
+        assert calls[(id(net.neck_last.rel_bias), "block",
+                      ("search", "target"))] == 1
+        assert set(calls.values()) == {1}
+
+    def test_two_frame_sequence_holds_nothing(self, monkeypatch):
+        calls = self._count_bias_calls(monkeypatch)
+        net = _net()
+        held = self._record_held(monkeypatch, net)
+        run_tracker(net, _sequence(num_frames=2))
+        assert held == [[False] * 7]
+        assert len([key for key in calls if key[1] == "bias"]) == 13
+        assert set(calls.values()) == {1}
+
+    def test_terms_are_dropped_on_return(self, monkeypatch):
+        net = _net()
+        held = self._record_held(monkeypatch, net)
+        run_tracker(net, _sequence(num_frames=5))
+        assert held == [[True] * 7] * 4
+        assert all(layer._held is None for layer in _joint_layers(net))
+
+    def test_terms_are_dropped_on_numeric_error(self, monkeypatch):
+        net = _net()
+        net.patch.proj.weight.data[:] = np.nan
+        held = self._record_held(monkeypatch, net)
+        with pytest.raises(NumericError, match="frame 1"):
+            run_tracker(net, _sequence(num_frames=5))
+        assert held == [[True] * 7]
+        assert all(layer._held is None for layer in _joint_layers(net))
+
+    @staticmethod
+    def _gradients(net):
+        net.zero_grad()
+        out = net.forward(*_images(), prev_box=(20.0, 20.0, 40.0, 40.0))
+        (out.cls.sum() + out.reg.sum()).backward()
+        return {name: p.grad for name, p in net.parameters().items()}
+
+    def test_taped_forward_builds_its_own_terms(self):
+        expected = self._gradients(_net())
+        net = _net()
+        run_tracker(net, _sequence(num_frames=5))
+        after = self._gradients(net)
+        with net.reused_bias_terms():
+            inside = self._gradients(net)
+        tables = [name for name in expected
+                  if ".abs_bias." in name or ".rel_bias." in name]
+        # every table the layers read gets a gradient
+        assert all(expected[name] is not None for name in tables
+                   if name.startswith(("stage3_joint", "neck_full"))
+                   or ".abs_bias." in name)
+        for grads in (after, inside):
+            assert grads.keys() == expected.keys()
+            for name, grad in expected.items():
+                if grad is None:
+                    assert grads[name] is None, name
+                else:
+                    assert grads[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("final_keys", ["templates", "all"])
+    def test_forward_with_reused_terms_is_byte_identical(self, final_keys):
+        net = TrackerNet(toy_spec(final_keys=final_keys),
+                         np.random.default_rng(0))
+        images = _images(1)
+        box = (18.0, 22.0, 41.0, 37.0)
+        with no_grad():
+            plain = net.forward(*images, prev_box=box)
+            with net.reused_bias_terms():
+                reused = [net.forward(*images, prev_box=box) for _ in range(2)]
+        for out in reused:
+            assert out.cls.data.tobytes() == plain.cls.data.tobytes()
+            assert out.reg.data.tobytes() == plain.reg.data.tobytes()
 
 
 class TestComputeMetrics:
