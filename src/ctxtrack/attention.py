@@ -224,16 +224,16 @@ class CrossFrameAttention(_PreNormAttention):
         search = tokens[self.layout.segment_slice("search")]
         return self._residual(search, self.attend(xq, xk, biases))
 
-    def attention_blocks(self, tokens: Tensor, restricted: bool = False,
-                         keys: str = "templates") -> dict[tuple[str, str], np.ndarray]:
+    def attention_blocks(self, tokens: Tensor, keys: str | None = None
+                         ) -> dict[tuple[str, str], np.ndarray]:
         """Post-softmax weights partitioned by (query segment, key segment).
 
-        The full map yields nine blocks for a three-segment layout; the
-        restricted variant yields only the search-query rows against the
-        selected key set.
+        keys=None gives the full map, nine blocks for a three-segment
+        layout; "templates" or "all" give only the search-query rows
+        against that key set, as in `forward_search_queries`.
         """
-        xq, xk, biases, key_names = self._select(tokens, keys if restricted else None)
-        query_names = ("search",) if restricted else self.layout.names()
+        xq, xk, biases, key_names = self._select(tokens, keys)
+        query_names = self.layout.names() if keys is None else ("search",)
 
         def split(a: np.ndarray, names, axis: int) -> list[np.ndarray]:
             sizes = [h * w for h, w in map(self.layout.grid, names)]

@@ -167,10 +167,11 @@ class TrainingTarget:
 
 
 def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
-                  reg) -> TrainingTarget:
+                  boxes) -> TrainingTarget:
     """Positives are cells whose centers fall strictly inside the gt box;
-    their target is the IoU of the currently predicted box at that cell,
-    taken as a constant (no gradient flows through it)."""
+    their target is the IoU of the predicted box at that cell, given as
+    decoded (H, W, 4) grid-unit `boxes`, taken as a constant (no gradient
+    flows through it)."""
     x1, y1, x2, y2 = _validate_box(gt_box)
     h, w = grid
     if x1 < 0 or y1 < 0 or x2 > w * stride or y2 > h * stride:
@@ -179,7 +180,6 @@ def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
                          (np.arange(w) + 0.5) * stride, indexing="ij")
     positives = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     with no_grad():
-        boxes = _ltrb_to_boxes_tensor(as_tensor(reg))
         _, inter, union = _overlap(boxes, tuple(v / stride for v in (x1, y1, x2, y2)))
         iou = (inter / union).data
     q = np.where(positives, np.clip(iou, 0.0, 1.0), 0.0)[..., None]
@@ -197,10 +197,10 @@ def tracking_loss(outputs: HeadOutputs, gt_box: Box, stride: float,
                   lambda_cls: float = 1.5, lambda_giou: float = 1.5
                   ) -> tuple[Tensor, dict[str, float], TrainingTarget]:
     """Full objective for one frame: weighted cls + giou over positives."""
-    target = build_targets(gt_box, outputs.grid, stride, outputs.reg)
+    boxes = _ltrb_to_boxes_tensor(outputs.reg)
+    target = build_targets(gt_box, outputs.grid, stride, boxes)
     cls_term = varifocal_loss(outputs.cls, target.q, alpha, gamma)
     if target.positives.any():
-        boxes = _ltrb_to_boxes_tensor(outputs.reg)
         gt_grid = tuple(v / stride for v in target.box)
         per_pos = giou_loss(boxes, gt_grid)
         mask = target.positives.astype(np.float64)

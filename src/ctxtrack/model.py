@@ -149,13 +149,13 @@ class TrackerNet(Module):
         return out
 
     def backbone_forward(self, target, previous, search, joint: bool = True,
-                         taps: list | None = None) -> Tensor:
+                         trace: list | None = None) -> Tensor:
         """Token sequence (L, d) at stride 16 for the three input images.
 
         Each input is an image or its `encode` output. With joint=False the
         mixing layers are skipped, leaving three independent per-image
-        pipelines (ablation mode). A list passed as `taps` receives a copy
-        of the token values after each joint layer.
+        pipelines (ablation mode). A list passed as `trace` receives the
+        output tokens of each joint layer.
         """
         grids = [(x if isinstance(x, Encoded) else self.encode(x)).grid
                  for x in (target, previous, search)]
@@ -165,8 +165,8 @@ class TrackerNet(Module):
                     grids = [blk(t) for t in grids]
             if joint:
                 tokens = self.stage3_joint[g](self._flatten(grids))
-                if taps is not None:
-                    taps.append(tokens.data.copy())
+                if trace is not None:
+                    trace.append(tokens)
                 grids = self._split(tokens)
         return self._flatten(grids)
 
@@ -174,15 +174,13 @@ class TrackerNet(Module):
     # neck and heads
     # ------------------------------------------------------------------
     def neck_forward(self, tokens: Tensor, prev_box: Box | None = None,
-                     collect: list | None = None,
-                     taps: list | None = None) -> Tensor:
+                     trace: list | None = None) -> Tensor:
         """Search feature map (H, W, d) after the joint refinement stack.
 
         prev_box, when given, is the previous-frame box in pixel
         coordinates of the previous-template image; it enters the
         previous-template tokens once, here at neck entry. A list passed
-        as `collect` receives each layer's post-softmax attention blocks;
-        one passed as `taps` receives token values after each full layer.
+        as `trace` receives the output tokens of each full layer.
         """
         if prev_box is not None:
             grid = self.layout.grid("previous")
@@ -192,14 +190,9 @@ class TrackerNet(Module):
             parts[1] = parts[1] + emb
             tokens = self._flatten(parts)
         for layer in self.neck_full:
-            if collect is not None:
-                collect.append(layer.attention_blocks(tokens))
             tokens = layer(tokens)
-            if taps is not None:
-                taps.append(tokens.data.copy())
-        if collect is not None:
-            collect.append(self.neck_last.attention_blocks(
-                tokens, restricted=True, keys=self.spec.final_keys))
+            if trace is not None:
+                trace.append(tokens)
         out = self.neck_last.forward_search_queries(tokens, keys=self.spec.final_keys)
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
@@ -224,11 +217,12 @@ class TrackerNet(Module):
                 layer.release_bias_terms()
 
     def forward(self, target, previous, search, prev_box: Box | None = None,
-                collect: list | None = None, taps: list | None = None,
-                joint: bool = True) -> HeadOutputs:
-        tokens = self.backbone_forward(target, previous, search, joint=joint,
-                                       taps=taps)
-        features = self.neck_forward(tokens, prev_box, collect, taps=taps)
+                trace: list | None = None) -> HeadOutputs:
+        """Head outputs for the three inputs. A list passed as `trace`
+        receives the output tokens of every full cross-frame layer: the
+        joint backbone layers, then the full neck layers."""
+        tokens = self.backbone_forward(target, previous, search, trace=trace)
+        features = self.neck_forward(tokens, prev_box, trace)
         return self.head(features)
 
     def __call__(self, *args, **kwargs) -> HeadOutputs:

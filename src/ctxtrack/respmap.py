@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .fileio import to_uint8, write_pgm
 from .model import TrackerNet
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 
 
 def indexable_layers(net: TrackerNet) -> int:
-    """Number of cross-frame layers that can be tapped: every joint
+    """Number of cross-frame layers that `forward` traces: every joint
     backbone layer plus every full (unrestricted) neck layer."""
     return net.spec.n1 + net.spec.n3 - 1
 
@@ -40,6 +40,7 @@ def response_maps(net: TrackerNet, target: np.ndarray, previous: np.ndarray,
 
     Returns {(layer_index, segment_name): (H, W) uint8 image}. Layer
     indices count joint backbone layers first, then full neck layers.
+    Raises NumericError when any traced layer holds non-finite tokens.
     """
     total = indexable_layers(net)
     if layer_indices is None:
@@ -51,16 +52,19 @@ def response_maps(net: TrackerNet, target: np.ndarray, previous: np.ndarray,
             raise ConfigError(
                 f"layer index {i} out of range [0, {total})")
 
-    taps: list[np.ndarray] = []
+    trace: list[Tensor] = []
     with no_grad():
-        net.forward(target, previous, search, prev_box=prev_box, taps=taps)
-    if len(taps) != total:
+        net.forward(target, previous, search, prev_box=prev_box, trace=trace)
+    if len(trace) != total:
         raise RuntimeError(
-            f"expected {total} tapped layers, got {len(taps)}")
+            f"expected {total} traced layers, got {len(trace)}")
+    for i, tokens in enumerate(trace):
+        if not np.all(np.isfinite(tokens.data)):
+            raise NumericError(f"non-finite tokens after layer {i}")
 
     maps: dict[tuple[int, str], np.ndarray] = {}
     for i in indices:
-        tokens = taps[i]
+        tokens = trace[i].data
         for name in net.layout.names():
             h, w = net.layout.grid(name)
             segment = tokens[net.layout.segment_slice(name)]

@@ -44,19 +44,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     # keep numpy from consuming `ndarray <op> Tensor`; defer to the
     # reflected dunders so the operation lands on the tape
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------
     # basics
@@ -75,19 +74,12 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -588,8 +580,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.parameters().items()}
 
 
-def parameter(data, name: str | None = None) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

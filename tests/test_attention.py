@@ -263,7 +263,7 @@ def test_search_query_uniform_keys_give_uniform_attention():
     zero_positional(layer)
     tokens = rng.normal(size=(9, 8))
     tokens[0:5] = tokens[0]  # target and previous tokens all identical
-    blocks = layer.attention_blocks(Tensor(tokens), restricted=True)
+    blocks = layer.attention_blocks(Tensor(tokens), keys="templates")
     stacked = np.concatenate(
         [blocks[("search", "target")], blocks[("search", "previous")]], axis=2)
     assert stacked.shape == (2, 4, 5)
@@ -321,7 +321,8 @@ def test_attention_blocks_rows_sum_to_one():
 
 def test_attention_blocks_restricted_drops_search_keys():
     layer, _, rng = toy_layer(seed=22)
-    blocks = layer.attention_blocks(Tensor(rng.normal(size=(9, 8))), restricted=True)
+    blocks = layer.attention_blocks(Tensor(rng.normal(size=(9, 8))),
+                                    keys="templates")
     assert set(blocks) == {("search", "target"), ("search", "previous")}
     row = np.concatenate([blocks[("search", "target")],
                           blocks[("search", "previous")]], axis=2)
@@ -332,7 +333,7 @@ def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
     layer, layout, rng = toy_layer(seed=24)
     tokens = Tensor(rng.normal(size=(9, 8)))
     full = layer.attention_blocks(tokens)
-    restricted = layer.attention_blocks(tokens, restricted=True, keys="all")
+    restricted = layer.attention_blocks(tokens, keys="all")
     assert set(restricted) == {("search", kn) for kn in layout.names()}
     for key, block in restricted.items():
         assert np.max(np.abs(block - full[key])) <= 1e-12

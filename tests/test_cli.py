@@ -279,6 +279,24 @@ class TestRespmap(object):
                      "--out-dir", str(tmp_path / "m"),
                      "--layers", "one"]) == 1
 
+    def test_nan_parameters_are_exit_2_and_write_nothing(self, tmp_path, capsys):
+        from ctxtrack.config import load_config
+        from ctxtrack.fileio import save_params
+        from ctxtrack.model import TrackerNet
+
+        config = _write_config(tmp_path)
+        cfg = load_config(config)
+        net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
+        state = net.state()
+        state["patch.proj.weight"][:] = np.nan
+        params = tmp_path / "nan.params"
+        save_params(params, state)
+        out = tmp_path / "maps"
+        assert main(["respmap", "--config", config, "--params", str(params),
+                     "--out-dir", str(out)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_frame_rejected(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["respmap", "--config", config,

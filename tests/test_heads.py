@@ -6,6 +6,7 @@ import pytest
 from ctxtrack.heads import (
     HeadOutputs,
     Heads,
+    _ltrb_to_boxes_tensor,
     build_targets,
     decode_box,
     giou_loss,
@@ -224,8 +225,8 @@ def test_varifocal_gradcheck():
 
 def test_targets_single_center_inside():
     # cell centers at 8, 24, 40, 56; this box contains only (24, 24)
-    reg = np.ones((4, 4, 4))
-    target = build_targets((17, 17, 31, 31), (4, 4), 16, reg)
+    boxes = _ltrb_to_boxes_tensor(Tensor(np.ones((4, 4, 4))))
+    target = build_targets((17, 17, 31, 31), (4, 4), 16, boxes)
     assert target.positives.sum() == 1
     assert target.positives[1, 1]
     assert np.all(target.q[~target.positives] == 0.0)
@@ -234,25 +235,25 @@ def test_targets_single_center_inside():
 def test_targets_perfect_predictions_give_q_one():
     from ctxtrack.backbone import ltrb_map
     box = (16.0, 16.0, 48.0, 48.0)
-    reg = ltrb_map(box, (4, 4), 16)
-    target = build_targets(box, (4, 4), 16, reg)
+    boxes = _ltrb_to_boxes_tensor(Tensor(ltrb_map(box, (4, 4), 16)))
+    target = build_targets(box, (4, 4), 16, boxes)
     assert target.positives.sum() > 0
     assert np.allclose(target.q[target.positives], 1.0, atol=1e-12)
 
 
 def test_targets_q_in_unit_interval():
     rng = np.random.default_rng(7)
-    reg = np.exp(rng.normal(size=(4, 4, 4)))
-    target = build_targets((10, 12, 50, 40), (4, 4), 16, reg)
+    boxes = _ltrb_to_boxes_tensor(Tensor(np.exp(rng.normal(size=(4, 4, 4)))))
+    target = build_targets((10, 12, 50, 40), (4, 4), 16, boxes)
     assert np.all(target.q >= 0.0) and np.all(target.q <= 1.0)
 
 
 def test_targets_reject_gt_outside_image():
-    reg = np.ones((4, 4, 4))
+    boxes = _ltrb_to_boxes_tensor(Tensor(np.ones((4, 4, 4))))
     with pytest.raises(ValueError, match="outside"):
-        build_targets((10, 10, 70, 40), (4, 4), 16, reg)
+        build_targets((10, 10, 70, 40), (4, 4), 16, boxes)
     with pytest.raises(ValueError, match="degenerate"):
-        build_targets((10, 10, 10, 40), (4, 4), 16, reg)
+        build_targets((10, 10, 10, 40), (4, 4), 16, boxes)
 
 
 # ----------------------------------------------------------------------

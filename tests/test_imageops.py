@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxtrack.imageops import (box_iou, box_window, crop_resize, crop_window,
                                CropWindow)
@@ -53,6 +54,18 @@ class TestCropWindow:
             box = (box[0], box[1], box[2], box[3])
             back = win.to_frame(win.to_crop(box))
             assert np.allclose(back, box, atol=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(center=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           size=st.floats(1e-2, 1e4),
+           out_size=st.sampled_from([16, 64, 224, 512]),
+           box=st.tuples(*[st.floats(-1e4, 1e4)] * 4))
+    def test_box_roundtrip_property(self, center, size, out_size, box):
+        win = crop_window(center, size, out_size)
+        back = win.to_frame(win.to_crop(box))
+        magnitude = max(abs(v) for v in (*box, *center, size))
+        for got, want in zip(back, box):
+            assert abs(got - want) <= 1e-12 * (1.0 + magnitude)
 
     def test_to_crop_worked_example(self):
         win = CropWindow(cx=32.0, cy=32.0, size=64.0, out_size=64)

@@ -116,12 +116,10 @@ def test_neck_output_shape_and_depth():
     net, spec = toy_net(seed=6)
     rng = np.random.default_rng(6)
     tokens = net.backbone_forward(*toy_images(rng))
-    maps = []
-    out = net.neck_forward(tokens, prev_box=(16, 16, 48, 48), collect=maps)
+    trace = []
+    out = net.neck_forward(tokens, prev_box=(16, 16, 48, 48), trace=trace)
     assert out.shape == (4, 4, 32)
-    assert len(maps) == spec.n3  # three full layers plus the restricted one
-    assert set(maps[-1]) == {("search", "target"), ("search", "previous")}
-    assert len(maps[0]) == 9
+    assert len(trace) == spec.n3 - 1  # the search-query layer is not traced
 
 
 def test_neck_single_layer_config():
@@ -188,6 +186,38 @@ def test_forward_on_encoded_templates_is_byte_identical():
                          prev_box=box)
     assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
     assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
+
+
+def test_forward_trace_holds_every_full_cross_frame_layer():
+    net, spec = toy_net(seed=14)
+    trace = []
+    net.forward(*toy_images(np.random.default_rng(14)),
+                prev_box=(16, 16, 48, 48), trace=trace)
+    assert len(trace) == spec.n1 + spec.n3 - 1
+    for tokens in trace:
+        assert tokens.shape == (net.layout.length, spec.dim)
+
+
+def test_forward_with_trace_is_byte_identical():
+    net, _ = toy_net(seed=15)
+    images = toy_images(np.random.default_rng(15))
+    box = (16, 16, 48, 48)
+    plain = net.forward(*images, prev_box=box)
+    traced = net.forward(*images, prev_box=box, trace=[])
+    assert plain.cls.data.tobytes() == traced.cls.data.tobytes()
+    assert plain.reg.data.tobytes() == traced.reg.data.tobytes()
+
+
+def test_last_traced_layer_feeds_the_search_query_layer():
+    net, spec = toy_net(seed=16)
+    trace = []
+    out = net.forward(*toy_images(np.random.default_rng(16)),
+                      prev_box=(16, 16, 48, 48), trace=trace)
+    features = net.neck_last.forward_search_queries(trace[-1], keys=spec.final_keys)
+    h, w = net.layout.grid("search")
+    again = net.head(features.reshape(h, w, spec.dim))
+    assert again.cls.data.tobytes() == out.cls.data.tobytes()
+    assert again.reg.data.tobytes() == out.reg.data.tobytes()
 
 
 def test_forward_gradients_match_finite_differences():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctxtrack.errors import ConfigError
+from ctxtrack.errors import ConfigError, NumericError
 from ctxtrack.fileio import read_pgm
 from ctxtrack.model import TrackerNet, toy_spec
 from ctxtrack.respmap import (indexable_layers, normalize_map, response_maps,
@@ -103,3 +103,11 @@ def test_prev_box_reaches_neck_but_not_backbone_taps(net):
     assert np.array_equal(base[(0, "previous")], boxed[(0, "previous")])
     assert not np.array_equal(base[(first_neck, "previous")],
                               boxed[(first_neck, "previous")])
+
+
+def test_non_finite_tokens_raise_numeric_error():
+    # NaN weights would otherwise min-max scale to all-zero maps.
+    net = TrackerNet(toy_spec(), np.random.default_rng(0))
+    net.patch.proj.weight.data[:] = np.nan
+    with pytest.raises(NumericError, match="non-finite tokens after layer 0"):
+        response_maps(net, *_inputs(net), layer_indices=[5])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxtrack.update import ConfidenceHistory, TrackState
 
@@ -66,6 +67,16 @@ def test_running_state_matches_recomputation_at_every_step():
         assert abs(h.mean() - vals.sum() / n) < 1e-12
         brute = sum(vals[:k].sum() / k for k in range(1, n + 1)) / n
         assert abs(h.penalized_mean() - brute) < 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
+def test_running_statistics_match_brute_force_property(values):
+    h = history_of(values)
+    n = len(values)
+    prefix_means = [sum(values[:k]) / k for k in range(1, n + 1)]
+    assert abs(h.mean() - sum(values) / n) <= 1e-12
+    assert abs(h.penalized_mean() - sum(prefix_means) / n) <= 1e-12
 
 
 def test_constant_trace_thresholds_equal_constant():
