@@ -8,6 +8,8 @@ whose logits add absolute-position and relative-displacement terms.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
@@ -109,11 +111,41 @@ class _PreNormAttention(Module):
         return res + self.ff(self.norm2(res))
 
 
+class Windows(NamedTuple):
+    """Window partition of a flat token sequence: `order` lists the token
+    indices window by window, `window * window` at a time, and `inverse`
+    puts them back."""
+
+    window: int
+    order: np.ndarray
+    inverse: np.ndarray
+
+
+def window_partition(layout: SegmentLayout, window: int) -> Windows:
+    """Windows of every segment grid of `layout`, segment by segment, each
+    grid's windows in row-major order as `WindowAttentionBlock` visits them."""
+    parts = []
+    for name in layout.names():
+        h, w = layout.grid(name)
+        if h % window or w % window:
+            raise ValueError(f"{name} grid {h}x{w} not divisible by window {window}")
+        idx = np.arange(layout.offset(name), layout.offset(name) + h * w)
+        idx = idx.reshape(h // window, window, w // window, window)
+        parts.append(idx.transpose(0, 2, 1, 3).reshape(-1))
+    order = np.concatenate(parts)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return Windows(window, order, inverse)
+
+
 class WindowAttentionBlock(_PreNormAttention):
     """Pre-norm self-attention over non-overlapping square windows.
 
-    Operates on one image's token grid (H, W, C); tokens only attend to
-    others inside the same window, so all mixing is local to the image.
+    Operates on one image's token grid (H, W, C), or on a flat (L, C)
+    sequence of several grids split by a `Windows` partition; tokens only
+    attend to others inside the same window, so all mixing is local to the
+    image. Both forms run the same norm, attention and residual on the same
+    windows; only the gather into windows differs.
     """
 
     def __init__(self, dim: int, heads: int, window: int,
@@ -123,10 +155,20 @@ class WindowAttentionBlock(_PreNormAttention):
         self.window = window
         super().__init__(dim, heads, 1, rng, init_scale)
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        if tokens.ndim != 3 or tokens.shape[2] != self.dim:
-            raise ValueError(f"expected (H, W, {self.dim}) tokens, got {tokens.shape}")
-        (h, w, dim), win = tokens.shape, self.window
+    def __call__(self, tokens: Tensor, windows: Windows | None = None) -> Tensor:
+        win, dim = self.window, self.dim
+        if windows is not None:
+            if windows.window != win:
+                raise ValueError(f"partition window {windows.window} != block window {win}")
+            if tokens.shape != (windows.order.size, dim):
+                raise ValueError(f"expected ({windows.order.size}, {dim}) tokens, "
+                                 f"got {tokens.shape}")
+            x = self.norm1(tokens)[windows.order].reshape(-1, win * win, dim)
+            attn = self.attend(x, x).reshape(-1, dim)[windows.inverse]
+            return self._residual(tokens, attn)
+        if tokens.ndim != 3 or tokens.shape[2] != dim:
+            raise ValueError(f"expected (H, W, {dim}) tokens, got {tokens.shape}")
+        h, w, _ = tokens.shape
         if h % win or w % win:
             raise ValueError(f"grid {h}x{w} not divisible by window {win}")
         x = self.norm1(tokens).reshape(h // win, win, w // win, win, dim)

@@ -8,6 +8,7 @@ string, a format version, the tensor count, then each tensor as
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -63,10 +64,13 @@ def load_params(path) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"tensor name in {path} is not valid UTF-8: {e}") from e
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        size = math.prod(shape)   # a Python int: no overflow before `take`
         data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
         state[name] = data.astype(np.float64)
     if len(view):
@@ -101,6 +105,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """Pixels of a binary PNM with maxval 255; any malformed or truncated
+    header or pixel block raises ConfigError."""
     blob = Path(path).read_bytes()
     fields, pos = [], 0
     while len(fields) < 4:
@@ -110,17 +116,28 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
             while pos < len(blob) and blob[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(blob):
+            raise ConfigError(f"{path}: truncated header")
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
         fields.append(blob[start:pos])
     if fields[0] != magic:
-        raise ValueError(f"{path}: expected {magic.decode()} header, got {fields[0]!r}")
+        raise ConfigError(f"{path}: expected {magic.decode()} header, got {fields[0]!r}")
+    for field in fields[1:]:
+        if not field.isdigit():
+            raise ConfigError(f"{path}: header field {field!r} is not a non-negative integer")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if w < 1 or h < 1:
+        raise ConfigError(f"{path}: image size {w}x{h} is empty")
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported")
+        raise ConfigError(f"{path}: only maxval 255 is supported")
     pos += 1  # single whitespace byte after maxval
-    data = np.frombuffer(blob, dtype=np.uint8, count=h * w * channels, offset=pos)
+    count = h * w * channels
+    if len(blob) - pos < count:
+        raise ConfigError(f"{path}: truncated pixel data, {max(len(blob) - pos, 0)} "
+                          f"of {count} bytes")
+    data = np.frombuffer(blob, dtype=np.uint8, count=count, offset=pos)
     return data.reshape((h, w, channels) if channels > 1 else (h, w))
 
 

@@ -2,9 +2,10 @@
 
 Three images flow through shared-weight early stages (patch embedding,
 windowed local attention, two downsamplings to stride 16). The final
-backbone stage alternates per-image local attention with joint layers that
-mix all three token sets. Everything before the first joint layer is per
-image, so `encode` can compute it once for a template that stays fixed.
+backbone stage holds the three token sets as one sequence and alternates
+window attention, local to each image, with joint layers that mix all
+three. Everything before the first joint layer is per image, so `encode`
+can compute it once for a template that stays fixed.
 The neck stacks more joint layers, injecting the previous-frame box into
 the previous-template tokens once at entry, and ends with a layer where
 only search tokens act as queries. The heads turn the resulting search
@@ -19,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import CrossFrameAttention, WindowAttentionBlock
+from .attention import CrossFrameAttention, WindowAttentionBlock, window_partition
 from .backbone import Box, BoxEmbedding, Downsample, PatchEmbed, gaussian_map, ltrb_map
 from .heads import HeadOutputs, Heads
 from .positional import SegmentLayout, segment_layout
-from .tensor import Module, Tensor, concat
+from .tensor import Module, Tensor, concat, grad_enabled
 
 STRIDE = 16
 
@@ -95,6 +96,7 @@ class TrackerNet(Module):
         t16 = spec.target_size // STRIDE
         s16 = spec.search_size // STRIDE
         self.layout = segment_layout((t16, t16), (s16, s16), (s16, s16))
+        self.windows = window_partition(self.layout, spec.window)
 
         self.patch = PatchEmbed(c, rng)
         pairs1 = (spec.n2 + 1) // 2
@@ -157,17 +159,33 @@ class TrackerNet(Module):
         pipelines (ablation mode). A list passed as `trace` receives the
         output tokens of each joint layer.
         """
-        grids = [(x if isinstance(x, Encoded) else self.encode(x)).grid
-                 for x in (target, previous, search)]
+        tokens = self._flatten([(x if isinstance(x, Encoded) else self.encode(x)).grid
+                                for x in (target, previous, search)])
         for g in range(self.spec.n1):
             if g:   # `encode` ran the first local pair
-                for blk in self.stage3_local[2 * g: 2 * g + 2]:
-                    grids = [blk(t) for t in grids]
+                tokens = self._local_pair(self.stage3_local[2 * g: 2 * g + 2], tokens)
             if joint:
-                tokens = self.stage3_joint[g](self._flatten(grids))
+                tokens = self.stage3_joint[g](tokens)
                 if trace is not None:
                     trace.append(tokens)
-                grids = self._split(tokens)
+        return tokens
+
+    def _local_pair(self, blocks: list[WindowAttentionBlock], tokens: Tensor) -> Tensor:
+        """Two window blocks over the (L, d) sequence of all three images.
+
+        A tape-free pass attends over the windows of all three images in
+        one call per block. A taped pass keeps one call per image: a joint
+        call would sum each weight gradient over the rows of all three
+        images at once, which changes its last bits. The forward values are
+        the same either way.
+        """
+        if not grad_enabled():
+            for blk in blocks:
+                tokens = blk(tokens, self.windows)
+            return tokens
+        grids = self._split(tokens)
+        for blk in blocks:
+            grids = [blk(t) for t in grids]
         return self._flatten(grids)
 
     # ------------------------------------------------------------------

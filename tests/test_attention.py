@@ -9,6 +9,7 @@ from ctxtrack.attention import (
     LayerNorm,
     Linear,
     WindowAttentionBlock,
+    window_partition,
 )
 from ctxtrack.positional import SegmentLayout, segment_layout
 from ctxtrack.tensor import Tensor, finite_diff_grad
@@ -132,6 +133,29 @@ def test_window_block_each_window_equals_plain_attention():
             ref = reference_block(tokens[r:r + 2, c:c + 2].reshape(4, 8), params,
                                   heads=2, scale=1.0 / np.sqrt(4.0))
             assert np.max(np.abs(out[r:r + 2, c:c + 2].reshape(4, 8) - ref)) <= 1e-12
+
+
+def test_window_block_over_partition_equals_per_grid_calls():
+    rng = np.random.default_rng(24)
+    layout = SegmentLayout.create((2, 2), (4, 4), (4, 6))
+    blk = WindowAttentionBlock(8, 2, 2, rng)
+    grids = [rng.normal(size=(h, w, 8)) for _, h, w in layout.segments]
+    flat = blk(Tensor(np.concatenate([g.reshape(-1, 8) for g in grids])),
+               window_partition(layout, 2)).data
+    per_grid = np.concatenate([blk(Tensor(g)).data.reshape(-1, 8) for g in grids])
+    assert flat.tobytes() == per_grid.tobytes()
+
+
+def test_window_block_rejects_mismatched_partition():
+    rng = np.random.default_rng(25)
+    layout = SegmentLayout.create((2, 2), (4, 4), (4, 4))
+    blk = WindowAttentionBlock(8, 2, 2, rng)
+    with pytest.raises(ValueError, match="window"):
+        blk(Tensor(np.zeros((36, 8))), window_partition(layout, 1))
+    with pytest.raises(ValueError, match="tokens"):
+        blk(Tensor(np.zeros((35, 8))), window_partition(layout, 2))
+    with pytest.raises(ValueError, match="divisible"):
+        window_partition(SegmentLayout.create((3, 3), (4, 4), (4, 4)), 2)
 
 
 def test_window_block_gradcheck():

@@ -1,12 +1,13 @@
 """End-to-end CLI tests, driving main() directly."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from ctxtrack.cli import main
-from ctxtrack.fileio import read_csv, read_pgm, read_ppm
+from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm
 
 
 def _write_config(tmp_path, **sections):
@@ -206,6 +207,17 @@ class TestTrainTrackPipeline(object):
         assert main(["track", "--config", other, "--params", str(params),
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "parameter file" in capsys.readouterr().err
+
+
+    def test_track_rejects_params_with_non_utf8_name(self, tmp_path, capsys):
+        params = tmp_path / "bad.bin"
+        params.write_bytes(PARAMS_MAGIC + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+                           + struct.pack("<Id", 0, 1.0))
+        assert main(["track", "--config", _write_config(tmp_path),
+                     "--params", str(params),
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestUpdateSim(object):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxtrack.config import (config_from_dict, config_to_dict,
                              default_config, load_config, save_config)
@@ -23,6 +24,89 @@ def test_full_roundtrip():
     cfg = default_config()
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _unit(lo_open=False, hi_open=False):
+    return st.floats(0.0, 1.0, exclude_min=lo_open, exclude_max=hi_open)
+
+
+@st.composite
+def _model_sections(draw):
+    window = draw(st.sampled_from([1, 2]))
+    heads = draw(st.integers(1, 4))
+    return {
+        "preset": draw(st.sampled_from(["toy", "small"])),
+        "target_size": 16 * window * draw(st.integers(1, 4)),
+        "search_size": 16 * window * draw(st.integers(1, 4)),
+        "channels": heads * draw(st.integers(1, 4)),
+        "heads": heads, "window": window,
+        "n1": draw(st.integers(1, 4)), "n2": draw(st.integers(1, 4)),
+        "n3": draw(st.integers(1, 4)),
+        "final_keys": draw(st.sampled_from(["templates", "all"])),
+    }
+
+
+@st.composite
+def _train_sections(draw):
+    steps = draw(st.integers(1, 10_000))
+    jitters = {name: draw(st.floats(0.0, 0.5, exclude_max=True))
+               for name in ("prev_center_jitter", "prev_scale_jitter",
+                            "search_center_jitter", "search_scale_jitter")}
+    # the smallest context that keeps the box inside both jittered crops
+    need = max((0.5 + jitters[f"{k}_center_jitter"])
+               / (0.5 * (1.0 - jitters[f"{k}_scale_jitter"]))
+               for k in ("prev", "search"))
+    return {
+        "steps": steps, "warmup_steps": draw(st.integers(0, steps - 1)),
+        "lr": draw(st.floats(0.0, 1.0)), "beta1": draw(_unit(hi_open=True)),
+        "beta2": draw(_unit(hi_open=True)),
+        "eps": draw(st.floats(1e-12, 1.0)),
+        "seed": draw(st.integers(0, 2**32)),
+        "final_lr_scale": draw(_unit(lo_open=True)),
+        "lambda_cls": draw(st.floats(0.0, 10.0)),
+        "lambda_giou": draw(st.floats(0.0, 10.0)),
+        "alpha": draw(_FLOATS), "gamma": draw(_FLOATS),
+        "context_scale": need * draw(st.floats(1.01, 4.0)),
+        **jitters,
+    }
+
+
+@st.composite
+def _sequence_sections(draw):
+    frame_size = draw(st.integers(32, 512))
+    occlusion = draw(st.none() | st.tuples(st.integers(0, 50), st.integers(1, 50)))
+    start, end = (-1, -1) if occlusion is None else (occlusion[0], sum(occlusion))
+    return {
+        "seed": draw(st.integers(0, 2**32)),
+        "num_frames": draw(st.integers(1, 100)), "frame_size": frame_size,
+        "box_size": draw(st.floats(4.0, frame_size / 2)),
+        "step_sigma": draw(st.floats(0.0, 100.0)),
+        "num_distractors": draw(st.integers(0, 5)),
+        "appearance_drift": draw(st.floats(0.0, 10.0)),
+        "occlusion_start": start, "occlusion_end": end,
+    }
+
+
+_TRACK_SECTIONS = st.fixed_dictionaries({
+    "update_mode": st.sampled_from(["never", "always-last", "mean", "p-mean"]),
+    "seed_confidence": _unit(),
+    "context_scale": st.floats(0.0, 100.0, exclude_min=True),
+    "oracle": st.booleans(),
+})
+
+
+@settings(derandomize=True, deadline=None)
+@given(model=_model_sections(), train=_train_sections(), track=_TRACK_SECTIONS,
+       sequence=_sequence_sections(),
+       present=st.sets(st.sampled_from(["model", "train", "track", "sequence"])))
+def test_generated_config_roundtrips(model, train, track, sequence, present):
+    sections = {"model": model, "train": train, "track": track, "sequence": sequence}
+    cfg = config_from_dict({k: v for k, v in sections.items() if k in present})
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_roundtrip_through_file(tmp_path):

@@ -1,7 +1,12 @@
 """Parameter file, PNM image, and CSV round-trip tests."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxtrack.errors import ConfigError
 from ctxtrack.fileio import (PARAMS_MAGIC, format_float, load_params,
@@ -74,6 +79,13 @@ class TestParamsFile:
         with pytest.raises(ConfigError):
             load_params(tmp_path / "nope.params")
 
+    def test_rejects_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "name.params"
+        path.write_bytes(PARAMS_MAGIC + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+                         + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_params(path)
+
 
 class TestPnm:
     def test_pgm_roundtrip(self, tmp_path):
@@ -97,11 +109,66 @@ class TestPnm:
         assert data.startswith(b"P5")
         assert b"3 2" in data and b"255" in data
 
+    @pytest.mark.parametrize("blob", [
+        b"P6\n2 2\n255\n" + bytes(11),     # truncated pixel data
+        b"P6\n4",                           # truncated header
+        b"P6\n-4 4\n255\n" + bytes(48),    # negative width
+        b"P6\n4 x\n255\n" + bytes(48),     # non-numeric height
+        b"P6\n0 4\n255\n",                 # empty image
+        b"P5\n2 2\n255\n" + bytes(12),     # wrong magic
+        b"P6\n2 2\n65535\n" + bytes(24),   # maxval other than 255
+        b"",
+    ], ids=["short-pixels", "short-header", "negative-width", "non-numeric-height",
+            "empty-image", "wrong-magic", "maxval-65535", "empty-file"])
+    def test_malformed_ppm_is_config_error(self, tmp_path, blob):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError):
+            read_ppm(path)
+
+    def test_header_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "comment.pgm"
+        path.write_bytes(b"P5\n# made by hand\n2 1\n255\n\x07\x09")
+        assert read_pgm(path).tolist() == [[7, 9]]
+
     def test_to_uint8_maps_unit_interval(self):
         image = np.array([0.0, 0.5, 1.0, -0.2, 1.7])
         out = to_uint8(image)
         assert out.dtype == np.uint8
         assert out.tolist() == [0, 128, 255, 0, 255]
+
+
+_RNG = np.random.default_rng(3)
+_SAVED = {   # loader, writer, value
+    "params": (load_params, save_params, {
+        "stage1.0.w": _RNG.normal(size=(3, 2)), "bias": np.ones(2), "s": np.float64(2.0)}),
+    "ppm": (read_ppm, write_ppm, _RNG.integers(0, 256, (3, 5, 3), dtype=np.uint8)),
+    "pgm": (read_pgm, write_pgm, _RNG.integers(0, 256, (4, 3), dtype=np.uint8)),
+}
+
+
+class TestCorruptFiles:
+    """A cut or one flipped byte either still loads or gives ConfigError."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(sorted(_SAVED)),
+           cut=st.none() | st.integers(0, 1 << 16),
+           flip=st.none() | st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)))
+    def test_cut_or_flipped_file(self, kind, cut, flip):
+        loader, writer, value = _SAVED[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / kind
+            writer(path, value)
+            data = bytearray(path.read_bytes())
+            if cut is not None:
+                del data[cut % len(data):]
+            if flip is not None and data:
+                data[flip[0] % len(data)] ^= flip[1]
+            path.write_bytes(bytes(data))
+            try:
+                loader(path)
+            except ConfigError:
+                pass
 
 
 class TestCsv:

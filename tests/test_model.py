@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from ctxtrack.attention import WindowAttentionBlock
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
-from ctxtrack.tensor import Tensor, finite_diff_grad
+from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad
 
 
 def rel_err(a, b, floor=1e-6):
@@ -106,6 +107,86 @@ def test_construction_is_deterministic():
     assert state_a.keys() == state_b.keys()
     for name in state_a:
         assert np.array_equal(state_a[name], state_b[name]), name
+
+
+_STAGE3_SPECS = {
+    "toy": lambda: toy_spec(),
+    "toy-96-all": lambda: toy_spec(search_size=96, final_keys="all"),
+    "small-window7": lambda: small_spec(channels=8, heads=2),
+}
+
+
+def _spec_images(spec, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((spec.target_size, spec.target_size, 3)),
+            rng.random((spec.search_size, spec.search_size, 3)),
+            rng.random((spec.search_size, spec.search_size, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE3_SPECS))
+def test_tape_free_stage3_matches_taped_per_image_path(name):
+    # a tape-free pass runs each stage-3 local block once over the windows
+    # of all three images; a taped pass runs it per image
+    spec = _STAGE3_SPECS[name]()
+    net = TrackerNet(spec, np.random.default_rng(17))
+    images = _spec_images(spec, 17)
+    box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
+    taped = net.forward(*images, prev_box=box)
+    local = net.backbone_forward(*images, joint=False)
+    assert taped.cls.requires_grad and local.requires_grad
+    with no_grad():
+        free = net.forward(*images, prev_box=box)
+        free_local = net.backbone_forward(*images, joint=False)
+    assert taped.cls.data.tobytes() == free.cls.data.tobytes()
+    assert taped.reg.data.tobytes() == free.reg.data.tobytes()
+    assert local.data.tobytes() == free_local.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE3_SPECS))
+def test_window_partition_lists_each_window_of_each_image(name):
+    spec = _STAGE3_SPECS[name]()
+    net = TrackerNet(spec, np.random.default_rng(0))
+    windows, layout, win = net.windows, net.layout, spec.window
+    assert windows.window == win
+    assert np.array_equal(np.sort(windows.order), np.arange(layout.length))
+    assert np.array_equal(windows.order[windows.inverse], np.arange(layout.length))
+    seen = set()
+    for run in windows.order.reshape(-1, win * win):
+        coords = [layout.coords(int(i)) for i in run]
+        cells = {(seg, r // win, c // win) for seg, r, c in coords}
+        assert len(cells) == 1   # one window of one image
+        assert sorted((r % win, c % win) for _, r, c in coords) == \
+            [(r, c) for r in range(win) for c in range(win)]
+        seen |= cells
+    assert len(seen) == layout.length // (win * win)
+
+
+def _count_window_calls(monkeypatch):
+    calls = []
+    original = WindowAttentionBlock.__call__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WindowAttentionBlock, "__call__", counting)
+    return calls
+
+
+def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
+    net, spec = toy_net(seed=18)
+    target, previous, search = toy_images(np.random.default_rng(18))
+    box = (16, 16, 48, 48)
+    with no_grad():
+        encoded = net.encode(target), net.encode(previous)
+    calls = _count_window_calls(monkeypatch)
+    with no_grad():
+        net.forward(*encoded, search, prev_box=box)
+    # 6 to encode the search image, then one per block of pairs g >= 1
+    assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
+    calls.clear()
+    net.forward(target, previous, search, prev_box=box)
+    assert len(calls) == 3 * (6 + 2 * (spec.n1 - 1)) == 30
 
 
 # ----------------------------------------------------------------------
