@@ -14,15 +14,15 @@ import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
 from .tensor import (Module, Tensor, concat, gelu, grad_enabled, layer_norm,
-                     matmul, no_grad, parameter, softmax_lastdim)
+                     matmul, normal_parameter, parameter, softmax_lastdim)
 
 
 class Linear(Module):
     """Affine map on the last axis, y = x @ weight (+ bias)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True, init_scale: float = 0.02):
-        self.weight = parameter(rng.normal(scale=init_scale, size=(in_dim, out_dim)))
+                 bias: bool = True):
+        self.weight = normal_parameter(rng, in_dim, out_dim)
         self.bias = parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -35,10 +35,11 @@ class Linear(Module):
 class LayerNorm(Module):
     """Normalization over the last axis with learnable scale and shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
@@ -47,9 +48,11 @@ class LayerNorm(Module):
 class FeedForward(Module):
     """Two affine maps around a gelu, with the usual 4x expansion."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, expansion: int = 4):
-        self.fc1 = Linear(dim, expansion * dim, rng)
-        self.fc2 = Linear(expansion * dim, dim, rng)
+    expansion = 4
+
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.fc1 = Linear(dim, self.expansion * dim, rng)
+        self.fc2 = Linear(self.expansion * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
@@ -64,7 +67,7 @@ class _PreNormAttention(Module):
     """
 
     def __init__(self, dim: int, heads: int, logit_terms: int,
-                 rng: np.random.Generator, init_scale: float):
+                 rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
@@ -72,16 +75,16 @@ class _PreNormAttention(Module):
         self.head_dim = dim // heads
         # logits that sum `logit_terms` terms keep the spread of one content term
         self.scale = 1.0 / np.sqrt(logit_terms * self.head_dim)
-        self.w_query = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_key = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_value = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self.w_out = Linear(dim, dim, rng, bias=False, init_scale=init_scale)
-        self._init_bias(rng, init_scale)
+        self.w_query = Linear(dim, dim, rng, bias=False)
+        self.w_key = Linear(dim, dim, rng, bias=False)
+        self.w_value = Linear(dim, dim, rng, bias=False)
+        self.w_out = Linear(dim, dim, rng, bias=False)
+        self._init_bias(rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.ff = FeedForward(dim, rng)
 
-    def _init_bias(self, rng: np.random.Generator, init_scale: float) -> None:
+    def _init_bias(self, rng: np.random.Generator) -> None:
         """No logit bias terms by default."""
 
     def _split(self, t: Tensor) -> Tensor:  # (..., L, dim) -> (..., heads, L, head_dim)
@@ -149,11 +152,11 @@ class WindowAttentionBlock(_PreNormAttention):
     """
 
     def __init__(self, dim: int, heads: int, window: int,
-                 rng: np.random.Generator, init_scale: float = 0.02):
+                 rng: np.random.Generator):
         if window < 1:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
-        super().__init__(dim, heads, 1, rng, init_scale)
+        super().__init__(dim, heads, 1, rng)
 
     def __call__(self, tokens: Tensor, windows: Windows | None = None) -> Tensor:
         win, dim = self.window, self.dim
@@ -189,14 +192,14 @@ class CrossFrameAttention(_PreNormAttention):
     """
 
     def __init__(self, layout: SegmentLayout, dim: int, heads: int,
-                 rng: np.random.Generator, init_scale: float = 0.02):
+                 rng: np.random.Generator):
         self.layout = layout
-        super().__init__(dim, heads, 2, rng, init_scale)
-        self._held = None   # (keys, bias terms) while held
+        super().__init__(dim, heads, 2, rng)
+        self._held = None   # key set -> bias terms while held
 
-    def _init_bias(self, rng: np.random.Generator, init_scale: float) -> None:
-        self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng, init_scale)
-        self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng, init_scale)
+    def _init_bias(self, rng: np.random.Generator) -> None:
+        self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng)
+        self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng)
 
     def _search_keys(self, keys: str) -> tuple[slice, int, tuple[str, ...]]:
         """Search query rows, key stop and key segment names for `keys`."""
@@ -212,25 +215,30 @@ class CrossFrameAttention(_PreNormAttention):
 
         keys=None gives the full map. "templates" or "all" keep only the
         search rows against that key set, and gather only the relative-bias
-        blocks those rows use. While no tape is recorded, terms kept by
-        `hold_bias_terms` for the same keys are returned instead.
+        blocks those rows use. While held (`hold_bias_terms`) and no tape
+        is recorded, the terms of each key set are built once and kept.
         """
-        if self._held is not None and self._held[0] == keys and not grad_enabled():
-            return self._held[1]
+        held = self._held is not None and not grad_enabled()
+        if held and keys in self._held:
+            return self._held[keys]
         if keys is None:
-            return self.abs_bias.bias(), self.rel_bias.bias()
-        rows, stop, names = self._search_keys(keys)
-        rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
-        return self.abs_bias.bias()[:, rows, 0:stop], rel
+            terms = self.abs_bias.bias(), self.rel_bias.bias()
+        else:
+            rows, stop, names = self._search_keys(keys)
+            rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
+            terms = self.abs_bias.bias()[:, rows, 0:stop], rel
+        if held:
+            # a search-row slice is copied, so the full term behind it is freed
+            terms = self._held[keys] = tuple(Tensor(np.ascontiguousarray(t.data))
+                                             for t in terms)
+        return terms
 
-    def hold_bias_terms(self, keys: str | None = None) -> None:
-        """Build the bias terms for `keys` once, tape-free, and reuse them
-        in every tape-free call until `release_bias_terms`. They depend
-        only on the weights, which must not change meanwhile."""
-        with no_grad():
-            terms = self.bias_terms(keys)
-        # a search-row slice is copied, so the full term behind it is freed
-        self._held = (keys, tuple(Tensor(np.ascontiguousarray(t.data)) for t in terms))
+    def hold_bias_terms(self) -> None:
+        """Reuse the bias terms in tape-free calls until `release_bias_terms`:
+        the first such call for a key set builds them, later ones get that
+        copy. They depend only on the weights, which must not change
+        meanwhile."""
+        self._held = {}
 
     def release_bias_terms(self) -> None:
         self._held = None

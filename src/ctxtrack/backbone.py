@@ -12,16 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import LayerNorm, Linear
-from .tensor import Module, Tensor, gelu, parameter
-
-Box = tuple[float, float, float, float]
-
-
-def _validate_box(box: Box) -> tuple[float, float, float, float]:
-    x1, y1, x2, y2 = (float(v) for v in box)
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError(f"degenerate box: {box}")
-    return x1, y1, x2, y2
+from .imageops import Box, validate_box
+from .tensor import Module, Tensor, gelu, normal_parameter
 
 
 class PatchEmbed(Module):
@@ -29,10 +21,9 @@ class PatchEmbed(Module):
 
     patch = 4
 
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 init_scale: float = 0.02):
+    def __init__(self, channels: int, rng: np.random.Generator):
         in_dim = self.patch * self.patch * 3
-        self.proj = Linear(in_dim, channels, rng, init_scale=init_scale)
+        self.proj = Linear(in_dim, channels, rng)
         self.channels = channels
 
     def __call__(self, image: Tensor) -> Tensor:
@@ -50,11 +41,9 @@ class PatchEmbed(Module):
 class Downsample(Module):
     """Merge 2x2 token neighborhoods: (H, W, C) -> (H/2, W/2, 2C)."""
 
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 init_scale: float = 0.02):
+    def __init__(self, channels: int, rng: np.random.Generator):
         self.norm = LayerNorm(4 * channels)
-        self.reduce = Linear(4 * channels, 2 * channels, rng, bias=False,
-                             init_scale=init_scale)
+        self.reduce = Linear(4 * channels, 2 * channels, rng, bias=False)
         self.channels = channels
 
     def __call__(self, tokens: Tensor) -> Tensor:
@@ -78,7 +67,7 @@ def ltrb_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
     """
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    x1, y1, x2, y2 = _validate_box(box)
+    x1, y1, x2, y2 = validate_box(box)
     h, w = grid
     ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -97,7 +86,7 @@ def gaussian_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
     """
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    x1, y1, x2, y2 = _validate_box(box)
+    x1, y1, x2, y2 = validate_box(box)
     h, w = grid
     cx = (x1 + x2) / 2.0 / stride
     cy = (y1 + y2) / 2.0 / stride
@@ -119,12 +108,11 @@ class BoxEmbedding(Module):
     distance channels to the token width.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator,
-                 init_scale: float = 0.02):
+    def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
-        self.weight = parameter(rng.normal(scale=init_scale, size=(1, 1, dim)))
-        self.fc1 = Linear(4, dim, rng, init_scale=init_scale)
-        self.fc2 = Linear(dim, dim, rng, init_scale=init_scale)
+        self.weight = normal_parameter(rng, 1, 1, dim)
+        self.fc1 = Linear(4, dim, rng)
+        self.fc2 = Linear(dim, dim, rng)
 
     def __call__(self, gaussian: np.ndarray, ltrb: np.ndarray) -> Tensor:
         gaussian = np.asarray(gaussian, dtype=np.float64)

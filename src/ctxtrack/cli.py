@@ -2,8 +2,8 @@
 
 Subcommands: gen, train, track, update-sim, respmap. Every command reads
 the same JSON experiment config (all omitted sections fall back to
-defaults). Exit codes: 0 success, 1 invalid config or arguments, 2 numeric
-failure during computation.
+defaults). Exit codes: 0 success, 1 invalid config or arguments or an
+output path that cannot be written, 2 numeric failure during computation.
 """
 
 from __future__ import annotations
@@ -251,6 +251,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # every input read raises ConfigError, so this is an output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

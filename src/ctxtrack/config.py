@@ -8,6 +8,7 @@ size preset that individual fields may override.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -51,7 +52,13 @@ def _build(cls, base, section: dict, name: str):
         if want is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name}.{key} must be a number")
-            coerced[key] = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{name}.{key} is too large for a float") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}.{key} must be finite, got {value}")
+            coerced[key] = value
         elif want is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name}.{key} must be an integer")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import Linear
-from .backbone import Box, _validate_box
+from .imageops import Box, validate_box
 from .tensor import (Module, Tensor, as_tensor, concat, gelu, maximum, minimum,
                      no_grad)
 
@@ -34,14 +34,14 @@ class HeadOutputs:
 class Heads(Module):
     """Two independent three-layer perceptrons applied per position."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, init_scale: float = 0.02):
+    def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
-        self.cls_fc1 = Linear(dim, dim, rng, init_scale=init_scale)
-        self.cls_fc2 = Linear(dim, dim, rng, init_scale=init_scale)
-        self.cls_out = Linear(dim, 1, rng, init_scale=init_scale)
-        self.reg_fc1 = Linear(dim, dim, rng, init_scale=init_scale)
-        self.reg_fc2 = Linear(dim, dim, rng, init_scale=init_scale)
-        self.reg_out = Linear(dim, 4, rng, init_scale=init_scale)
+        self.cls_fc1 = Linear(dim, dim, rng)
+        self.cls_fc2 = Linear(dim, dim, rng)
+        self.cls_out = Linear(dim, 1, rng)
+        self.reg_fc1 = Linear(dim, dim, rng)
+        self.reg_fc2 = Linear(dim, dim, rng)
+        self.reg_out = Linear(dim, 4, rng)
 
     def __call__(self, features: Tensor) -> HeadOutputs:
         if features.ndim != 3 or features.shape[2] != self.dim:
@@ -119,7 +119,7 @@ def giou_values(pred: Tensor, gt_box: Box) -> Tensor:
     GIoU = IoU - (hull - union) / hull, always in [-1, 1]. The ground-truth
     box must be non-degenerate, which keeps union and hull positive.
     """
-    gx1, gy1, gx2, gy2 = gt = _validate_box(gt_box)
+    gx1, gy1, gx2, gy2 = gt = validate_box(gt_box)
     (px1, py1, px2, py2), inter, union = _overlap(as_tensor(pred), gt)
     hull = (maximum(px2, gx2) - minimum(px1, gx1)) * \
            (maximum(py2, gy2) - minimum(py1, gy1))
@@ -172,7 +172,7 @@ def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
     their target is the IoU of the predicted box at that cell, given as
     decoded (H, W, 4) grid-unit `boxes`, taken as a constant (no gradient
     flows through it)."""
-    x1, y1, x2, y2 = _validate_box(gt_box)
+    x1, y1, x2, y2 = validate_box(gt_box)
     h, w = grid
     if x1 < 0 or y1 < 0 or x2 > w * stride or y2 > h * stride:
         raise ValueError(f"gt box {gt_box} outside the {w * stride}x{h * stride} image")

@@ -15,6 +15,14 @@ import numpy as np
 Box = tuple[float, float, float, float]
 
 
+def validate_box(box: Box) -> Box:
+    """The box as floats; raises ValueError unless x1 < x2 and y1 < y2."""
+    x1, y1, x2, y2 = (float(v) for v in box)
+    if not (x1 < x2 and y1 < y2):
+        raise ValueError(f"degenerate box: {box}")
+    return x1, y1, x2, y2
+
+
 @dataclass(frozen=True)
 class CropWindow:
     """Square sampling window: frame-space center and side, crop resolution."""
@@ -61,9 +69,7 @@ def crop_window(center: tuple[float, float], size: float, out_size: int) -> Crop
 
 def box_window(box: Box, context_scale: float, out_size: int) -> CropWindow:
     """Window centered on a box with side = context_scale * sqrt(box area)."""
-    x1, y1, x2, y2 = box
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError(f"degenerate box: {box}")
+    x1, y1, x2, y2 = validate_box(box)
     if context_scale <= 0:
         raise ValueError(f"context scale must be positive, got {context_scale}")
     side = context_scale * np.sqrt((x2 - x1) * (y2 - y1))

@@ -21,9 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import CrossFrameAttention, WindowAttentionBlock, window_partition
-from .backbone import Box, BoxEmbedding, Downsample, PatchEmbed, gaussian_map, ltrb_map
+from .backbone import BoxEmbedding, Downsample, PatchEmbed, gaussian_map, ltrb_map
 from .heads import HeadOutputs, Heads
-from .positional import SegmentLayout, segment_layout
+from .imageops import Box
+from .positional import segment_layout
 from .tensor import Module, Tensor, concat, grad_enabled
 
 STRIDE = 16
@@ -219,19 +220,18 @@ class TrackerNet(Module):
     def reused_bias_terms(self):
         """Hold every joint layer's position-bias terms inside the block.
 
-        The terms depend only on the weights, so each tape-free forward in
-        the block reuses one copy per layer instead of rebuilding them; a
-        taped forward still builds its own. The weights must not change in
+        The terms depend only on the weights, so the first tape-free
+        forward in the block builds one copy per layer and later ones reuse
+        it instead of rebuilding them; a taped forward still builds its own. The weights must not change in
         the block. The terms are dropped on exit.
         """
-        layers = [(layer, None) for layer in self.stage3_joint + self.neck_full]
-        layers.append((self.neck_last, self.spec.final_keys))
+        layers = self.stage3_joint + self.neck_full + [self.neck_last]
         try:
-            for layer, keys in layers:
-                layer.hold_bias_terms(keys)
+            for layer in layers:
+                layer.hold_bias_terms()
             yield
         finally:
-            for layer, _ in layers:
+            for layer in layers:
                 layer.release_bias_terms()
 
     def forward(self, target, previous, search, prev_box: Box | None = None,

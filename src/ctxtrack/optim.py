@@ -31,25 +31,22 @@ class Adam:
         self._work = np.empty_like(self.m)
         self._splits = np.cumsum(sizes)[:-1]
 
-    def step(self, grads: dict[str, np.ndarray] | None = None) -> None:
-        if grads is None:
-            grads = {name: p.grad for name, p in self.params.items()
-                     if p.grad is not None}
-        for name, g in grads.items():
-            if name not in self.params:
-                raise ValueError(f"gradient for unknown parameter {name!r}")
-            if np.asarray(g).shape != self.params[name].data.shape:
+    def step(self) -> None:
+        """One update from each parameter's `grad`; a parameter without
+        one has a zero gradient."""
+        for name, p in self.params.items():
+            if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ValueError(
-                    f"gradient shape {np.asarray(g).shape} does not match "
-                    f"parameter {name!r} shape {self.params[name].data.shape}")
+                    f"gradient shape {p.grad.shape} does not match "
+                    f"parameter {name!r} shape {p.data.shape}")
         self.step_count += 1
         if not self.params:
             return
         t = self.step_count
         g, work, m, v = self._grad, self._work, self.m, self.v
         np.concatenate(
-            [np.asarray(grads[name], dtype=np.float64).reshape(-1) if name in grads
-             else np.zeros(p.data.size) for name, p in self.params.items()],
+            [np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
+             for p in self.params.values()],
             out=g)
         # the per-element operations, in order, of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g

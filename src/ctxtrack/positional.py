@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Module, Tensor, concat, matmul, parameter
+from .tensor import Module, Tensor, concat, matmul, normal_parameter
 
 SEGMENTS = ("target", "previous", "search")
 
@@ -27,15 +27,6 @@ class SegmentLayout:
     """Ordered token-grid segments with row-major flattening."""
 
     segments: tuple[tuple[str, int, int], ...]
-
-    @classmethod
-    def create(cls, target: tuple[int, int], previous: tuple[int, int],
-               search: tuple[int, int]) -> "SegmentLayout":
-        grids = dict(zip(SEGMENTS, (target, previous, search)))
-        for name, (h, w) in grids.items():
-            if h < 1 or w < 1:
-                raise ValueError(f"{name} grid must be at least 1x1, got {h}x{w}")
-        return cls(tuple((name, h, w) for name, (h, w) in grids.items()))
 
     @classmethod
     def single(cls, name: str, h: int, w: int) -> "SegmentLayout":
@@ -93,7 +84,12 @@ class SegmentLayout:
 
 def segment_layout(target: tuple[int, int], previous: tuple[int, int],
                    search: tuple[int, int]) -> SegmentLayout:
-    return SegmentLayout.create(target, previous, search)
+    """The target/previous/search layout of three grids, in that order."""
+    grids = dict(zip(SEGMENTS, (target, previous, search)))
+    for name, (h, w) in grids.items():
+        if h < 1 or w < 1:
+            raise ValueError(f"{name} grid must be at least 1x1, got {h}x{w}")
+    return SegmentLayout(tuple((name, h, w) for name, (h, w) in grids.items()))
 
 
 class UntiedPositionBias(Module):
@@ -105,16 +101,15 @@ class UntiedPositionBias(Module):
     """
 
     def __init__(self, layout: SegmentLayout, dim: int, heads: int,
-                 rng: np.random.Generator, init_scale: float = 0.02):
+                 rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.layout = layout
         self.dim = dim
         self.heads = heads
-        self.tables = [parameter(rng.normal(scale=init_scale, size=(h * w, dim)))
-                       for _, h, w in layout.segments]
-        self.u_query = parameter(rng.normal(scale=init_scale, size=(dim, dim)))
-        self.u_key = parameter(rng.normal(scale=init_scale, size=(dim, dim)))
+        self.tables = [normal_parameter(rng, h * w, dim) for _, h, w in layout.segments]
+        self.u_query = normal_parameter(rng, dim, dim)
+        self.u_key = normal_parameter(rng, dim, dim)
 
     def _split_heads(self, t: Tensor) -> Tensor:
         length = self.layout.length
@@ -140,7 +135,7 @@ class PairwiseRegionBias(Module):
     """
 
     def __init__(self, layout: SegmentLayout, heads: int,
-                 rng: np.random.Generator, init_scale: float = 0.02):
+                 rng: np.random.Generator):
         self.layout = layout
         self.heads = heads
         names = layout.names()
@@ -151,8 +146,7 @@ class PairwiseRegionBias(Module):
         for q, k in self.pair_names:
             hq, wq = layout.grid(q)
             hk, wk = layout.grid(k)
-            self.tables.append(parameter(
-                rng.normal(scale=init_scale, size=(heads, hq + hk - 1, wq + wk - 1))))
+            self.tables.append(normal_parameter(rng, heads, hq + hk - 1, wq + wk - 1))
             rq, cq = np.meshgrid(np.arange(hq), np.arange(wq), indexing="ij")
             rk, ck = np.meshgrid(np.arange(hk), np.arange(wk), indexing="ij")
             rq, cq = rq.reshape(-1), cq.reshape(-1)

@@ -9,7 +9,7 @@ rebuilt on every forward pass; there is no graph reuse.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,9 +208,6 @@ class Tensor:
 
         return Tensor._make(np.power(self.data, c), (a,), bwd)
 
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     # ------------------------------------------------------------------
     # elementwise transcendentals
     # ------------------------------------------------------------------
@@ -353,16 +350,10 @@ def as_tensor(value) -> Tensor:
 # ----------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch semantics, 1-D operands promoted."""
+    """Matrix product with numpy batch semantics over 2-D or wider operands."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ValueError("matmul needs at least 1-D operands")
-    if a.ndim == 1:
-        out = matmul(a.reshape(1, -1), b)
-        return out.reshape(out.shape[1:]) if out.ndim > 1 else out
-    if b.ndim == 1:
-        out = matmul(a, b.reshape(-1, 1))
-        return out.reshape(out.shape[:-1])
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs at least 2-D operands: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
 
@@ -387,16 +378,6 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     def bwd(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
         t.accumulate_grad(out_data * (g - dot))
-
-    return Tensor._make(out_data, (t,), bwd)
-
-
-def softplus(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out_data = np.logaddexp(0.0, t.data)
-
-    def bwd(g):
-        t.accumulate_grad(g / (1.0 + np.exp(-t.data)))
 
     return Tensor._make(out_data, (t,), bwd)
 
@@ -584,10 +565,10 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients per parameter; parameters the loss never reached get zeros."""
-    return {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()}
+def normal_parameter(rng: np.random.Generator, *shape: int) -> Tensor:
+    """A weight of `shape` drawn from N(0, 0.02^2), the init of every
+    randomly drawn weight in the network."""
+    return parameter(rng.normal(scale=0.02, size=shape))
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from ctxtrack.attention import (
     WindowAttentionBlock,
     window_partition,
 )
-from ctxtrack.positional import SegmentLayout, segment_layout
-from ctxtrack.tensor import Tensor, finite_diff_grad
+from ctxtrack.positional import SegmentLayout, UntiedPositionBias, segment_layout
+from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad
 
 from reference_attention import reference_block
 
@@ -137,7 +137,7 @@ def test_window_block_each_window_equals_plain_attention():
 
 def test_window_block_over_partition_equals_per_grid_calls():
     rng = np.random.default_rng(24)
-    layout = SegmentLayout.create((2, 2), (4, 4), (4, 6))
+    layout = segment_layout((2, 2), (4, 4), (4, 6))
     blk = WindowAttentionBlock(8, 2, 2, rng)
     grids = [rng.normal(size=(h, w, 8)) for _, h, w in layout.segments]
     flat = blk(Tensor(np.concatenate([g.reshape(-1, 8) for g in grids])),
@@ -148,14 +148,14 @@ def test_window_block_over_partition_equals_per_grid_calls():
 
 def test_window_block_rejects_mismatched_partition():
     rng = np.random.default_rng(25)
-    layout = SegmentLayout.create((2, 2), (4, 4), (4, 4))
+    layout = segment_layout((2, 2), (4, 4), (4, 4))
     blk = WindowAttentionBlock(8, 2, 2, rng)
     with pytest.raises(ValueError, match="window"):
         blk(Tensor(np.zeros((36, 8))), window_partition(layout, 1))
     with pytest.raises(ValueError, match="tokens"):
         blk(Tensor(np.zeros((35, 8))), window_partition(layout, 2))
     with pytest.raises(ValueError, match="divisible"):
-        window_partition(SegmentLayout.create((3, 3), (4, 4), (4, 4)), 2)
+        window_partition(segment_layout((3, 3), (4, 4), (4, 4)), 2)
 
 
 def test_window_block_gradcheck():
@@ -361,3 +361,37 @@ def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
     assert set(restricted) == {("search", kn) for kn in layout.names()}
     for key, block in restricted.items():
         assert np.max(np.abs(block - full[key])) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# held bias terms
+# ----------------------------------------------------------------------
+
+def test_held_layer_builds_each_key_set_once(monkeypatch):
+    layer, _, _ = toy_layer(seed=25)
+    with no_grad():
+        fresh = {keys: layer.bias_terms(keys) for keys in (None, "templates")}
+    calls = []
+    original = UntiedPositionBias.bias
+
+    def counting(self):
+        calls.append(id(self))
+        return original(self)
+
+    monkeypatch.setattr(UntiedPositionBias, "bias", counting)
+    layer.hold_bias_terms()
+    with no_grad():
+        held = [(keys, layer.bias_terms(keys))
+                for keys in (None, "templates", None, "templates")]
+    assert len(calls) == 2
+    for keys, terms in held:
+        assert [t.data.tobytes() for t in terms] == \
+            [t.data.tobytes() for t in fresh[keys]]
+    assert held[0][1] is held[2][1] and held[1][1] is held[3][1]
+    # a taped call builds its own terms even while held
+    taped = layer.bias_terms(None)
+    assert taped[0].requires_grad and len(calls) == 3
+    layer.release_bias_terms()
+    with no_grad():
+        layer.bias_terms("templates")
+    assert len(calls) == 4

@@ -1,11 +1,16 @@
 """End-to-end CLI tests, driving main() directly."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctxtrack
 from ctxtrack.cli import main
 from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm
 
@@ -128,6 +133,56 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "numeric failure" in err and "int64" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, value):
+        # Python's json reads and writes NaN, Infinity and -Infinity
+        config = _write_config(tmp_path, train={"lr": value},
+                               track={"context_scale": value})
+        assert main(["track", "--config", config,
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert "error: train.lr must be finite" in capsys.readouterr().err
+
+    def test_int_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, train={"lr": 10 ** 400})
+        assert main(["track", "--config", config,
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert "error: train.lr is too large" in capsys.readouterr().err
+
+    def test_unwritable_track_metrics_is_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        missing = tmp_path / "missing" / "m.csv"
+        assert main(["track", "--config", config,
+                     "--metrics", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and str(missing) in err
+
+    def test_unwritable_update_sim_out_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0.9\n0.8\n", encoding="utf-8")
+        missing = tmp_path / "missing" / "m.csv"
+        assert main(["update-sim", "--trace", str(trace),
+                     "--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and str(missing) in err
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # modules `import ctxtrack.cli` adds to a fresh interpreter, against a
+    # baseline interpreter that imports nothing
+    src = str(Path(ctxtrack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys; {}print(*sys.modules)"
+
+    def loaded(imports):
+        out = subprocess.run([sys.executable, "-c", probe.format(imports)],
+                             env=env, capture_output=True, text=True, check=True)
+        return {name.split(".")[0] for name in out.stdout.split()}
+
+    added = loaded("import ctxtrack.cli; ") - loaded("")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ctxtrack"}
+    assert "numpy" in added and "ctxtrack" in added
+    assert added <= allowed, sorted(added - allowed)
 
 
 class TestGen(object):

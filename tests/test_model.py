@@ -334,3 +334,21 @@ def test_forward_gradients_match_finite_differences():
         fd = finite_diff_grad(scalar, p)
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
         assert rel_err(got, fd, floor=1e-5) < 1e-3, name
+
+
+# ----------------------------------------------------------------------
+# initialisation
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drawn_weights_have_the_init_spread(seed):
+    net, _ = toy_net(seed=seed)
+    # layer-norm scales and shifts and linear biases start constant; every
+    # other parameter is drawn from N(0, 0.02^2)
+    drawn = {name: p.data for name, p in net.parameters().items()
+             if name.rsplit(".", 1)[-1] not in ("gamma", "beta", "bias")}
+    assert all(np.std(w) > 0.0 for w in drawn.values())
+    large = {name: w for name, w in drawn.items() if w.size >= 256}
+    assert large
+    for name, w in large.items():
+        assert abs(np.std(w) / 0.02 - 1.0) < 0.2, name
