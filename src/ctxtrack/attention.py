@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
-from .tensor import (Module, Tensor, concat, gelu, grad_enabled, layer_norm,
-                     matmul, normal_parameter, parameter, softmax_lastdim)
+from .tensor import (Module, Tensor, attention_weights, gelu, grad_enabled,
+                     layer_norm, linear, matmul, normal_parameter, parameter)
 
 
 class Linear(Module):
@@ -26,10 +26,7 @@ class Linear(Module):
         self.bias = parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -99,10 +96,7 @@ class _PreNormAttention(Module):
         bias term is added to the scaled content logits in turn."""
         q = self._split(self.w_query(xq))
         k = self._split(self.w_key(xk))
-        logits = matmul(q, k.swapaxes(-1, -2)) * self.scale
-        for bias in biases:
-            logits = logits + bias
-        return softmax_lastdim(logits)
+        return attention_weights(q, k, self.scale, biases)
 
     def attend(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
         """Projected attention output (..., Lq, dim) of normed tokens."""
@@ -225,8 +219,8 @@ class CrossFrameAttention(_PreNormAttention):
             terms = self.abs_bias.bias(), self.rel_bias.bias()
         else:
             rows, stop, names = self._search_keys(keys)
-            rel = concat([self.rel_bias.block("search", n) for n in names], axis=2)
-            terms = self.abs_bias.bias()[:, rows, 0:stop], rel
+            terms = (self.abs_bias.bias()[:, rows, 0:stop],
+                     self.rel_bias.block("search", *names))
         if held:
             # a search-row slice is copied, so the full term behind it is freed
             terms = self._held[keys] = tuple(Tensor(np.ascontiguousarray(t.data))

@@ -45,6 +45,15 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config)
 
 
+def _check_outputs(*paths) -> None:
+    """Fail before any work when an output file's directory is missing;
+    other write errors still surface as an OSError at the write."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write output {path}: directory "
+                              f"{Path(path).parent} does not exist")
+
+
 def _build_net(cfg: ExperimentConfig, params_path=None) -> TrackerNet:
     net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
     if params_path is not None:
@@ -75,6 +84,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(args.params, args.loss_csv)
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
     net = _build_net(cfg)
@@ -90,6 +100,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    _check_outputs(args.metrics)
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
     net = _build_net(cfg, args.params)
@@ -126,6 +137,7 @@ def _read_trace(path) -> list[float]:
 
 
 def _cmd_update_sim(args) -> int:
+    _check_outputs(args.out)
     cfg = _load(args)
     mode = args.mode if args.mode is not None else cfg.track.update_mode
     seed_conf = (args.seed_confidence if args.seed_confidence is not None

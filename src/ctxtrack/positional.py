@@ -14,6 +14,7 @@ added to the attention logits:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,13 +126,43 @@ class UntiedPositionBias(Module):
         return matmul(pq, pk.swapaxes(1, 2)) * (1.0 / np.sqrt(2.0 * head_dim))
 
 
+@lru_cache(maxsize=16)
+def _gather_index(layout: SegmentLayout, queries: tuple[str, ...],
+                  keys: tuple[str, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Where each (query token, key token) pair of `queries` x `keys` reads
+    its relative logit: a flat (L_q, L_k) index into the pair tables of
+    those segments, each flattened per head and concatenated in row-major
+    pair order, and the table sizes in that order.
+
+    It depends only on the layout, so every layer shares one copy.
+    """
+    rows, sizes, offset = [], [], 0
+    for q in queries:
+        hq, wq = layout.grid(q)
+        rq, cq = np.divmod(np.arange(hq * wq), wq)
+        blocks = []
+        for k in keys:
+            hk, wk = layout.grid(k)
+            rk, ck = np.divmod(np.arange(hk * wk), wk)
+            width = wq + wk - 1
+            blocks.append(offset + (rq[:, None] - rk[None, :] + hk - 1) * width
+                          + (cq[:, None] - ck[None, :] + wk - 1))
+            sizes.append((hq + hk - 1) * width)
+            offset += sizes[-1]
+        rows.append(np.concatenate(blocks, axis=1))
+    index = np.concatenate(rows, axis=0)
+    index.flags.writeable = False   # one copy serves every caller
+    return index, tuple(sizes)
+
+
 class PairwiseRegionBias(Module):
     """Relative positional logits, one table per ordered segment pair.
 
     The table for query segment n and key segment m holds one value per head
     per 2-D displacement (row_q - row_k, col_q - col_k), which spans
-    (H_n + H_m - 1) x (W_n + W_m - 1) entries. Lookups are precomputed as
-    integer index grids so assembly is a pure gather.
+    (H_n + H_m - 1) x (W_n + W_m - 1) entries. A term over some query and
+    key segments is one gather from their concatenated tables through a
+    precomputed flat index (`_gather_index`).
     """
 
     def __init__(self, layout: SegmentLayout, heads: int,
@@ -141,32 +172,45 @@ class PairwiseRegionBias(Module):
         names = layout.names()
         self.pair_names = [(q, k) for q in names for k in names]
         self.tables = []
-        self._row_idx: dict[tuple[str, str], np.ndarray] = {}
-        self._col_idx: dict[tuple[str, str], np.ndarray] = {}
         for q, k in self.pair_names:
             hq, wq = layout.grid(q)
             hk, wk = layout.grid(k)
             self.tables.append(normal_parameter(rng, heads, hq + hk - 1, wq + wk - 1))
-            rq, cq = np.meshgrid(np.arange(hq), np.arange(wq), indexing="ij")
-            rk, ck = np.meshgrid(np.arange(hk), np.arange(wk), indexing="ij")
-            rq, cq = rq.reshape(-1), cq.reshape(-1)
-            rk, ck = rk.reshape(-1), ck.reshape(-1)
-            self._row_idx[(q, k)] = rq[:, None] - rk[None, :] + (hk - 1)
-            self._col_idx[(q, k)] = cq[:, None] - ck[None, :] + (wk - 1)
 
     def table(self, query_seg: str, key_seg: str) -> Tensor:
         return self.tables[self.pair_names.index((query_seg, key_seg))]
 
-    def block(self, query_seg: str, key_seg: str) -> Tensor:
-        """(heads, L_q, L_k) bias block for one ordered segment pair."""
-        key = (query_seg, key_seg)
-        return self.table(*key)[:, self._row_idx[key], self._col_idx[key]]
+    def _gather(self, queries: tuple[str, ...], keys: tuple[str, ...]) -> Tensor:
+        """(heads, L_q, L_k) logits of `queries` x `keys` as one tape node.
+
+        The backward sums each head's gradient into its tables with one
+        `np.bincount`, which adds in the same order as `np.add.at` on each
+        pair's block in turn, so table gradients keep the bits of a
+        per-block gather.
+        """
+        index, sizes = _gather_index(self.layout, queries, keys)
+        tables = [self.table(q, k) for q in queries for k in keys]
+        flat = np.concatenate([t.data.reshape(self.heads, -1) for t in tables], axis=1)
+        flat_index = index.reshape(-1)
+
+        def bwd(g):
+            grads = np.stack([np.bincount(flat_index, weights=gh.reshape(-1),
+                                          minlength=flat.shape[1]) for gh in g])
+            for t, part in zip(tables, np.split(grads, np.cumsum(sizes)[:-1], axis=1)):
+                if t.requires_grad:
+                    t.accumulate_grad(part.reshape(t.data.shape))
+
+        return Tensor._make(np.take(flat, index, axis=1), tuple(tables), bwd)
+
+    def block(self, query_seg: str, *key_segs: str) -> Tensor:
+        """(heads, L_q, L_k) bias of one query segment against the listed key
+        segments, concatenated along the key axis in the order given."""
+        return self._gather((query_seg,), key_segs)
 
     def bias(self) -> Tensor:
         """Full (heads, L, L) relative logits assembled from all regions."""
         names = self.layout.names()
-        rows = [concat([self.block(q, k) for k in names], axis=2) for q in names]
-        return concat(rows, axis=1)
+        return self._gather(names, names)
 
     def zero_(self) -> None:
         for t in self.tables:

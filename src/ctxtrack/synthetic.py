@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .imageops import Box
 
 
@@ -30,6 +30,7 @@ class SequenceConfig:
     occlusion_end: int = -1     # first frame after the occlusion window
 
     def validate(self) -> "SequenceConfig":
+        require_finite(self)
         if self.num_frames < 1:
             raise ConfigError("num_frames must be at least 1")
         if self.frame_size < 32:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_finite
 from .heads import decode_box
 from .imageops import Box, box_iou, box_window, crop_resize
 from .model import STRIDE, TrackerNet
@@ -37,6 +37,7 @@ class TrackConfig:
     oracle: bool = False   # score ground-truth boxes through the pipeline
 
     def validate(self) -> "TrackConfig":
+        require_finite(self)
         if self.update_mode not in MODES:
             raise ConfigError(
                 f"unknown update mode {self.update_mode!r}, "

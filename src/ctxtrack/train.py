@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_finite
 from .heads import tracking_loss
 from .imageops import CropWindow, box_window, crop_resize, crop_window
 from .model import STRIDE, TrackerNet
@@ -50,6 +50,7 @@ class TrainConfig:
     search_scale_jitter: float = 0.1
 
     def validate(self) -> None:
+        require_finite(self)
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
         if self.lr < 0.0:

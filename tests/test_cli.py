@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ctxtrack
+from ctxtrack import cli
 from ctxtrack.cli import main
 from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm
 
@@ -165,6 +166,34 @@ class TestExitCodes:
                      "--out", str(missing)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and str(missing) in err
+
+    @pytest.mark.parametrize("flag", ["--params", "--loss-csv"])
+    def test_train_checks_outputs_before_training(self, tmp_path, capsys,
+                                                  monkeypatch, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(cli, "toy_train", never)
+        outputs = {"--params": tmp_path / "p.params",
+                   "--loss-csv": tmp_path / "loss.csv"}
+        outputs[flag] = tmp_path / "missing" / "out"
+        argv = ["train", "--config", _write_config(tmp_path)]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and str(outputs[flag]) in err
+
+    def test_track_checks_metrics_before_tracking(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("tracked before checking the output path")
+
+        monkeypatch.setattr(cli, "run_tracker", never)
+        missing = tmp_path / "missing" / "m.csv"
+        assert main(["track", "--config", _write_config(tmp_path),
+                     "--metrics", str(missing)]) == 1
+        assert str(missing) in capsys.readouterr().err
 
 
 def test_runtime_imports_only_stdlib_and_numpy():

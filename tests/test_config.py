@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ctxtrack.config import (config_from_dict, config_to_dict,
                              default_config, load_config, save_config)
 from ctxtrack.errors import ConfigError
+from ctxtrack.synthetic import SequenceConfig
+from ctxtrack.tracker import TrackConfig
+from ctxtrack.train import TrainConfig
 
 
 def test_empty_config_gives_defaults():
@@ -210,3 +213,22 @@ def test_bad_files_rejected(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+
+
+# a config built in code skips `_build`, so each validate() must reject
+# non-finite values itself; range checks like `x < 0` let NaN through
+_FLOAT_FIELDS = [(TrainConfig, name) for name in
+                 ("lr", "eps", "lambda_cls", "lambda_giou", "context_scale",
+                  "alpha", "gamma")] + \
+                [(TrackConfig, "context_scale"),
+                 (SequenceConfig, "step_sigma"),
+                 (SequenceConfig, "appearance_drift")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_validate_rejects_non_finite_field(cls, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        cls(**{name: value}).validate()

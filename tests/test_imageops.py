@@ -210,6 +210,25 @@ class TestCropResize:
                                             out_size=16))
         assert np.all(out == 0.25)
 
+    @settings(derandomize=True, deadline=None)
+    @given(out_size=st.sampled_from([16, 32]),
+           margins=st.tuples(*[st.integers(0, 20)] * 4),
+           channels=st.integers(1, 3),
+           scale=st.floats(1e-300, 1e300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_identity_window_returns_frame_slice_bytes(self, out_size, margins,
+                                                       channels, scale, seed):
+        # an integer-aligned window at one crop pixel per frame pixel
+        # samples pixel centres exactly, so bilinear weights are 1 and 0
+        top, bottom, left, right = margins
+        h, w = top + out_size + bottom, left + out_size + right
+        frame = np.random.default_rng(seed).normal(size=(h, w, channels)) * scale
+        win = crop_window((left + out_size / 2, top + out_size / 2),
+                          float(out_size), out_size)
+        crop = crop_resize(frame, win)
+        want = frame[top:top + out_size, left:left + out_size]
+        assert crop.shape == want.shape and crop.tobytes() == want.tobytes()
+
 
 class TestBoxIoU:
     def test_identical_boxes(self):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from ctxtrack import attention
 from ctxtrack.attention import WindowAttentionBlock
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
-from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad
+from ctxtrack.tensor import Tensor, finite_diff_grad, linear, matmul, no_grad
 
 
 def rel_err(a, b, floor=1e-6):
@@ -352,3 +353,38 @@ def test_drawn_weights_have_the_init_spread(seed):
     assert large
     for name, w in large.items():
         assert abs(np.std(w) / 0.02 - 1.0) < 0.2, name
+
+
+def test_linear_forward_matches_batched_product_at_every_call_site(monkeypatch):
+    # `linear` runs one flat 2-D product where that repeats the bits of
+    # numpy's batched product; over every shape the toy and small presets
+    # feed it, it must give the batched composite's bytes. A taped small
+    # forward would hold gigabytes; its shapes are the tape-free ones.
+    shapes = set()
+
+    def recording(x, weight, bias=None):
+        shapes.add((x.shape, weight.shape, bias is not None))
+        return linear(x, weight, bias)
+
+    monkeypatch.setattr(attention, "linear", recording)
+    rng = np.random.default_rng(0)
+    for spec, taped in ((toy_spec(), True), (toy_spec(final_keys="all"), True),
+                        (small_spec(), False)):
+        net = TrackerNet(spec, rng)
+        images = [rng.random((s, s, 3)) for s in
+                  (spec.target_size, spec.search_size, spec.search_size)]
+        box = (spec.search_size * 0.3, spec.search_size * 0.3,
+               spec.search_size * 0.6, spec.search_size * 0.6)
+        with no_grad():
+            net.forward(*images, prev_box=box)
+        if taped:
+            net.forward(*images, prev_box=box)
+    assert len(shapes) > 20
+    for x_shape, w_shape, has_bias in sorted(shapes):
+        x, w, b = (rng.normal(size=x_shape), rng.normal(size=w_shape),
+                   rng.normal(size=w_shape[1]))
+        want = matmul(x, w)
+        if has_bias:
+            want = want + Tensor(b)
+        got = linear(Tensor(x), Tensor(w), Tensor(b) if has_bias else None)
+        assert got.data.tobytes() == want.data.tobytes(), (x_shape, w_shape)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ctxtrack.positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias, segment_layout
+from ctxtrack.positional import (PairwiseRegionBias, SegmentLayout, UntiedPositionBias,
+                                 _gather_index, segment_layout)
+from ctxtrack.tensor import Tensor, concat
 
 
 def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
@@ -169,3 +171,56 @@ def test_region_bias_gradients_flow_to_tables():
             n = (2 - abs(dr)) * (2 - abs(dc))
             counts[dr + 1, dc + 1] = n
     assert np.array_equal(tt.grad[0], counts)
+
+
+def _block_by_index_grids(bias: PairwiseRegionBias, q: str, k: str):
+    """One pair's block through a per-block advanced-index gather."""
+    (hq, wq), (hk, wk) = bias.layout.grid(q), bias.layout.grid(k)
+    rq, cq = np.divmod(np.arange(hq * wq), wq)
+    rk, ck = np.divmod(np.arange(hk * wk), wk)
+    rows = rq[:, None] - rk[None, :] + hk - 1
+    cols = cq[:, None] - ck[None, :] + wk - 1
+    return bias.table(q, k)[:, rows, cols]
+
+
+def _term_by_blocks(bias: PairwiseRegionBias, queries, keys):
+    return concat([concat([_block_by_index_grids(bias, q, k) for k in keys], axis=2)
+                   for q in queries], axis=1)
+
+
+@pytest.mark.parametrize("term", ["full", "search_templates", "search_all"])
+def test_one_gather_matches_per_block_gather_bytes(term):
+    lay = segment_layout((2, 3), (4, 4), (4, 4))
+    names = lay.names()
+    queries, keys = {"full": (names, names),
+                     "search_templates": (("search",), names[:2]),
+                     "search_all": (("search",), names)}[term]
+
+    def run(build):
+        bias = PairwiseRegionBias(lay, heads=3, rng=np.random.default_rng(8))
+        out = build(bias)
+        c = np.random.default_rng(9).normal(size=out.shape)
+        # two terms on one table: the second adds onto a stored gradient
+        (out * Tensor(c)).sum().backward()
+        (build(bias) * Tensor(c[::-1].copy())).sum().backward()
+        return out.data, [t.grad for t in bias.tables]
+
+    if term == "full":
+        got, got_grads = run(lambda b: b.bias())
+    else:
+        got, got_grads = run(lambda b: b.block("search", *keys))
+    want, want_grads = run(lambda b: _term_by_blocks(b, queries, keys))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.tobytes() == w.tobytes()
+
+
+def test_gather_index_is_built_once_per_layout_and_key_set():
+    lay = segment_layout((1, 2), (2, 2), (2, 2))
+    names = lay.names()
+    assert _gather_index(lay, names, names) is \
+        _gather_index(segment_layout((1, 2), (2, 2), (2, 2)), names, names)
+    assert _gather_index(lay, ("search",), names) is not \
+        _gather_index(lay, ("search",), names[:2])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ctxtrack.tensor import (
-    Tensor, concat, finite_diff_grad, gelu, layer_norm, matmul, maximum,
-    minimum, no_grad, parameter, softmax_lastdim,
+    Tensor, attention_weights, concat, finite_diff_grad, gelu, layer_norm,
+    linear, matmul, maximum, minimum, no_grad, parameter, softmax_lastdim,
 )
 from ctxtrack.optim import Adam
 
@@ -483,3 +483,111 @@ def test_getitem_basic_index_grads_match_scatter_add():
         expect = np.zeros(data.shape)
         np.add.at(expect, idx, w)
         assert np.array_equal(p.grad, expect), idx
+
+
+# ----------------------------------------------------------------------
+# fused linear and attention softmax against their composites
+# ----------------------------------------------------------------------
+
+def _bytes_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _composite_linear(x, weight, bias):
+    out = matmul(x, weight)
+    return out if bias is None else out + bias
+
+
+def _run_linear(op, x_data, w_data, b_data, fan_out, seed):
+    """Value and (x, weight, bias) gradients of op through a loss whose
+    incoming gradient holds -0.0 entries; with fan_out, x also feeds a
+    second map and a product before the first."""
+    x = parameter(x_data.copy())
+    w = parameter(w_data.copy())
+    b = None if b_data is None else parameter(b_data.copy())
+    rng = np.random.default_rng(seed)
+    loss = 0.0
+    if fan_out:
+        loss = (x * 3.0).sum() + op(x, w, None).sum()
+    y = op(x, w, b)
+    c = rng.normal(size=y.shape)
+    c[rng.random(y.shape) < 0.3] = -0.0
+    loss = (y * c).sum() + loss
+    loss.backward()
+    grads = [x.grad, w.grad] + ([] if b is None else [b.grad])
+    return y.data, grads
+
+
+@pytest.mark.parametrize("x_shape", [(5, 3), (4, 6, 3), (3, 4, 3)],
+                         ids=["2d", "hwc", "windows"])
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("fan_out", [False, True], ids=["single", "fanout"])
+def test_linear_matches_composite_bytes(x_shape, with_bias, fan_out):
+    rng = np.random.default_rng(11)
+    x_data = rng.normal(size=x_shape)
+    x_data[0, ...] = 0.0   # zero rows make exact-zero products
+    w_data = rng.normal(size=(3, 7))
+    b_data = rng.normal(size=7) if with_bias else None
+    got, got_grads = _run_linear(linear, x_data, w_data, b_data, fan_out, 5)
+    want, want_grads = _run_linear(_composite_linear, x_data, w_data, b_data, fan_out, 5)
+    assert _bytes_equal(got, want)
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert _bytes_equal(g, w)
+
+
+def test_linear_is_one_tape_node():
+    x = parameter(np.ones((2, 3, 4)))
+    y = linear(x, parameter(np.ones((4, 5))), parameter(np.zeros(5)))
+    assert len(y._parents) == 3 and all(p._parents == () for p in y._parents)
+
+
+def test_linear_rejects_bad_operands():
+    with pytest.raises(ValueError, match="2-D"):
+        linear(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    with pytest.raises(ValueError, match="mismatch"):
+        linear(Tensor(np.ones((2, 4, 6))), Tensor(np.ones((3, 2))))
+
+
+def _composite_attention_weights(q, k, scale, biases):
+    logits = matmul(q, k.swapaxes(-1, -2)) * scale
+    for bias in biases:
+        logits = logits + bias
+    return softmax_lastdim(logits)
+
+
+def _run_attention(op, n_bias, batch, seed=4):
+    """Weights and every gradient when q and k are two-head projections of
+    one shared input, split as the attention layers split them, so their
+    gradients meet in it."""
+    rng = np.random.default_rng(seed)
+    lq, lk, d = 5, 6, 4
+    x = parameter(rng.normal(size=batch + (lk, 8)))
+    wq = parameter(rng.normal(scale=0.5, size=(8, 2 * d)))
+    wk = parameter(rng.normal(scale=0.5, size=(8, 2 * d)))
+    biases = [parameter(rng.normal(size=(2, lq, lk))) for _ in range(n_bias)]
+    q = matmul(x[..., :lq, :], wq).reshape(*batch, lq, 2, d).swapaxes(-3, -2)
+    k = matmul(x, wk).reshape(*batch, lk, 2, d).swapaxes(-3, -2)
+    weights = op(q, k, np.float64(0.37), biases)
+    c = rng.normal(size=weights.shape)
+    c[rng.random(weights.shape) < 0.3] = -0.0
+    (weights * c).sum().backward()
+    return weights.data, [t.grad for t in (x, wq, wk, *biases)]
+
+
+@pytest.mark.parametrize("n_bias", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (3, 2)], ids=["joint", "windows"])
+def test_attention_weights_match_composite_bytes(n_bias, batch):
+    got, got_grads = _run_attention(attention_weights, n_bias, batch)
+    want, want_grads = _run_attention(_composite_attention_weights, n_bias, batch)
+    assert _bytes_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert _bytes_equal(g, w)
+
+
+def test_attention_weights_rows_sum_to_one_with_extreme_logits():
+    q = Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
+    k = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]))
+    out = attention_weights(q, k, 1.0).data
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out.sum(axis=-1), 1.0)

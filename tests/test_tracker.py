@@ -250,12 +250,12 @@ class TestReusedBiasTerms:
         run_tracker(net, _sequence(num_frames=5), TrackConfig(update_mode=mode))
         layers = _joint_layers(net)
         # every layer builds its absolute term; the last layer gathers its
-        # search-row relative blocks instead of the full relative term
+        # search-row relative term in one call instead of the full term
         assert {key[0] for key in calls if key[1] == "bias"} == \
             {id(layer.abs_bias) for layer in layers} | \
             {id(layer.rel_bias) for layer in layers[:-1]}
         assert calls[(id(net.neck_last.rel_bias), "block",
-                      ("search", "target"))] == 1
+                      ("search", "target", "previous"))] == 1
         assert set(calls.values()) == {1}
 
     def test_two_frame_sequence_holds_nothing(self, monkeypatch):
