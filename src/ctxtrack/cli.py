@@ -103,6 +103,8 @@ def _cmd_track(args) -> int:
     _check_outputs(args.metrics)
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
+    if len(sequence) < 2:
+        raise ConfigError("tracking needs a sequence with at least 2 frames")
     net = _build_net(cfg, args.params)
     records = run_tracker(net, sequence, cfg.track)
     rows = [[args.sequence_id, str(r.frame), format_float(r.iou),

@@ -150,7 +150,8 @@ def read_ppm(path) -> np.ndarray:
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:
-    """Map a float image in [0, 1] to uint8 with round-half-away banding."""
+    """Map a float image in [0, 1] to uint8, rounding half to even
+    (`np.rint`): 0.5/255 maps to 0 and 2.5/255 to 2."""
     return np.clip(np.rint(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
 
 

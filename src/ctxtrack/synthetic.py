@@ -38,8 +38,12 @@ class SequenceConfig:
         if not 4.0 <= self.box_size <= self.frame_size / 2:
             raise ConfigError(
                 f"box_size must lie in [4, frame_size/2], got {self.box_size}")
-        if self.step_sigma < 0:
-            raise ConfigError("step_sigma must be non-negative")
+        # two reflections move a point by twice the walls' span, so a step
+        # that dwarfs the frame takes that many more, and one past float
+        # precision never gets back inside
+        if not 0 <= self.step_sigma <= 4 * self.frame_size:
+            raise ConfigError(
+                f"step_sigma must lie in [0, 4 * frame_size], got {self.step_sigma}")
         if self.num_distractors < 0:
             raise ConfigError("num_distractors must be non-negative")
         if self.appearance_drift < 0:

@@ -4,7 +4,8 @@ A Tensor wraps a numpy float64 array. Every op that touches a tensor
 requiring gradients records a backward closure and its parents, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
 order and accumulates gradients additively over fan-out. The tape is
-rebuilt on every forward pass; there is no graph reuse.
+rebuilt on every forward pass and freed by the sweep that walks it; there is
+no graph reuse.
 """
 from __future__ import annotations
 
@@ -36,12 +37,19 @@ def grad_enabled() -> bool:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast when producing it."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, size in enumerate(shape):
         if size == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
+
+
+def _released(_grad: np.ndarray) -> None:
+    raise RuntimeError("backward() reached a node whose tape an earlier "
+                       "backward() already freed; run the forward again")
 
 
 class Tensor:
@@ -98,14 +106,21 @@ class Tensor:
     def _make(data: np.ndarray, parents: tuple["Tensor", ...],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
+        if _GRAD_ENABLED:
+            parents = tuple([p for p in parents if p.requires_grad])
+            if parents:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
         return out
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar. Fan-out gradients sum."""
+        """Reverse-mode sweep from a scalar. Fan-out gradients sum.
+
+        The sweep frees the tape as it walks it: once a node's backward has
+        run, its closure, parents and gradient are dropped, and a later
+        sweep that reaches the node raises.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -124,9 +139,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward = _released
+                node._parents = ()
+                node.grad = None
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -616,7 +635,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         gc += gcc
         gc += gcc
         x.accumulate_grad(gc)
-        x.accumulate_grad(np.broadcast_to(-_unbroadcast(gc, ve.shape) * k, x.data.shape))
+        x.accumulate_grad(-_unbroadcast(gc, ve.shape) * k)
 
     return Tensor._make(out, (x, gamma, beta), bwd)
 

@@ -165,7 +165,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
             raise NumericError(f"non-finite loss at step {step}")
         losses.append(value)
 
-        net.zero_grad()
+        optimizer.zero_grad()
         loss.backward()
         optimizer.lr = _lr_at(cfg, step)
         optimizer.step()

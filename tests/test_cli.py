@@ -195,6 +195,18 @@ class TestExitCodes:
                      "--metrics", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_track_one_frame_sequence_writes_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built the net for a one-frame sequence")
+
+        monkeypatch.setattr(cli, "_build_net", never)
+        metrics = tmp_path / "m.csv"
+        config = _write_config(tmp_path, sequence={"num_frames": 1})
+        assert main(["track", "--config", config, "--metrics", str(metrics)]) == 1
+        assert "at least 2 frames" in capsys.readouterr().err
+        assert not metrics.exists()
+
 
 def test_runtime_imports_only_stdlib_and_numpy():
     # modules `import ctxtrack.cli` adds to a fresh interpreter, against a

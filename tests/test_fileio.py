@@ -137,6 +137,12 @@ class TestPnm:
         assert out.dtype == np.uint8
         assert out.tolist() == [0, 128, 255, 0, 255]
 
+    def test_to_uint8_rounds_half_to_even(self):
+        # half away from zero would give 1, 2 and 3
+        image = np.array([0.5, 1.5, 2.5]) / 255.0
+        assert (image * 255.0).tolist() == [0.5, 1.5, 2.5]
+        assert to_uint8(image).tolist() == [0, 2, 2]
+
 
 _RNG = np.random.default_rng(3)
 _SAVED = {   # loader, writer, value

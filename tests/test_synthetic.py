@@ -123,3 +123,15 @@ def test_config_rejections():
         gen_sequence(SequenceConfig(occlusion_start=5, occlusion_end=3))
     with pytest.raises(ConfigError, match="occlusion"):
         gen_sequence(SequenceConfig(occlusion_start=-1, occlusion_end=4))
+
+
+def test_step_sigma_that_dwarfs_the_frame_is_rejected():
+    # at 1e20 the reflecting walk never gets back inside the frame
+    with pytest.raises(ConfigError, match="step_sigma"):
+        SequenceConfig(step_sigma=1e20).validate()
+    with pytest.raises(ConfigError, match="step_sigma"):
+        SequenceConfig(frame_size=32, box_size=4.0, step_sigma=128.5).validate()
+    seq = gen_sequence(SequenceConfig(seed=8, num_frames=40, frame_size=32,
+                                      box_size=4.0, step_sigma=128.0))
+    for x1, y1, x2, y2 in seq.boxes:
+        assert 0.0 <= x1 < x2 <= 32.0 and 0.0 <= y1 < y2 <= 32.0

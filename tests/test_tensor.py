@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxtrack.tensor import (
-    Tensor, attention_weights, concat, finite_diff_grad, gelu, layer_norm,
-    linear, matmul, maximum, minimum, no_grad, parameter, softmax_lastdim,
+    Module, Tensor, _unbroadcast, attention_weights, concat, finite_diff_grad,
+    gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
+    softmax_lastdim,
 )
 from ctxtrack.optim import Adam
 
@@ -111,6 +113,47 @@ def test_backward_fanout_sums():
     y = p * 3.0 + p * 4.0
     y.sum().backward()
     assert np.allclose(p.grad, [7.0])
+
+
+def test_backward_frees_the_tape_and_a_second_sweep_raises():
+    p = parameter([1.0, 2.0])
+    y = p * p
+    loss = y.sum()
+    other = (y * 3.0).sum()
+    loss.backward()
+    assert y._parents == () and y.grad is None
+    assert np.array_equal(p.grad, [2.0, 4.0])
+    with pytest.raises(RuntimeError, match="already freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already freed"):
+        other.backward()
+    assert np.array_equal(p.grad, [2.0, 4.0])
+
+
+@st.composite
+def _broadcast_pair(draw):
+    """A target shape and a gradient shape numpy broadcasting can produce
+    from it: extra leading axes, and any size where the target has 1."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    grown = tuple(draw(st.integers(1, 3)) if size == 1 else size for size in shape)
+    return shape, lead + grown
+
+
+@settings(derandomize=True, deadline=None)
+@given(_broadcast_pair(), st.integers(0, 2 ** 32 - 1))
+def test_unbroadcast_sums_the_broadcast_axes(shapes, seed):
+    shape, grad_shape = shapes
+    grad = np.random.default_rng(seed).normal(size=grad_shape)
+    lead = len(grad_shape) - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, size in enumerate(shape) if size == 1)
+    ref = np.sum(grad, axis=axes, keepdims=True).reshape(shape)
+    scale = np.sum(np.abs(grad), axis=axes, keepdims=True).reshape(shape)
+    out = _unbroadcast(grad, shape)
+    assert out.shape == shape
+    assert np.all(np.abs(out - ref) <= 1e-12 * scale)
+    assert _unbroadcast(grad, grad_shape) is grad
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +340,70 @@ def test_adam_flat_update_matches_per_parameter_reference_bitwise():
             assert params[name].data.shape == shapes[name]
     assert opt.step_count == 3
     assert np.array_equal(params["idle"].data, init["idle"])
+
+
+class _Pair(Module):
+    def __init__(self, rng):
+        self.w = parameter(rng.normal(size=(3, 4)))
+        self.b = parameter(rng.normal(size=(4,)))
+
+
+def test_adam_holds_parameter_values_in_one_buffer():
+    rng = np.random.default_rng(23)
+    shapes = [(3, 4), (5,), (), (2, 1, 2)]
+    init = [rng.normal(size=shape) for shape in shapes]
+    params = {f"p{i}": parameter(x.copy()) for i, x in enumerate(init)}
+    Adam(params)
+    base = params["p0"].data.base
+    assert base is not None and base.size == sum(x.size for x in init)
+    for p, x in zip(params.values(), init):
+        assert p.data.base is base and np.array_equal(p.data, x)
+
+
+@pytest.mark.parametrize("between", ["load_state", "assigned_grad", "none_grad"])
+def test_adam_folds_in_what_was_replaced_between_steps(between):
+    rng = np.random.default_rng(24)
+    net = _Pair(rng)
+    params = net.parameters()
+    ref = {name: parameter(p.data.copy()) for name, p in params.items()}
+    m = {name: np.zeros(p.data.shape) for name, p in params.items()}
+    v = {name: np.zeros(p.data.shape) for name, p in params.items()}
+    opt = Adam(params, lr=0.05)
+    base = params["w"].data.base
+    for t in (1, 2, 3):
+        grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+        opt.zero_grad()
+        for name, p in params.items():
+            p.accumulate_grad(grads[name])
+        if t == 2 and between == "load_state":
+            state = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+            net.load_state(state)
+            for name, value in state.items():
+                ref[name].data = value.copy()
+        elif t == 2 and between == "assigned_grad":
+            grads["w"] = rng.normal(size=(3, 4))
+            params["w"].grad = grads["w"].copy()
+        elif t == 2:
+            params["b"].grad = None
+            del grads["b"]
+        opt.step()
+        reference_adam_step(ref, grads, m, v, t, 0.05)
+        for name, p in params.items():
+            assert np.array_equal(p.data, ref[name].data), (t, name)
+            assert p.data.base is base
+
+
+def test_zeroed_gradient_view_first_write_matches_add_zero_bitwise():
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -2.5e-310]
+    neg_nan = np.array([0xFFF8000000000123], dtype=np.uint64).view(np.float64)
+    column = np.array(special + [neg_nan[0], 1.5]).reshape(5, 2)
+    for g in (column, column[:, :1]):       # (5, 2) and (5, 1) broadcast
+        p = parameter(np.ones((5, 2)))
+        opt = Adam({"p": p})
+        opt.zero_grad()
+        p.accumulate_grad(g)
+        expected = np.add(g, 0.0, out=np.empty((5, 2)))
+        assert p.grad.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
