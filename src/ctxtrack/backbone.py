@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import LayerNorm, Linear
-from .imageops import Box, validate_box
+from .imageops import Box, cell_grid, validate_box
 from .tensor import Module, Tensor, gelu, normal_parameter
 
 
@@ -68,9 +68,7 @@ def ltrb_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
     x1, y1, x2, y2 = validate_box(box)
-    h, w = grid
-    ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    ky, kx = cell_grid(grid)
     out = np.stack([kx - x1 / stride, ky - y1 / stride,
                     x2 / stride - kx, y2 / stride - ky], axis=-1)
     return out
@@ -87,12 +85,10 @@ def gaussian_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
     x1, y1, x2, y2 = validate_box(box)
-    h, w = grid
     cx = (x1 + x2) / 2.0 / stride
     cy = (y1 + y2) / 2.0 / stride
     sigma = max(x2 - x1, y2 - y1) / (4.0 * stride)
-    ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    ky, kx = cell_grid(grid)
     d2 = (kx - cx) ** 2 + (ky - cy) ** 2
     # subtracting the minimum normalizes the peak to exp(0) = 1 without ever
     # forming a denormal intermediate; the clip guards exp underflow to 0

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import Linear
-from .imageops import Box, validate_box
+from .imageops import Box, cell_grid, validate_box
 from .tensor import (Module, Tensor, as_tensor, concat, gelu, maximum, minimum,
                      no_grad)
 
@@ -80,18 +80,16 @@ def decode_box(outputs: HeadOutputs, stride: float) -> DecodedBox:
     flat = int(np.argmax(cls.reshape(-1)))
     ky, kx = divmod(flat, w)
     l, t, r, b = reg[ky, kx]
-    box = ((kx - l) * stride, (ky - t) * stride,
-           (kx + r) * stride, (ky + b) * stride)
+    ay, ax = (g[ky, kx] for g in cell_grid((h, w)))
+    box = ((ax - l) * stride, (ay - t) * stride,
+           (ax + r) * stride, (ay + b) * stride)
     return DecodedBox(box=box, confidence=float(cls[ky, kx]),
                       position=(ky, kx), degenerate=(l + r <= 0 or t + b <= 0))
 
 
 def _ltrb_to_boxes_tensor(reg: Tensor) -> Tensor:
     """Per-position decoded boxes in grid units, (H, W, 4)."""
-    h, w, _ = reg.shape
-    ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    ky, kx = ky[..., None], kx[..., None]
+    ky, kx = (g[..., None] for g in cell_grid(reg.shape[:2]))
     return concat([kx - reg[:, :, 0:1], ky - reg[:, :, 1:2],
                    kx + reg[:, :, 2:3], ky + reg[:, :, 3:4]], axis=2)
 
@@ -176,8 +174,8 @@ def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
     h, w = grid
     if x1 < 0 or y1 < 0 or x2 > w * stride or y2 > h * stride:
         raise ValueError(f"gt box {gt_box} outside the {w * stride}x{h * stride} image")
-    cy, cx = np.meshgrid((np.arange(h) + 0.5) * stride,
-                         (np.arange(w) + 0.5) * stride, indexing="ij")
+    ky, kx = cell_grid(grid)
+    cy, cx = (ky + 0.5) * stride, (kx + 0.5) * stride
     positives = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     with no_grad():
         _, inter, union = _overlap(boxes, tuple(v / stride for v in (x1, y1, x2, y2)))

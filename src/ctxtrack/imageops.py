@@ -58,6 +58,21 @@ class CropWindow:
                 x2 / s + self.left, y2 / s + self.top)
 
 
+def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 (ky, kx) row and column indices over a (H, W) token grid.
+
+    This is the anchor convention of every stride-s map: cell (k_y, k_x)
+    sits at pixel (k_x s, k_y s), so its anchor in grid units is the
+    index itself. `heads.build_targets` alone tests cell centres,
+    (k + 0.5) s, against the box, so a positive cell's anchor lies half a
+    cell up and left of the point that made it positive.
+    """
+    h, w = grid
+    ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    return ky, kx
+
+
 def crop_window(center: tuple[float, float], size: float, out_size: int) -> CropWindow:
     if size <= 0:
         raise ValueError(f"crop window size must be positive, got {size}")

@@ -151,24 +151,21 @@ class TrackerNet(Module):
             out.append(tokens[self.layout.segment_slice(name)].reshape(h, w, self.spec.dim))
         return out
 
-    def backbone_forward(self, target, previous, search, joint: bool = True,
+    def backbone_forward(self, target, previous, search,
                          trace: list | None = None) -> Tensor:
         """Token sequence (L, d) at stride 16 for the three input images.
 
-        Each input is an image or its `encode` output. With joint=False the
-        mixing layers are skipped, leaving three independent per-image
-        pipelines (ablation mode). A list passed as `trace` receives the
-        output tokens of each joint layer.
+        Each input is an image or its `encode` output. A list passed as
+        `trace` receives the output tokens of each joint layer.
         """
         tokens = self._flatten([(x if isinstance(x, Encoded) else self.encode(x)).grid
                                 for x in (target, previous, search)])
         for g in range(self.spec.n1):
             if g:   # `encode` ran the first local pair
                 tokens = self._local_pair(self.stage3_local[2 * g: 2 * g + 2], tokens)
-            if joint:
-                tokens = self.stage3_joint[g](tokens)
-                if trace is not None:
-                    trace.append(tokens)
+            tokens = self.stage3_joint[g](tokens)
+            if trace is not None:
+                trace.append(tokens)
         return tokens
 
     def _local_pair(self, blocks: list[WindowAttentionBlock], tokens: Tensor) -> Tensor:

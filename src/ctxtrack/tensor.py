@@ -3,14 +3,15 @@
 A Tensor wraps a numpy float64 array. Every op that touches a tensor
 requiring gradients records a backward closure and its parents, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
-order and accumulates gradients additively over fan-out. The tape is
+order and accumulates gradients additively over fan-out. Most ops build
+that closure with `_node` from one local derivative per parent. The tape is
 rebuilt on every forward pass and freed by the sweep that walks it; there is
 no graph reuse.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +51,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _released(_grad: np.ndarray) -> None:
     raise RuntimeError("backward() reached a node whose tape an earlier "
                        "backward() already freed; run the forward again")
+
+
+def _node(out: np.ndarray, parents: tuple["Tensor", ...],
+          grads: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> "Tensor":
+    """A tape node whose backward hands each parent that requires a
+    gradient `_unbroadcast(grads[i](g), parent shape)`, in parent order;
+    `grads[i]` maps the output gradient to parent i's local gradient."""
+    # per-op Python cost bounds tracking speed, so a tape-free op builds no
+    # backward; a `partial` allocates less than a closure over both tuples
+    if not _GRAD_ENABLED:
+        return Tensor(out)
+    return Tensor._make(out, parents, partial(_node_backward, parents, grads))
+
+
+def _node_backward(parents, grads, g: np.ndarray) -> None:
+    for p, grad in zip(parents, grads):
+        if p.requires_grad:
+            p.accumulate_grad(_unbroadcast(grad(g), p.data.shape))
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _scatter(g: np.ndarray, shape: tuple[int, ...], idx) -> np.ndarray:
+    """Zeros of `shape` with `g` added at `idx`, the gradient of x[idx]."""
+    full = np.zeros(shape)
+    items = idx if isinstance(idx, tuple) else (idx,)
+    # ints and slices pick each element at most once; the trailing
+    # Ellipsis keeps an all-int index a 0-d view rather than a scalar
+    if all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
+                                    and not isinstance(i, bool)) for i in items):
+        np.add(g, 0.0, out=full[items + (Ellipsis,)])
+    else:
+        np.add.at(full, idx, g)
+    return full
 
 
 class Tensor:
@@ -153,66 +190,32 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-        return Tensor._make(self.data + other.data, (a, b), bwd)
+        return _node(self.data + other.data, (self, other), (_same, _same))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        a = self
-
-        def bwd(g):
-            a.accumulate_grad(-g)
-
-        return Tensor._make(-self.data, (a,), bwd)
+        return _node(-self.data, (self,), (np.negative,))
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(-_unbroadcast(g, b.data.shape))
-
-        return Tensor._make(self.data - other.data, (a, b), bwd)
+        return _node(self.data - other.data, (self, other), (_same, np.negative))
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor._make(self.data * other.data, (a, b), bwd)
+        return _node(self.data * other.data, (self, other),
+                     (lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._make(self.data / other.data, (a, b), bwd)
+        return _node(self.data / other.data, (self, other),
+                     (lambda g: g / other.data,
+                      lambda g: -g * self.data / (other.data * other.data)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
@@ -221,80 +224,44 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         c = float(exponent)
-        a = self
-
-        def bwd(g):
-            a.accumulate_grad(g * c * np.power(a.data, c - 1.0))
-
-        return Tensor._make(np.power(self.data, c), (a,), bwd)
+        return _node(np.power(self.data, c), (self,),
+                     (lambda g: g * c * np.power(self.data, c - 1.0),))
 
     # ------------------------------------------------------------------
     # elementwise transcendentals
     # ------------------------------------------------------------------
 
     def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(self.data)
-
-        def bwd(g):
-            a.accumulate_grad(g * out_data)
-
-        return Tensor._make(out_data, (a,), bwd)
+        out = np.exp(self.data)
+        return _node(out, (self,), (lambda g: g * out,))
 
     def log(self) -> "Tensor":
-        a = self
-
-        def bwd(g):
-            a.accumulate_grad(g / a.data)
-
-        return Tensor._make(np.log(self.data), (a,), bwd)
+        return _node(np.log(self.data), (self,), (lambda g: g / self.data,))
 
     def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.tanh(self.data)
-
-        def bwd(g):
-            a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-        return Tensor._make(out_data, (a,), bwd)
+        out = np.tanh(self.data)
+        return _node(out, (self,), (lambda g: g * (1.0 - out * out),))
 
     def sigmoid(self) -> "Tensor":
-        a = self
         x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-        def bwd(g):
-            a.accumulate_grad(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (a,), bwd)
+        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        return _node(out, (self,), (lambda g: g * out * (1.0 - out),))
 
     def relu(self) -> "Tensor":
-        a = self
         mask = self.data > 0
-
-        def bwd(g):
-            a.accumulate_grad(g * mask)
-
-        return Tensor._make(np.where(mask, self.data, 0.0), (a,), bwd)
+        return _node(np.where(mask, self.data, 0.0), (self,), (lambda g: g * mask,))
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
         in_shape = self.data.shape
-
-        def bwd(g):
-            grad = g
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                for ax in sorted(ax % len(in_shape) for ax in axes):
-                    grad = np.expand_dims(grad, ax)
-            a.accumulate_grad(np.broadcast_to(grad, in_shape))
-
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+        # the summed axes come back as size-1 axes, then broadcast
+        kept = axis if axis is not None and not keepdims else ()
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                     (lambda g: np.broadcast_to(np.expand_dims(g, kept), in_shape),))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -313,52 +280,23 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
         in_shape = self.data.shape
-
-        def bwd(g):
-            a.accumulate_grad(g.reshape(in_shape))
-
-        return Tensor._make(self.data.reshape(shape), (a,), bwd)
+        return _node(self.data.reshape(shape), (self,),
+                     (lambda g: g.reshape(in_shape),))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        a = self
         inv = np.argsort(axes)
-
-        def bwd(g):
-            a.accumulate_grad(g.transpose(inv))
-
-        return Tensor._make(self.data.transpose(axes), (a,), bwd)
+        return _node(self.data.transpose(axes), (self,), (lambda g: g.transpose(inv),))
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        a = self
-
-        def bwd(g):
-            a.accumulate_grad(g.swapaxes(ax1, ax2))
-
-        return Tensor._make(self.data.swapaxes(ax1, ax2), (a,), bwd)
+        return _node(self.data.swapaxes(ax1, ax2), (self,),
+                     (lambda g: g.swapaxes(ax1, ax2),))
 
     def __getitem__(self, idx) -> "Tensor":
-        a = self
         in_shape = self.data.shape
-        items = idx if isinstance(idx, tuple) else (idx,)
-        # ints and slices pick each element at most once; the trailing
-        # Ellipsis keeps an all-int index a 0-d view rather than a scalar
-        basic = all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
-                                             and not isinstance(i, bool))
-                    for i in items)
-
-        def bwd(g):
-            full = np.zeros(in_shape)
-            if basic:
-                np.add(g, 0.0, out=full[items + (Ellipsis,)])
-            else:
-                np.add.at(full, idx, g)
-            a.accumulate_grad(full)
-
-        return Tensor._make(self.data[idx], (a,), bwd)
+        return _node(self.data[idx], (self,), (lambda g: _scatter(g, in_shape, idx),))
 
 
 def as_tensor(value) -> Tensor:
@@ -377,14 +315,8 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul needs at least 2-D operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-    return Tensor._make(ad @ bd, (a, b), bwd)
+    return _node(ad @ bd, (a, b), (lambda g: g @ b.data.swapaxes(-1, -2),
+                                   lambda g: a.data.swapaxes(-1, -2) @ g))
 
 
 def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
@@ -400,13 +332,9 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     t = as_tensor(t)
     if t.ndim == 0 or t.shape[-1] < 1:
         raise ValueError("softmax_lastdim needs a non-empty last axis")
-    out_data = _exp_normalize(t.data - t.data.max(axis=-1, keepdims=True))
-
-    def bwd(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        t.accumulate_grad(out_data * (g - dot))
-
-    return Tensor._make(out_data, (t,), bwd)
+    out = _exp_normalize(t.data - t.data.max(axis=-1, keepdims=True))
+    return _node(out, (t,),
+                 (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
 # A flat product pays once each per-index product of the batched one holds
@@ -507,32 +435,22 @@ def attention_weights(q, k, scale: float, biases: Sequence[Tensor] = ()) -> Tens
     return Tensor._make(out, (q, k) + biases, bwd)
 
 
+def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
+    """a where `take_a` holds, else b; each gradient follows the pick."""
+    return _node(np.where(take_a, a.data, b.data), (a, b),
+                 (lambda g: g * take_a, lambda g: g * ~take_a))
+
+
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient goes to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return Tensor._make(np.where(take_a, a.data, b.data), (a, b), bwd)
+    return _pick(a, b, a.data >= b.data)
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; on ties the gradient goes to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return Tensor._make(np.where(take_a, a.data, b.data), (a, b), bwd)
+    return _pick(a, b, a.data <= b.data)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -44,8 +44,8 @@ class TrackConfig:
                 f"expected one of {MODES}")
         if not 0.0 <= self.seed_confidence <= 1.0:
             raise ConfigError("seed_confidence must lie in [0, 1]")
-        if self.context_scale <= 0.0:
-            raise ConfigError("context_scale must be positive")
+        if not 1.0 <= self.context_scale <= 100.0:
+            raise ConfigError("context_scale must lie in [1, 100]")
         return self
 
 

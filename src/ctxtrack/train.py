@@ -65,8 +65,8 @@ class TrainConfig:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
         if self.lambda_cls < 0.0 or self.lambda_giou < 0.0:
             raise ConfigError("loss weights must be non-negative")
-        if self.context_scale <= 0.0:
-            raise ConfigError("context_scale must be positive")
+        if not 1.0 <= self.context_scale <= 100.0:
+            raise ConfigError("context_scale must lie in [1, 100]")
         for name in ("prev_center_jitter", "prev_scale_jitter",
                      "search_center_jitter", "search_scale_jitter"):
             value = getattr(self, name)

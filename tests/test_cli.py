@@ -150,6 +150,20 @@ class TestExitCodes:
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "error: train.lr is too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,value", [
+        ("track", "track", 1e300), ("respmap", "track", 1e300),
+        ("train", "train", 1e300), ("track", "track", 1e-300)])
+    def test_context_scale_out_of_range_is_config_error(
+            self, tmp_path, capsys, command, section, value):
+        # 1e300 made the first template crop raise ValueError; 1e-300 sent
+        # overflowing crops through the network and exited 2
+        config = _write_config(tmp_path, **{section: {"context_scale": value}})
+        outputs = {"track": ["--metrics", str(tmp_path / "m.csv")],
+                   "respmap": ["--out-dir", str(tmp_path / "maps")],
+                   "train": ["--params", str(tmp_path / "p.params")]}
+        assert main([command, "--config", config] + outputs[command]) == 1
+        assert "context_scale must lie in [1, 100]" in capsys.readouterr().err
+
     def test_unwritable_track_metrics_is_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         missing = tmp_path / "missing" / "m.csv"

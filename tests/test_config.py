@@ -96,7 +96,7 @@ def _sequence_sections(draw):
 _TRACK_SECTIONS = st.fixed_dictionaries({
     "update_mode": st.sampled_from(["never", "always-last", "mean", "p-mean"]),
     "seed_confidence": _unit(),
-    "context_scale": st.floats(0.0, 100.0, exclude_min=True),
+    "context_scale": st.floats(1.0, 100.0),
     "oracle": st.booleans(),
 })
 

@@ -76,21 +76,6 @@ def test_backbone_stride_bookkeeping_other_sizes():
     assert tokens.shape == (2 * 2 + 2 * 6 * 6, 32)
 
 
-def test_backbone_without_joint_layers_has_no_cross_image_flow():
-    net, spec = toy_net(seed=3)
-    rng = np.random.default_rng(3)
-    target, previous, search = toy_images(rng)
-    base = net.backbone_forward(target, previous, search, joint=False).data
-    bumped = net.backbone_forward(target, previous, search + 0.25,
-                                  joint=False).data
-    t = net.layout.segment_slice("target")
-    p = net.layout.segment_slice("previous")
-    s = net.layout.segment_slice("search")
-    assert np.array_equal(base[t], bumped[t])
-    assert np.array_equal(base[p], bumped[p])
-    assert not np.allclose(base[s], bumped[s])
-
-
 def test_backbone_joint_layers_mix_images():
     net, spec = toy_net(seed=4)
     rng = np.random.default_rng(4)
@@ -133,11 +118,12 @@ def test_tape_free_stage3_matches_taped_per_image_path(name):
     images = _spec_images(spec, 17)
     box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
     taped = net.forward(*images, prev_box=box)
-    local = net.backbone_forward(*images, joint=False)
+    tokens = net.backbone_forward(*images)
+    local = net._local_pair(net.stage3_local[2:4], tokens)
     assert taped.cls.requires_grad and local.requires_grad
     with no_grad():
         free = net.forward(*images, prev_box=box)
-        free_local = net.backbone_forward(*images, joint=False)
+        free_local = net._local_pair(net.stage3_local[2:4], tokens)
     assert taped.cls.data.tobytes() == free.cls.data.tobytes()
     assert taped.reg.data.tobytes() == free.reg.data.tobytes()
     assert local.data.tobytes() == free_local.data.tobytes()

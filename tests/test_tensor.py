@@ -1,6 +1,8 @@
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ctxtrack.tensor import (
     Module, Tensor, _unbroadcast, attention_weights, concat, finite_diff_grad,
@@ -154,6 +156,80 @@ def test_unbroadcast_sums_the_broadcast_axes(shapes, seed):
     assert out.shape == shape
     assert np.all(np.abs(out - ref) <= 1e-12 * scale)
     assert _unbroadcast(grad, grad_shape) is grad
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "maximum": maximum, "minimum": minimum,
+           "matmul": matmul}
+
+
+@st.composite
+def _operand_shapes(draw):
+    """Two shapes numpy broadcasts together: each shared axis is full on
+    both sides or 1 on one or both, and one side may have extra leading axes."""
+    full = draw(st.lists(st.integers(2, 3), max_size=3))
+    a = tuple(draw(st.sampled_from([n, 1])) for n in full)
+    b = tuple(draw(st.sampled_from([n, 1])) for n in full)
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return (lead + a, b) if draw(st.booleans()) else (a, lead + b)
+
+
+@st.composite
+def _binary_case(draw):
+    op = draw(st.sampled_from(sorted(_BINARY)))
+    if op == "matmul":
+        # broadcast batch axes in front of (m, k) @ (k, n)
+        m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+        ba, bb = draw(_operand_shapes())
+        shapes = (ba + (m, k), bb + (k, n))
+    else:
+        shapes = draw(_operand_shapes())
+    needs = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    return op, shapes, needs
+
+
+@settings(derandomize=True, deadline=None)
+@given(_binary_case(), st.integers(0, 2 ** 32 - 1))
+def test_binary_op_gradients_match_finite_differences(case, seed):
+    op, (sa, sb), needs = case
+    rng = np.random.default_rng(seed)
+    a0 = rng.normal(size=sa)
+    # divisors stay away from 0, and max/min operands from ties
+    b0 = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb) \
+        if op == "/" else rng.normal(size=sb)
+    if op in ("maximum", "minimum"):
+        assume(np.min(np.abs(a0 - b0), initial=np.inf) > 1e-3)
+    a, b = (Tensor(v.copy(), requires_grad=r) for v, r in zip((a0, b0), needs))
+    w = rng.normal(size=_BINARY[op](Tensor(a0), Tensor(b0)).shape)
+
+    def loss(x, y):
+        return (_BINARY[op](x, y) * w).sum()
+
+    loss(a, b).backward()
+    for t, other, first in ((a, b, True), (b, a, False)):
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
+        fd = finite_diff_grad(
+            lambda v: loss(v, other).item() if first else loss(other, v).item(),
+            t, eps=1e-5)
+        assert t.grad.shape == t.shape
+        assert rel_err(t.grad, fd, floor=1e-3) < 1e-5, op
+
+
+@settings(derandomize=True, deadline=None)
+@given(_operand_shapes(), st.integers(0, 2 ** 32 - 1))
+def test_sub_gives_the_subtrahend_the_negated_add_gradient(shapes, seed):
+    rng = np.random.default_rng(seed)
+    a0, b0 = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    w = rng.normal(size=np.broadcast_shapes(*shapes))
+    grads = {}
+    for name, op in (("+", operator.add), ("-", operator.sub)):
+        a, b = parameter(a0.copy()), parameter(b0.copy())
+        (op(a, b) * w).sum().backward()
+        grads[name] = a.grad, b.grad
+    assert np.array_equal(grads["-"][0], grads["+"][0])
+    assert np.array_equal(grads["-"][1], -grads["+"][1])
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,219 @@
+#!/usr/bin/env python3
+"""Check that the working tree computes the same bits as an earlier revision.
+
+    python tools/parity.py REV [--expect-change NAME ...]
+
+Copies `src/` as committed at REV into a temporary directory, then runs
+one battery of outputs for REV and for the working tree, each in a fresh
+interpreter with one BLAS thread. It prints one `same` or `DIFF` line per
+artifact with its sha256, and exits 1 when an artifact differs that no
+`--expect-change NAME` names (a deliberate change, to be explained where
+the change is described).
+
+The battery (about half a minute per tree; the two trees run at once):
+  state.*          `state()` names, shapes and bytes in key order, for toy
+                   seeds 0-2 and small seed 0
+  taped.*          one taped toy forward with `tracking_loss` and its
+                   backward: head outputs and loss, then every gradient
+  records.*        `run_tracker` records for the four update modes x toy
+                   seeds 0-2, before and after training, per `final_keys`
+  train.*          the per-step losses and final `state()` of that training
+                   (30 steps of `toy_train` per seed)
+  track.small      `run_tracker` records of the untrained small preset on
+                   a 3-frame sequence
+  cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
+                   then `ctxtrack track` and `ctxtrack respmap --frame 3`
+                   with those parameters: the metrics CSV and every PGM
+
+The battery calls the package's public API as this tree has it, so REV
+must be recent enough to share it. Hashes depend on the numpy and BLAS
+build, so compare trees on one machine only; tests pin none of them.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+NO_GRAD = b"<no gradient>"   # hashed in place of a gradient that is None
+
+
+def _digest(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else str(chunk).encode())
+    return h.hexdigest()
+
+
+def _arrays_digest(named) -> str:
+    """sha256 over (name, shape, bytes) of each array, in the given order."""
+    chunks = []
+    for name, arr in named:
+        if arr is None:
+            chunks += [name, NO_GRAD]
+        else:
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            chunks += [name, arr.shape, arr.tobytes()]
+    return _digest(*chunks)
+
+
+def _records_digest(runs) -> str:
+    return _digest(*(np.array([[r.frame, *r.box, r.iou, r.confidence,
+                                r.threshold, r.updated] for r in records],
+                              dtype=np.float64).tobytes() for records in runs))
+
+
+def battery() -> dict[str, str]:
+    """sha256 of every artifact, computed by the `ctxtrack` on sys.path."""
+    from ctxtrack.cli import main as ctxtrack_main
+    from ctxtrack.heads import tracking_loss
+    from ctxtrack.model import STRIDE, TrackerNet, small_spec, toy_spec
+    from ctxtrack.synthetic import SequenceConfig, gen_sequence
+    from ctxtrack.tracker import TrackConfig, run_tracker
+    from ctxtrack.train import TrainConfig, toy_train
+    from ctxtrack.update import MODES
+
+    out: dict[str, str] = {}
+    for seed in range(3):
+        net = TrackerNet(toy_spec(), np.random.default_rng(seed))
+        out[f"state.toy.seed{seed}"] = _arrays_digest(net.state().items())
+    small = TrackerNet(small_spec(), np.random.default_rng(0))
+    out["state.small.seed0"] = _arrays_digest(small.state().items())
+    out["track.small"] = _records_digest([run_tracker(
+        small, gen_sequence(SequenceConfig(num_frames=3)),
+        TrackConfig(update_mode="always-last"))])
+    del small
+
+    net = TrackerNet(toy_spec(), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    outputs = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
+                          rng.random((64, 64, 3)), prev_box=(16.0, 16.0, 48.0, 48.0))
+    loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0), STRIDE)
+    loss.backward()
+    out["taped.outputs"] = _arrays_digest(
+        [("cls", outputs.cls.data), ("reg", outputs.reg.data), ("loss", loss.data)])
+    out["taped.grads"] = _arrays_digest(
+        (name, p.grad) for name, p in net.parameters().items())
+
+    for keys in ("templates", "all"):
+        untrained, trained, losses, states = [], [], [], []
+        for seed in range(3):
+            net = TrackerNet(toy_spec(final_keys=keys), np.random.default_rng(seed))
+            sequence = gen_sequence(SequenceConfig(seed=seed))
+            untrained += [run_tracker(net, sequence, TrackConfig(update_mode=m))
+                          for m in MODES]
+            losses.append(toy_train(net, sequence, TrainConfig(steps=30, seed=seed)))
+            states += [(f"seed{seed}.{name}", arr) for name, arr in net.state().items()]
+            trained += [run_tracker(net, sequence, TrackConfig(update_mode=m))
+                        for m in MODES]
+        out[f"records.untrained.{keys}"] = _records_digest(untrained)
+        out[f"records.trained.{keys}"] = _records_digest(trained)
+        out[f"train.losses.{keys}"] = _arrays_digest(
+            (f"seed{s}", np.array(v)) for s, v in enumerate(losses))
+        out[f"train.state.{keys}"] = _arrays_digest(states)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"train": {"steps": 20}}), encoding="utf-8")
+        params = tmp / "p.params"
+        commands = [
+            ["train", "--params", params, "--loss-csv", tmp / "loss.csv"],
+            ["track", "--params", params, "--metrics", tmp / "metrics.csv"],
+            ["respmap", "--params", params, "--frame", "3", "--out-dir", tmp / "maps"],
+        ]
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = ctxtrack_main([str(a) for a in command] + ["--config", str(config)])
+            if code != 0:
+                raise RuntimeError(f"ctxtrack {command[0]} exited {code}")
+        out["cli.params"] = _digest(params.read_bytes())
+        out["cli.loss_csv"] = _digest((tmp / "loss.csv").read_bytes())
+        out["cli.track_csv"] = _digest((tmp / "metrics.csv").read_bytes())
+        maps = sorted((tmp / "maps").iterdir())
+        out["cli.respmap_pgms"] = _digest(*(c for m in maps
+                                            for c in (m.name, m.read_bytes())))
+    return out
+
+
+def _export_src(rev: str, dest: Path) -> None:
+    """Write the files under `src/` as committed at `rev` below `dest`."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-tree", "-r", "--name-only",
+                            rev, "src"], check=True, capture_output=True,
+                           text=True).stdout.split()
+    for name in names:
+        blob = subprocess.run(["git", "-C", ROOT, "show", f"{rev}:{name}"],
+                              check=True, capture_output=True).stdout
+        path = dest / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(blob)
+
+
+def _start_battery(src: Path, cwd: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, __file__, "--battery", str(src)],
+                            cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument("--expect-change", action="append", default=[],
+                        metavar="NAME", help="artifact allowed to differ")
+    parser.add_argument("--battery", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.battery:
+        import ctxtrack
+        if not Path(ctxtrack.__file__).resolve().is_relative_to(Path(args.battery).resolve()):
+            sys.exit(f"imported {ctxtrack.__file__}, not the package under {args.battery}")
+        print(json.dumps(battery()))
+        return 0
+    if args.rev is None:
+        parser.error("REV is required")
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                          f"{args.rev}^{{commit}}"], capture_output=True, text=True)
+    if rev.returncode != 0:
+        parser.error(f"unknown revision {args.rev!r}")
+    sha = rev.stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        tmp = Path(tmp)
+        _export_src(sha, tmp / "rev")
+        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp),
+                 "working tree": _start_battery(ROOT / "src", tmp)}
+        outputs = {name: proc.communicate() for name, proc in procs.items()}
+    for name, proc in procs.items():
+        if proc.returncode != 0:
+            sys.exit(f"battery failed for {name}:\n{outputs[name][1]}")
+    old, new = (json.loads(outputs[name][0]) for name in procs)
+    unknown = set(args.expect_change) - set(old) - set(new)
+    if unknown:
+        parser.error(f"--expect-change names no artifact: {sorted(unknown)}")
+    print(f"REV {args.rev} = {sha[:12]} against the working tree")
+    unexpected = []
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name, "missing"), new.get(name, "missing")
+        if a == b:
+            print(f"same  {name:28s} {a}")
+            continue
+        expected = name in args.expect_change
+        if not expected:
+            unexpected.append(name)
+        print(f"DIFF  {name:28s} {a} -> {b}{'  (expected)' if expected else ''}")
+    print(f"{len(unexpected)} unexpected difference(s)")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
