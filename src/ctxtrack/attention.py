@@ -85,11 +85,16 @@ class _PreNormAttention(Module):
         """No logit bias terms by default."""
 
     def _split(self, t: Tensor) -> Tensor:  # (..., L, dim) -> (..., heads, L, head_dim)
-        return t.reshape(*t.shape[:-1], self.heads, self.head_dim).swapaxes(-3, -2)
+        *lead, length, _ = t.shape
+        n = len(lead)
+        return t.rearrange((*lead, length, self.heads, self.head_dim),
+                           (*range(n), n + 1, n, n + 2),
+                           (*lead, self.heads, length, self.head_dim))
 
     def _merge(self, t: Tensor) -> Tensor:  # (..., heads, L, head_dim) -> (..., L, dim)
-        t = t.swapaxes(-3, -2)
-        return t.reshape(*t.shape[:-2], self.dim)
+        *lead, _, length, _ = t.shape
+        n = len(lead)
+        return t.rearrange(t.shape, (*range(n), n + 1, n, n + 2), (*lead, length, self.dim))
 
     def weights(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
         """Post-softmax (..., heads, Lq, Lk) weights of normed tokens; each
@@ -168,10 +173,11 @@ class WindowAttentionBlock(_PreNormAttention):
         h, w, _ = tokens.shape
         if h % win or w % win:
             raise ValueError(f"grid {h}x{w} not divisible by window {win}")
-        x = self.norm1(tokens).reshape(h // win, win, w // win, win, dim)
-        x = x.transpose(0, 2, 1, 3, 4).reshape(-1, win * win, dim)
-        attn = self.attend(x, x).reshape(h // win, w // win, win, win, dim)
-        return self._residual(tokens, attn.transpose(0, 2, 1, 3, 4).reshape(h, w, dim))
+        x = self.norm1(tokens).rearrange((h // win, win, w // win, win, dim), (0, 2, 1, 3, 4),
+                                         (-1, win * win, dim))
+        attn = self.attend(x, x).rearrange((h // win, w // win, win, win, dim), (0, 2, 1, 3, 4),
+                                           (h, w, dim))
+        return self._residual(tokens, attn)
 
 
 class CrossFrameAttention(_PreNormAttention):

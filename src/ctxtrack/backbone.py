@@ -33,9 +33,8 @@ class PatchEmbed(Module):
         p = self.patch
         if h % p or w % p:
             raise ValueError(f"image size {h}x{w} not divisible by {p}")
-        x = image.reshape(h // p, p, w // p, p, 3)
-        x = x.transpose(0, 2, 1, 3, 4).reshape(h // p, w // p, p * p * 3)
-        return self.proj(x)
+        return self.proj(image.rearrange((h // p, p, w // p, p, 3), (0, 2, 1, 3, 4),
+                                         (h // p, w // p, p * p * 3)))
 
 
 class Downsample(Module):
@@ -53,8 +52,8 @@ class Downsample(Module):
         h, w, c = tokens.shape
         if h % 2 or w % 2:
             raise ValueError(f"grid {h}x{w} must have even sides")
-        x = tokens.reshape(h // 2, 2, w // 2, 2, c)
-        x = x.transpose(0, 2, 1, 3, 4).reshape(h // 2, w // 2, 4 * c)
+        x = tokens.rearrange((h // 2, 2, w // 2, 2, c), (0, 2, 1, 3, 4),
+                             (h // 2, w // 2, 4 * c))
         return self.reduce(self.norm(x))
 
 

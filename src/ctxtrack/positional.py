@@ -115,7 +115,8 @@ class UntiedPositionBias(Module):
     def _split_heads(self, t: Tensor) -> Tensor:
         length = self.layout.length
         head_dim = self.dim // self.heads
-        return t.reshape(length, self.heads, head_dim).transpose(1, 0, 2)
+        return t.rearrange((length, self.heads, head_dim), (1, 0, 2),
+                           (self.heads, length, head_dim))
 
     def bias(self) -> Tensor:
         """Full (heads, L, L) absolute-position logits."""

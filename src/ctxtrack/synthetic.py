@@ -31,6 +31,8 @@ class SequenceConfig:
 
     def validate(self) -> "SequenceConfig":
         require_finite(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.num_frames < 1:
             raise ConfigError("num_frames must be at least 1")
         if self.frame_size < 32:

@@ -1,17 +1,18 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
 A Tensor wraps a numpy float64 array. Every op that touches a tensor
-requiring gradients records a backward closure and its parents, so calling
+requiring gradients records its parents and how to reach them, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
-order and accumulates gradients additively over fan-out. Most ops build
-that closure with `_node` from one local derivative per parent. The tape is
-rebuilt on every forward pass and freed by the sweep that walks it; there is
-no graph reuse.
+order and accumulates gradients additively over fan-out. Most ops record,
+through `_node`, one local derivative per parent, which the sweep applies
+itself; the fused ops record a backward callable. The tape is rebuilt on
+every forward pass and freed by the sweep that walks it; there is no graph
+reuse.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,20 +56,21 @@ def _released(_grad: np.ndarray) -> None:
 
 def _node(out: np.ndarray, parents: tuple["Tensor", ...],
           grads: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> "Tensor":
-    """A tape node whose backward hands each parent that requires a
-    gradient `_unbroadcast(grads[i](g), parent shape)`, in parent order;
-    `grads[i]` maps the output gradient to parent i's local gradient."""
+    """A tape node that keeps, of its parents, those that require a gradient
+    and their local derivatives, in parent order; `grads[i]` maps the output
+    gradient to parent i's local gradient, which `Tensor.backward` reduces
+    with `_unbroadcast` to the parent's shape."""
     # per-op Python cost bounds tracking speed, so a tape-free op builds no
-    # backward; a `partial` allocates less than a closure over both tuples
+    # node; `Tensor.backward` walks the pairs itself, with no frame per node
     if not _GRAD_ENABLED:
         return Tensor(out)
-    return Tensor._make(out, parents, partial(_node_backward, parents, grads))
+    return Tensor._make(out, parents, grads)
 
 
-def _node_backward(parents, grads, g: np.ndarray) -> None:
-    for p, grad in zip(parents, grads):
-        if p.requires_grad:
-            p.accumulate_grad(_unbroadcast(grad(g), p.data.shape))
+@lru_cache(maxsize=64)
+def _inverse(axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation that undoes transpose(axes)."""
+    return tuple(np.argsort(axes).tolist())
 
 
 def _same(g: np.ndarray) -> np.ndarray:
@@ -90,6 +92,9 @@ def _scatter(g: np.ndarray, shape: tuple[int, ...], idx) -> np.ndarray:
 
 
 class Tensor:
+    # `_backward` is None on a leaf; on a `_node` node, a tuple with one
+    # local derivative per entry of `_parents`; on a fused op, a callable
+    # that takes the output gradient
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     # keep numpy from consuming `ndarray <op> Tensor`; defer to the
@@ -100,7 +105,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | tuple | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------
@@ -141,22 +146,31 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
+              backward: Callable[[np.ndarray], None] | tuple) -> "Tensor":
+        """A node over the parents that require a gradient; a tuple
+        `backward` holds one local derivative per parent and is filtered
+        with them."""
         out = Tensor(data)
         if _GRAD_ENABLED:
-            parents = tuple([p for p in parents if p.requires_grad])
-            if parents:
+            keep = tuple([p for p in parents if p.requires_grad])
+            if keep:
+                if type(backward) is tuple and len(keep) < len(parents):
+                    backward = tuple([d for p, d in zip(parents, backward)
+                                      if p.requires_grad])
                 out.requires_grad = True
-                out._parents = parents
+                out._parents = keep
                 out._backward = backward
         return out
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar. Fan-out gradients sum.
 
-        The sweep frees the tape as it walks it: once a node's backward has
-        run, its closure, parents and gradient are dropped, and a later
-        sweep that reaches the node raises.
+        Nodes run in reverse of a depth-first post-order from the loss, and
+        a node hands its parents their gradients in parent order; that fixes
+        the order in which fan-out gradients sum, and so their bits. The
+        sweep frees the tape as it walks it: once a node's backward has run,
+        its derivatives, parents and gradient are dropped, and a later sweep
+        that reaches the node raises.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -178,11 +192,18 @@ class Tensor:
         self.accumulate_grad(np.ones_like(self.data))
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward = _released
-                node._parents = ()
-                node.grad = None
+            bwd = node._backward
+            if bwd is None:
+                continue
+            if type(bwd) is tuple:
+                g = node.grad
+                for p, grad in zip(node._parents, bwd):
+                    p.accumulate_grad(_unbroadcast(grad(g), p.data.shape))
+            else:
+                bwd(node.grad)
+            node._backward = _released
+            node._parents = ()
+            node.grad = None
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -238,10 +259,6 @@ class Tensor:
     def log(self) -> "Tensor":
         return _node(np.log(self.data), (self,), (lambda g: g / self.data,))
 
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return _node(out, (self,), (lambda g: g * (1.0 - out * out),))
-
     def sigmoid(self) -> "Tensor":
         x = self.data
         out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -284,11 +301,15 @@ class Tensor:
         return _node(self.data.reshape(shape), (self,),
                      (lambda g: g.reshape(in_shape),))
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        return _node(self.data.transpose(axes), (self,), (lambda g: g.transpose(inv),))
+    def rearrange(self, shape: tuple[int, ...], axes: tuple[int, ...],
+                  out_shape: tuple[int, ...]) -> "Tensor":
+        """x.reshape(shape).transpose(axes).reshape(out_shape) as one node;
+        its backward applies the inverse views to the output gradient.
+        `axes` is a permutation of range(len(shape))."""
+        view = self.data.reshape(shape).transpose(axes)
+        mid, in_shape = view.shape, self.data.shape
+        return _node(view.reshape(out_shape), (self,),
+                     (lambda g: g.reshape(mid).transpose(_inverse(axes)).reshape(in_shape),))
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
         return _node(self.data.swapaxes(ax1, ax2), (self,),
@@ -315,6 +336,8 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul needs at least 2-D operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)):
+        return Tensor(ad @ bd)
     return _node(ad @ bd, (a, b), (lambda g: g @ b.data.swapaxes(-1, -2),
                                    lambda g: a.data.swapaxes(-1, -2) @ g))
 
@@ -325,16 +348,6 @@ def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted
-
-
-def softmax_lastdim(t: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilised by max subtraction."""
-    t = as_tensor(t)
-    if t.ndim == 0 or t.shape[-1] < 1:
-        raise ValueError("softmax_lastdim needs a non-empty last axis")
-    out = _exp_normalize(t.data - t.data.max(axis=-1, keepdims=True))
-    return _node(out, (t,),
-                 (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
 # A flat product pays once each per-index product of the batched one holds
@@ -407,7 +420,9 @@ def attention_weights(q, k, scale: float, biases: Sequence[Tensor] = ()) -> Tens
     The forward works in the product's buffer: scale, add each bias in
     turn, then softmax in place. Forward and backward repeat, in order, the
     float operations of the same formula built from `matmul`, `swapaxes`,
-    `*`, `+` and `softmax_lastdim`, so both match it bit for bit.
+    `*`, `+` and a last-axis softmax node (max subtracted, exp, divided by
+    the sum; its gradient is out * (g - sum(g * out))), so both match it
+    bit for bit.
     """
     q, k = as_tensor(q), as_tensor(k)
     biases = tuple(as_tensor(b) for b in biases)

@@ -53,6 +53,8 @@ class TrainConfig:
         require_finite(self)
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.lr < 0.0:
             raise ConfigError("lr must be non-negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -65,6 +67,12 @@ class TrainConfig:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
         if self.lambda_cls < 0.0 or self.lambda_giou < 0.0:
             raise ConfigError("loss weights must be non-negative")
+        # alpha scales the varifocal loss's negative term and gamma is its
+        # focusing power; focal loss was studied for gamma in [0, 5]
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError("alpha must lie in [0, 1]")
+        if not 0.0 <= self.gamma <= 5.0:
+            raise ConfigError("gamma must lie in [0, 5]")
         if not 1.0 <= self.context_scale <= 100.0:
             raise ConfigError("context_scale must lie in [1, 100]")
         for name in ("prev_center_jitter", "prev_scale_jitter",

@@ -164,6 +164,33 @@ class TestExitCodes:
         assert main([command, "--config", config] + outputs[command]) == 1
         assert "context_scale must lie in [1, 100]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha", 1e300, "alpha must lie in [0, 1]"),
+        ("alpha", -5.0, "alpha must lie in [0, 1]"),
+        ("gamma", -3.0, "gamma must lie in [0, 5]"),
+        ("gamma", 5.5, "gamma must lie in [0, 5]")])
+    def test_varifocal_weight_out_of_range_is_config_error(
+            self, tmp_path, capsys, field, value, message):
+        # alpha 1e300 overflowed Adam, alpha -5 trained to a negative loss,
+        # and gamma -3 trained; each exited 0 and wrote parameters
+        params = tmp_path / "p.params"
+        config = _write_config(tmp_path, train={field: value})
+        assert main(["train", "--config", config, "--params", str(params)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not params.exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("gen", "sequence"), ("train", "sequence"), ("train", "train"),
+        ("track", "train")])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, section):
+        # numpy's generator rejected it with a ValueError traceback
+        config = _write_config(tmp_path, **{section: {"seed": -1}})
+        outputs = {"gen": ["--out-dir", str(tmp_path / "frames")],
+                   "train": ["--params", str(tmp_path / "p.params")],
+                   "track": ["--metrics", str(tmp_path / "m.csv")]}
+        assert main([command, "--config", config] + outputs[command]) == 1
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+
     def test_unwritable_track_metrics_is_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         missing = tmp_path / "missing" / "m.csv"

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from ctxtrack.tensor import (
     Module, Tensor, _unbroadcast, attention_weights, concat, finite_diff_grad,
     gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
-    softmax_lastdim,
 )
 from ctxtrack.optim import Adam
+from reference_ops import softmax_lastdim, tanh
 
 
 def rel_err(a, b, floor=1e-6):
@@ -297,9 +297,63 @@ def test_no_grad_blocks_tape():
 
 def test_transpose_reshape_roundtrip_grad():
     p = parameter(np.arange(24.0).reshape(2, 3, 4))
-    y = p.transpose(2, 0, 1).reshape(4, 6)
+    y = p.rearrange((2, 3, 4), (2, 0, 1), (4, 6))
     (y * y).sum().backward()
     assert np.allclose(p.grad, 2 * p.data)
+
+
+def _regroup(draw, dims):
+    """`dims` with runs of adjacent axes merged into one, at random."""
+    out = [dims[0]]
+    for d in dims[1:]:
+        if draw(st.booleans()):
+            out[-1] *= d
+        else:
+            out.append(d)
+    return tuple(out)
+
+
+@st.composite
+def _rearrange_case(draw):
+    """An input shape, a view shape and permutation for `rearrange`, and an
+    output shape, each a regrouping of the same elements."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    axes = tuple(draw(st.permutations(range(len(shape)))))
+    mid = tuple(shape[a] for a in axes)
+    return _regroup(draw, shape), shape, axes, _regroup(draw, mid)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_rearrange_case(), st.integers(0, 2 ** 32 - 1))
+def test_rearrange_is_the_view_chain_and_its_inverse(case, seed):
+    in_shape, shape, axes, out_shape = case
+    rng = np.random.default_rng(seed)
+    x = parameter(rng.normal(size=in_shape))
+    up = Tensor(rng.normal(size=out_shape))
+    y = x.rearrange(shape, axes, out_shape)
+    assert y.data.tobytes() == x.data.reshape(shape).transpose(axes).reshape(out_shape).tobytes()
+    (y * up).sum().backward()
+    mid = tuple(shape[a] for a in axes)
+    want = up.data.reshape(mid).transpose(np.argsort(axes)).reshape(in_shape)
+    assert x.grad.shape == in_shape and x.grad.tobytes() == want.tobytes()
+    fd = finite_diff_grad(lambda t: (t.rearrange(shape, axes, out_shape) * up).sum().item(), x)
+    assert np.allclose(x.grad, fd, rtol=1e-8, atol=1e-8)
+
+
+def test_backward_sums_fan_out_in_depth_first_post_order():
+    # p feeds three chains of depth 1, 2 and 3. The sweep runs the nodes in
+    # reverse of a depth-first post-order from the loss, which visits the
+    # last parent of `+` first, so p receives its gradients in creation
+    # order of the chains: (1 + 1e16) - 1e16 = 0. A sweep in reverse
+    # creation order would sum (-1e16 + 1e16) + 1 = 1.
+    a, b, c = 1.0, 1e16, -1e16
+    assert (a + b) + c != (c + b) + a
+    p = parameter([1.0])
+    u = p * a
+    v = (p * b) * 1.0
+    w = ((p * c) * 1.0) * 1.0
+    ((u + v) + w).sum().backward()
+    assert p.grad.tobytes() == np.array([(a + b) + c]).tobytes()
 
 
 def test_getitem_slice_grad_scatters():
@@ -490,7 +544,7 @@ def composite_gelu(t):
     """gelu as nine primitive tape ops; `gelu` must match it bit for bit."""
     c = 0.7978845608028654
     inner = (t + t * t * t * 0.044715) * c
-    return t * (inner.tanh() + 1.0) * 0.5
+    return t * (tanh(inner) + 1.0) * 0.5
 
 
 def composite_layer_norm(x, gamma, beta, eps):

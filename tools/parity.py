@@ -5,10 +5,11 @@
 
 Copies `src/` as committed at REV into a temporary directory, then runs
 one battery of outputs for REV and for the working tree, each in a fresh
-interpreter with one BLAS thread. It prints one `same` or `DIFF` line per
-artifact with its sha256, and exits 1 when an artifact differs that no
-`--expect-change NAME` names (a deliberate change, to be explained where
-the change is described).
+interpreter with one BLAS thread and its own hash seed, so an output that
+depends on the hash seed shows as a difference. It prints one `same` or
+`DIFF` line per artifact with its sha256, and exits 1 when an artifact
+differs that no `--expect-change NAME` names (a deliberate change, to be
+explained where the change is described).
 
 The battery (about half a minute per tree; the two trees run at once):
   state.*          `state()` names, shapes and bytes in key order, for toy
@@ -159,8 +160,8 @@ def _export_src(rev: str, dest: Path) -> None:
         path.write_bytes(blob)
 
 
-def _start_battery(src: Path, cwd: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+def _start_battery(src: Path, cwd: Path, hash_seed: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, __file__, "--battery", str(src)],
                             cwd=cwd, env=env, stdout=subprocess.PIPE,
@@ -190,8 +191,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         _export_src(sha, tmp / "rev")
-        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp),
-                 "working tree": _start_battery(ROOT / "src", tmp)}
+        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp, "0"),
+                 "working tree": _start_battery(ROOT / "src", tmp, "1")}
         outputs = {name: proc.communicate() for name, proc in procs.items()}
     for name, proc in procs.items():
         if proc.returncode != 0:
