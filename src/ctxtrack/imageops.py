@@ -9,6 +9,7 @@ to the frame exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class CropWindow:
                 x2 / s + self.left, y2 / s + self.top)
 
 
+@lru_cache(maxsize=16)
 def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Float64 (ky, kx) row and column indices over a (H, W) token grid.
 
@@ -66,10 +68,14 @@ def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     index itself. `heads.build_targets` alone tests cell centres,
     (k + 0.5) s, against the box, so a positive cell's anchor lies half a
     cell up and left of the point that made it positive.
+
+    Built once per grid shape; the arrays are read-only, since every
+    caller shares them.
     """
     h, w = grid
     ky, kx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
+    ky.flags.writeable = kx.flags.writeable = False
     return ky, kx
 
 
@@ -111,24 +117,32 @@ def crop_resize(frame: np.ndarray, window: CropWindow) -> np.ndarray:
 
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
-    fx = (xs - x0)[None, :, None]
-    fy = (ys - y0)[:, None, None]
+    # each row of the (out, out * c) products runs over all columns and
+    # channels at once, so the column weights repeat over the channels
+    dx = xs - x0
+    fx, gx = np.repeat(dx, c), np.repeat(1 - dx, c)
+    fy = (ys - y0)[:, None]
 
     # rows y0, y0 + 1 and columns x0, x0 + 1, clipped; one gather fetches
-    # the four corners as (2, 2, out, out, c), and off-frame corners take
-    # the frame mean
-    yi = np.stack([y0, y0 + 1])[:, None, :, None]
-    xi = np.stack([x0, x0 + 1])[None, :, None, :]
+    # the four corners as (2, 2, out, out, c), and off-frame rows and
+    # columns take the frame mean
+    yi = np.stack([y0, y0 + 1])
+    xi = np.stack([x0, x0 + 1])
     flat = frame.reshape(-1, c)
-    pix = np.take(flat, np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1), axis=0)
-    outside = (yi < 0) | (yi >= h) | (xi < 0) | (xi >= w)
-    if outside.any():
-        pix[outside] = flat.mean(axis=0)
+    pix = np.take(flat, np.clip(yi, 0, h - 1)[:, None, :, None] * w
+                  + np.clip(xi, 0, w - 1)[None, :, None, :], axis=0)
+    rows_out = (yi < 0) | (yi >= h)
+    cols_out = (xi < 0) | (xi >= w)
+    if rows_out.any() or cols_out.any():
+        fill = flat.mean(axis=0)
+        for i in range(2):
+            pix[i, :, rows_out[i]] = fill
+            pix[:, i, :, cols_out[i]] = fill
 
-    (p00, p01), (p10, p11) = pix
-    top = p00 * (1 - fx) + p01 * fx
-    bot = p10 * (1 - fx) + p11 * fx
-    return top * (1 - fy) + bot * fy
+    (p00, p01), (p10, p11) = pix.reshape(2, 2, out, out * c)
+    top = p00 * gx + p01 * fx
+    bot = p10 * gx + p11 * fx
+    return (top * (1 - fy) + bot * fy).reshape(out, out, c)
 
 
 def box_iou(a: Box, b: Box) -> float:

@@ -118,6 +118,7 @@ class TrackerNet(Module):
                           for _ in range(spec.n3 - 1)]
         self.neck_last = CrossFrameAttention(self.layout, d, h, rng)
         self.head = Heads(d, rng)
+        self._held_box = None   # (box bytes, embedding) while held
 
     # ------------------------------------------------------------------
     # backbone
@@ -199,11 +200,8 @@ class TrackerNet(Module):
         as `trace` receives the output tokens of each full layer.
         """
         if prev_box is not None:
-            grid = self.layout.grid("previous")
-            emb = self.box_embed(gaussian_map(prev_box, grid, STRIDE),
-                                 ltrb_map(prev_box, grid, STRIDE))
             parts = self._split(tokens)
-            parts[1] = parts[1] + emb
+            parts[1] = parts[1] + self._box_embedding(prev_box)
             tokens = self._flatten(parts)
         for layer in self.neck_full:
             tokens = layer(tokens)
@@ -213,23 +211,46 @@ class TrackerNet(Module):
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
 
+    def _box_embedding(self, box: Box) -> Tensor:
+        """The previous-template box embedding of `box` (pixels).
+
+        Inside `reused_bias_terms` a tape-free call keeps the last box and
+        its embedding, and reuses it while the box keeps the same bits.
+        """
+        key = np.asarray(box, dtype=np.float64).tobytes()
+        held = self._held_box is not None and not grad_enabled()
+        if held and self._held_box[0] == key:
+            return self._held_box[1]
+        grid = self.layout.grid("previous")
+        emb = self.box_embed(gaussian_map(box, grid, STRIDE),
+                             ltrb_map(box, grid, STRIDE))
+        if held:
+            # one slot: a box that changes every frame replaces it
+            self._held_box = (key, emb)
+        return emb
+
     @contextmanager
     def reused_bias_terms(self):
-        """Hold every joint layer's position-bias terms inside the block.
+        """Hold what tape-free forwards in the block would rebuild alike.
 
-        The terms depend only on the weights, so the first tape-free
-        forward in the block builds one copy per layer and later ones reuse
-        it instead of rebuilding them; a taped forward still builds its own. The weights must not change in
-        the block. The terms are dropped on exit.
+        Each joint layer's position-bias terms depend only on the weights,
+        so the first tape-free forward in the block builds one copy per
+        layer and later ones reuse it. The previous-template box embedding
+        also depends on the box, so one slot keeps the last box's and
+        rebuilds it when the box changes. A taped forward builds its own
+        terms and embedding. The weights must not change in the block;
+        everything held is dropped on exit.
         """
         layers = self.stage3_joint + self.neck_full + [self.neck_last]
         try:
             for layer in layers:
                 layer.hold_bias_terms()
+            self._held_box = (None, None)
             yield
         finally:
             for layer in layers:
                 layer.release_bias_terms()
+            self._held_box = None
 
     def forward(self, target, previous, search, prev_box: Box | None = None,
                 trace: list | None = None) -> HeadOutputs:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Module, Tensor, concat, matmul, normal_parameter
+from .tensor import Module, Tensor, concat, grad_enabled, matmul, normal_parameter
 
 SEGMENTS = ("target", "previous", "search")
 
@@ -192,6 +192,9 @@ class PairwiseRegionBias(Module):
         index, sizes = _gather_index(self.layout, queries, keys)
         tables = [self.table(q, k) for q in queries for k in keys]
         flat = np.concatenate([t.data.reshape(self.heads, -1) for t in tables], axis=1)
+        out = np.take(flat, index, axis=1)
+        if not grad_enabled():
+            return Tensor(out)
         flat_index = index.reshape(-1)
 
         def bwd(g):
@@ -201,7 +204,7 @@ class PairwiseRegionBias(Module):
                 if t.requires_grad:
                     t.accumulate_grad(part.reshape(t.data.shape))
 
-        return Tensor._make(np.take(flat, index, axis=1), tuple(tables), bwd)
+        return Tensor._make(out, tuple(tables), bwd)
 
     def block(self, query_seg: str, *key_segs: str) -> Tensor:
         """(heads, L_q, L_k) bias of one query segment against the listed key

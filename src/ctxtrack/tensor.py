@@ -5,7 +5,8 @@ requiring gradients records its parents and how to reach them, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
 order and accumulates gradients additively over fan-out. Most ops record,
 through `_node`, one local derivative per parent, which the sweep applies
-itself; the fused ops record a backward callable. The tape is rebuilt on
+itself; the fused ops record a backward callable. An op run while no tape
+is recorded builds neither. The tape is rebuilt on
 every forward pass and freed by the sweep that walks it; there is no graph
 reuse.
 """
@@ -328,16 +329,25 @@ def as_tensor(value) -> Tensor:
 # n-ary ops
 # ----------------------------------------------------------------------
 
+def _requires_grad(x) -> bool:
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch semantics over 2-D or wider operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
+    """Matrix product with numpy batch semantics over 2-D or wider operands.
+
+    Operands may be tensors or arrays; an array is read as it is, so the
+    fused ops that call this for a FLOP-counted product wrap nothing.
+    """
+    ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     if ad.ndim < 2 or bd.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)):
+    if not (_GRAD_ENABLED and (_requires_grad(a) or _requires_grad(b))):
         return Tensor(ad @ bd)
+    a, b = as_tensor(a), as_tensor(b)
     return _node(ad @ bd, (a, b), (lambda g: g @ b.data.swapaxes(-1, -2),
                                    lambda g: a.data.swapaxes(-1, -2) @ g))
 
@@ -401,6 +411,8 @@ def linear(x, weight, bias=None) -> Tensor:
         bias = as_tensor(bias)
         out += bias.data
         parents += (bias,)
+    if not _GRAD_ENABLED:
+        return Tensor(out)
 
     def bwd(g):
         if bias is not None and bias.requires_grad:
@@ -432,6 +444,8 @@ def attention_weights(q, k, scale: float, biases: Sequence[Tensor] = ()) -> Tens
         out += b.data
     out -= out.max(axis=-1, keepdims=True)
     _exp_normalize(out)
+    if not _GRAD_ENABLED:
+        return Tensor(out)
 
     def bwd(g):
         gl = g - (g * out).sum(axis=-1, keepdims=True)
@@ -470,16 +484,17 @@ def minimum(a, b) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _GRAD_ENABLED:
+        return Tensor(out)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t.accumulate_grad(piece)
 
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis),
-                        tuple(tensors), bwd)
+    return Tensor._make(out, tuple(tensors), bwd)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -507,6 +522,8 @@ def gelu(t: Tensor) -> Tensor:
     out += 1.0
     out *= x
     out *= 0.5
+    if not _GRAD_ENABLED:
+        return Tensor(out)
 
     def bwd(g):
         # t receives, one term at a time, g8*(th + 1), g4, g2*x*x, g1*x and
@@ -546,6 +563,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     out = c * np.power(ve, -0.5)
     out *= gamma.data
     out += beta.data
+    if not _GRAD_ENABLED:
+        return Tensor(out)
 
     def bwd(g):
         inv = np.power(ve, -0.5)

@@ -8,8 +8,9 @@ template is replaced with a crop around the new prediction. Inference
 builds no autodiff tape, and each template is encoded only when it
 changes: the target once per sequence, the previous template at the first
 frame after each replacement. The joint layers' position-bias terms depend
-only on the weights, so a sequence with two or more frames to track builds
-them once for all its forwards.
+only on the weights, and the previous template's box embedding only on the
+weights and its box, so a sequence with two or more frames to track builds
+the terms once for all its forwards and the embedding once per box.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
 
     last_box = first_box
     records: list[FrameRecord] = []
-    # held bias terms pay off once two or more forwards share them; for a
-    # single forward, holding them would only cost memory
+    # held bias terms and box embedding pay off once two or more forwards
+    # share them; for a single forward, holding them would only cost memory
     with net.reused_bias_terms() if len(sequence) > 2 else nullcontext():
         for t in range(1, len(sequence)):
             try:

@@ -65,8 +65,10 @@ class TrainConfig:
             raise ConfigError("warmup_steps must lie in [0, steps)")
         if not 0.0 < self.final_lr_scale <= 1.0:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
-        if self.lambda_cls < 0.0 or self.lambda_giou < 0.0:
-            raise ConfigError("loss weights must be non-negative")
+        # a weight far above the default 1.5 overflows Adam's moments
+        for name in ("lambda_cls", "lambda_giou"):
+            if not 0.0 <= getattr(self, name) <= 100.0:
+                raise ConfigError(f"{name} must lie in [0, 100]")
         # alpha scales the varifocal loss's negative term and gamma is its
         # focusing power; focal loss was studied for gamma in [0, 5]
         if not 0.0 <= self.alpha <= 1.0:

@@ -179,6 +179,19 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not params.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_cls", 1e300), ("lambda_giou", 1e300), ("lambda_cls", 100.5),
+        ("lambda_giou", -1.0)])
+    def test_loss_weight_out_of_range_is_config_error(self, tmp_path, capsys,
+                                                      field, value):
+        # lambda_cls 1e300 overflowed Adam's moments with a RuntimeWarning,
+        # reported a loss near 5.7e303, exited 0 and wrote parameters
+        params = tmp_path / "p.params"
+        config = _write_config(tmp_path, train={field: value})
+        assert main(["train", "--config", config, "--params", str(params)]) == 1
+        assert f"error: {field} must lie in [0, 100]" in capsys.readouterr().err
+        assert not params.exists()
+
     @pytest.mark.parametrize("command,section", [
         ("gen", "sequence"), ("train", "sequence"), ("train", "train"),
         ("track", "train")])

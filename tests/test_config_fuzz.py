@@ -1,9 +1,12 @@
 """Config fuzzing: any config dict either runs end to end on the toy preset
 or stops with one of the two documented errors, ConfigError (exit 1) or
-NumericError (exit 2)."""
+NumericError (exit 2), and warns of no overflow or invalid value on the
+way."""
+
+import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctxtrack.config import config_from_dict
 from ctxtrack.errors import ConfigError, NumericError
@@ -89,12 +92,18 @@ def _configs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(data=_configs())
+# a loss weight of 1e300 trained to an overflowing loss with exit 0
+@example(data={"model": {"preset": "toy"}, "train": {"steps": 2, "lambda_cls": 1e300},
+               "track": {}, "sequence": {"num_frames": 2}})
 def test_any_config_runs_or_fails_with_a_documented_error(data):
-    try:
-        cfg = config_from_dict(data)
-        sequence = gen_sequence(cfg.sequence)
-        net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
-        toy_train(net, sequence, cfg.train)
-        run_tracker(net, sequence, cfg.track)
-    except (ConfigError, NumericError):
-        pass
+    # an overflow or invalid value on the way counts as an escape too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = config_from_dict(data)
+            sequence = gen_sequence(cfg.sequence)
+            net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
+            toy_train(net, sequence, cfg.train)
+            run_tracker(net, sequence, cfg.track)
+        except (ConfigError, NumericError):
+            pass

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxtrack.imageops import (box_iou, box_window, crop_resize, crop_window,
-                               CropWindow)
+from ctxtrack.imageops import (box_iou, box_window, cell_grid, crop_resize,
+                               crop_window, CropWindow)
 
 
 def _random_frame(rng, h=48, w=48):
@@ -242,3 +242,13 @@ class TestBoxIoU:
         assert box_iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
         assert box_iou((0, 0, 0, 0), (0, 0, 0, 0)) == 0.0
         assert box_iou((2, 2, 1, 1), (0, 0, 4, 4)) == 0.0
+
+
+def test_cell_grid_is_built_once_per_shape_and_read_only():
+    ky, kx = cell_grid((3, 5))
+    assert cell_grid((3, 5))[0] is ky and cell_grid((3, 5))[1] is kx
+    assert ky.tobytes() == np.repeat(np.arange(3.0), 5).tobytes()
+    assert kx.tobytes() == np.tile(np.arange(5.0), 3).tobytes()
+    for grid in (ky, kx):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 1.0

@@ -5,7 +5,10 @@ import pytest
 
 from ctxtrack import attention
 from ctxtrack.attention import WindowAttentionBlock
+from ctxtrack.backbone import BoxEmbedding
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
+from ctxtrack.synthetic import SequenceConfig, gen_sequence
+from ctxtrack.tracker import TrackConfig, run_tracker
 from ctxtrack.tensor import Tensor, finite_diff_grad, linear, matmul, no_grad
 
 
@@ -374,3 +377,61 @@ def test_linear_forward_matches_batched_product_at_every_call_site(monkeypatch):
             want = want + Tensor(b)
         got = linear(Tensor(x), Tensor(w), Tensor(b) if has_bias else None)
         assert got.data.tobytes() == want.data.tobytes(), (x_shape, w_shape)
+
+
+# ----------------------------------------------------------------------
+# the held previous-template box embedding
+# ----------------------------------------------------------------------
+
+def _count_box_embeddings(monkeypatch):
+    boxes = []
+    original = BoxEmbedding.__call__
+
+    def counting(self, gaussian, ltrb):
+        boxes.append(ltrb[0, 0].tobytes())
+        return original(self, gaussian, ltrb)
+
+    monkeypatch.setattr(BoxEmbedding, "__call__", counting)
+    return boxes
+
+
+def test_held_box_embedding_is_rebuilt_only_when_the_box_changes(monkeypatch):
+    net, _ = toy_net()
+    images = toy_images(np.random.default_rng(1))
+    a, b = (18.0, 22.0, 41.0, 37.0), (10.0, 12.0, 30.0, 44.0)
+    with no_grad():
+        plain = {box: net.forward(*images, prev_box=box) for box in (a, b)}
+        calls = _count_box_embeddings(monkeypatch)
+        with net.reused_bias_terms():
+            held = [(box, net.forward(*images, prev_box=box)) for box in (a, a, b, a)]
+    # a, then b, then a again: one slot, rebuilt on each change
+    assert len(calls) == 3
+    for box, out in held:
+        assert out.cls.data.tobytes() == plain[box].cls.data.tobytes()
+        assert out.reg.data.tobytes() == plain[box].reg.data.tobytes()
+
+
+def test_taped_forward_in_the_block_builds_its_own_box_embedding(monkeypatch):
+    net, _ = toy_net()
+    images = toy_images(np.random.default_rng(2))
+    box = (18.0, 22.0, 41.0, 37.0)
+    calls = _count_box_embeddings(monkeypatch)
+    with net.reused_bias_terms():
+        with no_grad():
+            net.forward(*images, prev_box=box)
+        out = net.forward(*images, prev_box=box)
+        out.cls.sum().backward()
+        with no_grad():
+            net.forward(*images, prev_box=box)
+    # the taped forward builds one and leaves the held one in place
+    assert len(calls) == 2
+    assert net.box_embed.fc1.weight.grad is not None
+
+
+def test_run_tracker_embeds_an_unchanged_box_once_per_sequence(monkeypatch):
+    calls = _count_box_embeddings(monkeypatch)
+    net, _ = toy_net()
+    records = run_tracker(net, gen_sequence(SequenceConfig(num_frames=5)),
+                          TrackConfig(update_mode="never"))
+    assert len(records) == 4
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ from ctxtrack.tensor import (
     gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
 )
 from ctxtrack.optim import Adam
+from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
 from reference_ops import softmax_lastdim, tanh
 
 
@@ -828,3 +829,44 @@ def test_attention_weights_rows_sum_to_one_with_extreme_logits():
     out = attention_weights(q, k, 1.0).data
     assert np.all(np.isfinite(out))
     assert np.allclose(out.sum(axis=-1), 1.0)
+
+
+# ----------------------------------------------------------------------
+# tape-free fused ops
+# ----------------------------------------------------------------------
+
+def _fused_case(name, rng):
+    """The op called `name` over fresh parameters drawn from `rng`."""
+    x, y = parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(2, 3, 4)))
+    w, b = parameter(rng.normal(size=(4, 5))), parameter(rng.normal(size=5))
+    g, bias = parameter(rng.normal(size=4)), parameter(rng.normal(size=(2, 3, 3)))
+    if name == "gather":
+        layout = SegmentLayout((("a", 2, 2), ("b", 1, 3)))
+        return PairwiseRegionBias(layout, 2, rng).bias
+    return {
+        "linear": lambda: linear(x, w, b),
+        "linear_no_bias": lambda: linear(x, w),
+        "matmul_raw_operand": lambda: matmul(x.data, w),
+        "attention_weights": lambda: attention_weights(x, y, 0.5, [bias]),
+        "layer_norm": lambda: layer_norm(x, g, b[:4], 1e-5),
+        "gelu": lambda: gelu(x),
+        "concat": lambda: concat([x, y], axis=1),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["linear", "linear_no_bias", "matmul_raw_operand",
+                                  "attention_weights", "layer_norm", "gelu",
+                                  "concat", "gather"])
+def test_tape_free_fused_op_matches_taped_bytes_and_builds_no_node(monkeypatch, name):
+    op = _fused_case(name, np.random.default_rng(7))
+    taped = op()
+    assert taped.requires_grad and taped._backward is not None
+    made = []
+    original = Tensor._make
+    monkeypatch.setattr(Tensor, "_make", staticmethod(
+        lambda *args: made.append(1) or original(*args)))
+    with no_grad():
+        free = op()
+    assert free.data.tobytes() == taped.data.tobytes()
+    assert not free.requires_grad and free._parents == ()
+    assert made == []

@@ -18,6 +18,11 @@ The battery (about half a minute per tree; the two trees run at once):
                    backward: head outputs and loss, then every gradient
   records.*        `run_tracker` records for the four update modes x toy
                    seeds 0-2, before and after training, per `final_keys`
+  records.long.*   the same for seeds 0-1 on the benchmark's track_toy
+                   sequences (61 frames, 3 distractors, drift 0.002, an
+                   occlusion over frames 30-38), where crops reach past the
+                   frame edge and always-last changes the template every
+                   frame
   train.*          the per-step losses and final `state()` of that training
                    (30 steps of `toy_train` per seed)
   track.small      `run_tracker` records of the untrained small preset on
@@ -106,19 +111,30 @@ def battery() -> dict[str, str]:
     out["taped.grads"] = _arrays_digest(
         (name, p.grad) for name, p in net.parameters().items())
 
+    def long_sequence(seed):   # the benchmark's track_toy sequence config
+        return gen_sequence(SequenceConfig(
+            seed=seed, num_frames=61, num_distractors=3, appearance_drift=0.002,
+            occlusion_start=30, occlusion_end=38))
+
+    def track_all_modes(net, sequences):
+        return [run_tracker(net, sequence, TrackConfig(update_mode=m))
+                for sequence in sequences for m in MODES]
+
     for keys in ("templates", "all"):
-        untrained, trained, losses, states = [], [], [], []
+        runs = {"untrained": [], "trained": [], "long.untrained": [], "long.trained": []}
+        losses, states = [], []
         for seed in range(3):
             net = TrackerNet(toy_spec(final_keys=keys), np.random.default_rng(seed))
             sequence = gen_sequence(SequenceConfig(seed=seed))
-            untrained += [run_tracker(net, sequence, TrackConfig(update_mode=m))
-                          for m in MODES]
+            long = [long_sequence(seed)] if seed < 2 else []
+            runs["untrained"] += track_all_modes(net, [sequence])
+            runs["long.untrained"] += track_all_modes(net, long)
             losses.append(toy_train(net, sequence, TrainConfig(steps=30, seed=seed)))
             states += [(f"seed{seed}.{name}", arr) for name, arr in net.state().items()]
-            trained += [run_tracker(net, sequence, TrackConfig(update_mode=m))
-                        for m in MODES]
-        out[f"records.untrained.{keys}"] = _records_digest(untrained)
-        out[f"records.trained.{keys}"] = _records_digest(trained)
+            runs["trained"] += track_all_modes(net, [sequence])
+            runs["long.trained"] += track_all_modes(net, long)
+        for name, records in runs.items():
+            out[f"records.{name}.{keys}"] = _records_digest(records)
         out[f"train.losses.{keys}"] = _arrays_digest(
             (f"seed{s}", np.array(v)) for s, v in enumerate(losses))
         out[f"train.state.{keys}"] = _arrays_digest(states)
