@@ -13,8 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
-from .tensor import (Module, Tensor, attention_weights, gelu, grad_enabled,
-                     layer_norm, linear, matmul, normal_parameter, parameter)
+from .tensor import (Module, Tensor, attention_sublayer, attention_weights,
+                     feed_forward_sublayer, gelu, grad_enabled, layer_norm, linear,
+                     normal_parameter, parameter)
+# perfbench's tracer patches `matmul` in each module that imports it
+from .tensor import matmul  # noqa: F401
 
 
 class Linear(Module):
@@ -91,11 +94,6 @@ class _PreNormAttention(Module):
                            (*range(n), n + 1, n, n + 2),
                            (*lead, self.heads, length, self.head_dim))
 
-    def _merge(self, t: Tensor) -> Tensor:  # (..., heads, L, head_dim) -> (..., L, dim)
-        *lead, _, length, _ = t.shape
-        n = len(lead)
-        return t.rearrange(t.shape, (*range(n), n + 1, n, n + 2), (*lead, length, self.dim))
-
     def weights(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
         """Post-softmax (..., heads, Lq, Lk) weights of normed tokens; each
         bias term is added to the scaled content logits in turn."""
@@ -105,12 +103,16 @@ class _PreNormAttention(Module):
 
     def attend(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
         """Projected attention output (..., Lq, dim) of normed tokens."""
-        v = self._split(self.w_value(xk))
-        return self.w_out(self._merge(matmul(self.weights(xq, xk, biases), v)))
+        return attention_sublayer(xq, xk, self.w_query.weight, self.w_key.weight,
+                                  self.w_value.weight, self.w_out.weight, self.heads,
+                                  self.scale, biases)
 
     def _residual(self, tokens: Tensor, attn: Tensor) -> Tensor:
-        res = tokens + attn
-        return res + self.ff(self.norm2(res))
+        """tokens + attn, plus the feed-forward of its norm."""
+        ff = self.ff
+        return feed_forward_sublayer(tokens, attn, self.norm2.gamma, self.norm2.beta,
+                                     self.norm2.eps, ff.fc1.weight, ff.fc1.bias,
+                                     ff.fc2.weight, ff.fc2.bias)
 
 
 class Windows(NamedTuple):

@@ -160,15 +160,19 @@ def _parse_layers(text) -> list[int] | None:
     if text is None:
         return None
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        layers = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(
             f"--layers expects comma-separated integers, got {text!r}"
         ) from exc
+    if not layers:
+        raise ConfigError(f"--layers names no layer, got {text!r}")
+    return layers
 
 
 def _cmd_respmap(args) -> int:
     cfg = _load(args)
+    layers = _parse_layers(args.layers)
     sequence = gen_sequence(cfg.sequence)
     if len(sequence) < 2:
         raise ConfigError("response maps need a sequence with at least 2 frames")
@@ -189,7 +193,7 @@ def _cmd_respmap(args) -> int:
 
     maps = response_maps(net, target.crop, previous.crop, search,
                          prev_box=previous.box,
-                         layer_indices=_parse_layers(args.layers))
+                         layer_indices=layers)
     paths = write_response_maps(maps, args.out_dir)
     print(f"wrote {len(paths)} response maps to {args.out_dir}")
     return 0

@@ -5,10 +5,11 @@ requiring gradients records its parents and how to reach them, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
 order and accumulates gradients additively over fan-out. Most ops record,
 through `_node`, one local derivative per parent, which the sweep applies
-itself; the fused ops record a backward callable. An op run while no tape
-is recorded builds neither. The tape is rebuilt on
-every forward pass and freed by the sweep that walks it; there is no graph
-reuse.
+itself; `matmul` and the fused ops record a backward callable. The fused
+ops, up to a transformer block's attention and feed-forward sublayers,
+share array-level forward and backward kernels. An op run while no tape
+is recorded builds neither. The tape is rebuilt on every forward pass and
+freed by the sweep that walks it; there is no graph reuse.
 """
 from __future__ import annotations
 
@@ -94,8 +95,8 @@ def _scatter(g: np.ndarray, shape: tuple[int, ...], idx) -> np.ndarray:
 
 class Tensor:
     # `_backward` is None on a leaf; on a `_node` node, a tuple with one
-    # local derivative per entry of `_parents`; on a fused op, a callable
-    # that takes the output gradient
+    # local derivative per entry of `_parents`; on `matmul` or a fused op, a
+    # callable that takes the output gradient
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     # keep numpy from consuming `ndarray <op> Tensor`; defer to the
@@ -162,6 +163,14 @@ class Tensor:
                 out._parents = keep
                 out._backward = backward
         return out
+
+    @staticmethod
+    def _wrap(data: np.ndarray) -> "Tensor":
+        """A plain tensor over `data`, a float64 array, which it does not
+        read again as `Tensor(data)` would."""
+        t = Tensor.__new__(Tensor)
+        t.data, t.grad, t.requires_grad, t._backward, t._parents = data, None, False, None, ()
+        return t
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar. Fan-out gradients sum.
@@ -333,23 +342,46 @@ def _requires_grad(x) -> bool:
     return isinstance(x, Tensor) and x.requires_grad
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _acc(t: Tensor):
+    """`t.accumulate_grad`, or None when `t` takes no gradient."""
+    return t.accumulate_grad if t.requires_grad else None
+
+
+def _matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray, a_acc, b_acc) -> None:
+    """Gradients of a @ b for the output gradient g: a's, then b's, each
+    summed over broadcast axes and handed to its accumulator (None skips
+    it)."""
+    if a_acc is not None:
+        a_acc(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+    if b_acc is not None:
+        b_acc(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch semantics over 2-D or wider operands.
 
-    Operands may be tensors or arrays; an array is read as it is, so the
-    fused ops that call this for a FLOP-counted product wrap nothing.
+    Operands may be tensors or arrays. Two float64 arrays, which is how the
+    fused ops call this for each FLOP-counted product, are used as they are
+    and make no node.
     """
-    ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    if type(a) is np.ndarray and type(b) is np.ndarray and a.dtype is _F64 and b.dtype is _F64:
+        ad, bd, taped = a, b, False
+    else:
+        ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+        bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+        taped = _GRAD_ENABLED and (_requires_grad(a) or _requires_grad(b))
     if ad.ndim < 2 or bd.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-    if not (_GRAD_ENABLED and (_requires_grad(a) or _requires_grad(b))):
-        return Tensor(ad @ bd)
+    if not taped:
+        return Tensor._wrap(ad @ bd)
     a, b = as_tensor(a), as_tensor(b)
-    return _node(ad @ bd, (a, b), (lambda g: g @ b.data.swapaxes(-1, -2),
-                                   lambda g: a.data.swapaxes(-1, -2) @ g))
+    return Tensor._make(ad @ bd, (a, b),
+                        lambda g: _matmul_backward(g, a.data, b.data, _acc(a), _acc(b)))
 
 
 def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
@@ -386,82 +418,93 @@ def _runs_flat(x: np.ndarray, w: np.ndarray) -> bool:
             and x.flags.c_contiguous and _flat_exact(x.shape, w.shape))
 
 
+def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w (+ b) on arrays: one 2-D product over all leading axes of x
+    where `_runs_flat` allows, else the batched product; then the bias,
+    added in place."""
+    if _runs_flat(x, w):
+        out = matmul(x.reshape(-1, x.shape[-1]), w).data.reshape(x.shape[:-1] + w.shape[1:])
+    else:
+        out = matmul(x, w).data
+    if b is not None:
+        out += b
+    return out
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, weight: Tensor,
+                     bias: Tensor | None, x_acc) -> None:
+    """Gradients of x @ weight (+ bias) in the order of `matmul` followed by
+    `+ bias`: the bias, then x through `x_acc`, then the weight, both
+    products on the batched shapes."""
+    if bias is not None and bias.requires_grad:
+        bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+    _matmul_backward(g, x, weight.data, x_acc, _acc(weight))
+
+
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map on the last axis, x @ weight (+ bias), as one tape node.
 
     The forward may run one 2-D product over all leading axes of x (see
     `_runs_flat`), then adds the bias in place. The backward repeats, in
-    order, the float operations of `matmul` followed by `+ bias`: the
-    bias, then x, then the weight, both products on the batched shapes, so
-    values and gradients match that composite bit for bit. With neither a
-    bias nor a flat product, the map is just the `matmul` node.
+    order, the float operations of `matmul` followed by `+ bias`, so values
+    and gradients match that composite bit for bit.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    xd, wd = x.data, weight.data
-    flat = _runs_flat(xd, wd)
-    if bias is None and not flat:
-        return matmul(x, weight)
-    if flat:
-        out = matmul(xd.reshape(-1, xd.shape[-1]), wd).data
-        out = out.reshape(xd.shape[:-1] + wd.shape[1:])
-    else:
-        out = matmul(xd, wd).data
-    parents = (x, weight)
-    if bias is not None:
-        bias = as_tensor(bias)
-        out += bias.data
-        parents += (bias,)
+    bias = None if bias is None else as_tensor(bias)
+    out = _linear_forward(x.data, weight.data, None if bias is None else bias.data)
     if not _GRAD_ENABLED:
-        return Tensor(out)
+        return Tensor._wrap(out)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out, parents,
+                        lambda g: _linear_backward(g, x.data, weight, bias, _acc(x)))
 
-    def bwd(g):
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(g @ weight.data.swapaxes(-1, -2), x.data.shape))
-        if weight.requires_grad:
-            weight.accumulate_grad(_unbroadcast(x.data.swapaxes(-1, -2) @ g,
-                                                weight.data.shape))
 
-    return Tensor._make(out, parents, bwd)
+def _attention_softmax(q: np.ndarray, k: np.ndarray, scale: float,
+                       biases: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """softmax(q @ kᵀ * scale + Σ biases) over the last axis, on arrays, in
+    the product's buffer: scale, add each bias in turn, then softmax in
+    place."""
+    out = matmul(q, k.swapaxes(-1, -2)).data
+    out *= scale
+    for b in biases:
+        out += b
+    out -= out.max(axis=-1, keepdims=True)
+    return _exp_normalize(out)
+
+
+def _attention_softmax_backward(g: np.ndarray, out: np.ndarray, q: np.ndarray,
+                                k: np.ndarray, scale: float, biases: Sequence[Tensor],
+                                q_acc, k_acc) -> None:
+    """Gradients of `_attention_softmax`'s output `out`: each bias tensor's,
+    last to first, then q's and k's through their accumulators."""
+    gl = g - (g * out).sum(axis=-1, keepdims=True)
+    gl *= out
+    for b in reversed(biases):
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(gl, b.data.shape))
+    gl *= scale
+    if q_acc is not None:
+        q_acc(_unbroadcast(gl @ k, q.shape))
+    if k_acc is not None:
+        kt_shape = k.shape[:-2] + (k.shape[-1], k.shape[-2])
+        k_acc(_unbroadcast(q.swapaxes(-1, -2) @ gl, kt_shape).swapaxes(-1, -2))
 
 
 def attention_weights(q, k, scale: float, biases: Sequence[Tensor] = ()) -> Tensor:
     """softmax(q @ kᵀ * scale + Σ biases) over the last axis, as one tape node.
 
-    The forward works in the product's buffer: scale, add each bias in
-    turn, then softmax in place. Forward and backward repeat, in order, the
-    float operations of the same formula built from `matmul`, `swapaxes`,
-    `*`, `+` and a last-axis softmax node (max subtracted, exp, divided by
-    the sum; its gradient is out * (g - sum(g * out))), so both match it
-    bit for bit.
+    Forward and backward repeat, in order, the float operations of the same
+    formula built from `matmul`, `swapaxes`, `*`, `+` and a last-axis
+    softmax node (max subtracted, exp, divided by the sum; its gradient is
+    out * (g - sum(g * out))), so both match it bit for bit.
     """
     q, k = as_tensor(q), as_tensor(k)
     biases = tuple(as_tensor(b) for b in biases)
-    out = matmul(q.data, k.data.swapaxes(-1, -2)).data
-    out *= scale
-    for b in biases:
-        out += b.data
-    out -= out.max(axis=-1, keepdims=True)
-    _exp_normalize(out)
+    out = _attention_softmax(q.data, k.data, scale, [b.data for b in biases])
     if not _GRAD_ENABLED:
-        return Tensor(out)
-
-    def bwd(g):
-        gl = g - (g * out).sum(axis=-1, keepdims=True)
-        gl *= out
-        for b in reversed(biases):
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(gl, b.data.shape))
-        gl *= scale
-        if q.requires_grad:
-            q.accumulate_grad(_unbroadcast(gl @ k.data, q.data.shape))
-        if k.requires_grad:
-            kt_shape = k.data.shape[:-2] + (k.data.shape[-1], k.data.shape[-2])
-            gkt = _unbroadcast(q.data.swapaxes(-1, -2) @ gl, kt_shape)
-            k.accumulate_grad(gkt.swapaxes(-1, -2))
-
-    return Tensor._make(out, (q, k) + biases, bwd)
+        return Tensor._wrap(out)
+    return Tensor._make(out, (q, k) + biases, lambda g: _attention_softmax_backward(
+        g, out, q.data, k.data, scale, biases, _acc(q), _acc(k)))
 
 
 def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
@@ -510,6 +553,35 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(out, out=out)
 
 
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """x * (tanh(...) + 1) * 0.5 on an array, in one fresh array."""
+    out = _gelu_tanh(x)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, x_acc) -> None:
+    """x's gradient of `_gelu`, handed to `x_acc` one term at a time:
+    g8*(th + 1), g4, g2*x*x, g1*x and g1*x, where g8 = g*0.5,
+    g4 = g8*x*(1 - th*th)*c, g2 = g4*0.044715 and g1 = g2*x."""
+    th = _gelu_tanh(x)
+    g8 = g * 0.5
+    x_acc(g8 * (th + 1.0))
+    th *= th
+    g4 = g8 * x
+    g4 *= np.subtract(1.0, th, out=th)
+    g4 *= _GELU_C
+    x_acc(g4)
+    g2 = g4 * 0.044715
+    x_acc(g2 * (x * x))
+    g1x = g2 * x
+    g1x *= x
+    x_acc(g1x)
+    x_acc(g1x)
+
+
 def gelu(t: Tensor) -> Tensor:
     """Smooth gelu (tanh form), x * (tanh(...) + 1) * 0.5, as one tape node.
 
@@ -518,34 +590,51 @@ def gelu(t: Tensor) -> Tensor:
     """
     t = as_tensor(t)
     x = t.data
-    out = _gelu_tanh(x)
-    out += 1.0
-    out *= x
-    out *= 0.5
+    out = _gelu(x)
     if not _GRAD_ENABLED:
-        return Tensor(out)
+        return Tensor._wrap(out)
+    return Tensor._make(out, (t,), lambda g: _gelu_backward(g, x, t.accumulate_grad))
 
-    def bwd(g):
-        # t receives, one term at a time, g8*(th + 1), g4, g2*x*x, g1*x and
-        # g1*x, where g8 = g*0.5, g4 = g8*x*(1 - th*th)*c,
-        # g2 = g4*0.044715 and g1 = g2*x
-        th = _gelu_tanh(x)
-        g8 = g * 0.5
-        t.accumulate_grad(g8 * (th + 1.0))
-        grad = t.grad
-        th *= th
-        g4 = g8 * x
-        g4 *= np.subtract(1.0, th, out=th)
-        g4 *= _GELU_C
-        grad += g4
-        g2 = g4 * 0.044715
-        grad += g2 * (x * x)
-        g1x = g2 * x
-        g1x *= x
-        grad += g1x
-        grad += g1x
 
-    return Tensor._make(out, (t,), bwd)
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of an array over its last axis: the output, and the
+    centred input and (..., 1) variance term that the backward reads."""
+    k = 1.0 / x.shape[-1]
+    c = x - x.sum(axis=-1, keepdims=True) * k
+    ve = (c * c).sum(axis=-1, keepdims=True) * k + eps
+    out = c * np.power(ve, -0.5)
+    out *= gamma
+    out += beta
+    return out, c, ve
+
+
+def _layer_norm_backward(g: np.ndarray, c: np.ndarray, ve: np.ndarray,
+                         gamma: Tensor, beta: Tensor, x_acc) -> None:
+    """Gradients of `_layer_norm_forward`: beta's, gamma's, then x's two
+    terms through `x_acc` (None skips them)."""
+    k = 1.0 / c.shape[-1]
+    inv = np.power(ve, -0.5)
+    if beta.requires_grad:
+        beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
+    if gamma.requires_grad:
+        normed = c * inv
+        normed *= g
+        gamma.accumulate_grad(_unbroadcast(normed, gamma.data.shape))
+    if x_acc is None:
+        return
+    # x receives gci*inv + gcc + gcc (the gradient of c), then the
+    # broadcast of (-sum(gc)) * k through the mean
+    gci = g * gamma.data
+    ginv = _unbroadcast(gci * c, ve.shape)
+    gvar = (ginv * -0.5) * np.power(ve, -1.5)
+    gcc = (gvar * k) * c
+    gc = gci
+    gc *= inv
+    gc += gcc
+    gc += gcc
+    x_acc(gc)
+    x_acc(-_unbroadcast(gc, ve.shape) * k)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -557,39 +646,149 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     so values and gradients match it bit for bit.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    k = 1.0 / x.data.shape[-1]
-    c = x.data - x.data.sum(axis=-1, keepdims=True) * k
-    ve = (c * c).sum(axis=-1, keepdims=True) * k + eps
-    out = c * np.power(ve, -0.5)
-    out *= gamma.data
-    out += beta.data
+    out, c, ve = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
     if not _GRAD_ENABLED:
-        return Tensor(out)
+        return Tensor._wrap(out)
+    return Tensor._make(out, (x, gamma, beta), lambda g: _layer_norm_backward(
+        g, c, ve, gamma, beta, _acc(x)))
+
+
+# ----------------------------------------------------------------------
+# transformer sublayers
+# ----------------------------------------------------------------------
+
+class _GradSum:
+    """The gradient of an intermediate a fused op keeps off the tape, summed
+    as `Tensor.accumulate_grad` sums a node's: the first term + 0.0 in a
+    fresh C-ordered array, later terms added in place."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+    def __call__(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.add(g, 0.0, out=np.empty(g.shape))
+        else:
+            self.grad += g
+
+
+@lru_cache(maxsize=8)
+def _head_axes(n: int) -> tuple[int, ...]:
+    """The transpose that swaps the token and head axes behind n leading
+    axes; it is its own inverse."""
+    return (*range(n), n + 1, n, n + 2)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., L, dim) -> (..., heads, L, dim // heads), as a view."""
+    shape = a.shape
+    return a.reshape(shape[:-1] + (heads, shape[-1] // heads)).transpose(
+        _head_axes(len(shape) - 2))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, L, head_dim) -> (..., L, heads * head_dim), the inverse
+    of `_split_heads`."""
+    shape = a.shape
+    return a.transpose(_head_axes(len(shape) - 3)).reshape(
+        shape[:-3] + (shape[-2], shape[-3] * shape[-1]))
+
+
+def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
+                       w_out: Tensor, heads: int, scale: float,
+                       biases: Sequence[Tensor] = ()) -> Tensor:
+    """Multi-head attention of the tokens xq over xk, (..., Lq, dim), as one
+    tape node.
+
+    The value, query and key projections of xk, xq and xk are split into
+    `heads` heads over the last axis; each head's weights are
+    `attention_weights(q, k, scale, biases)`; the weighted values are merged
+    and projected by `w_out`. Leading axes batch, one per window. Forward
+    and backward repeat, in order, the float operations of that formula
+    built from `linear`, `rearrange`, `attention_weights` and `matmul`, so
+    values and gradients match it bit for bit; that includes the order in
+    which xk receives its key and value gradients, after xq's query
+    gradient when xq is xk.
+    """
+    xq, xk = as_tensor(xq), as_tensor(xk)
+    biases = tuple(as_tensor(b) for b in biases)
+    xqd, xkd, bias_data = xq.data, xk.data, [b.data for b in biases]
+
+    def project(x: np.ndarray, w: Tensor) -> np.ndarray:
+        return _split_heads(_linear_forward(x, w.data), heads)
+
+    if not _GRAD_ENABLED:
+        # one expression, so each intermediate is freed once it is used
+        return Tensor._wrap(_linear_forward(_merge_heads(matmul(
+            _attention_softmax(project(xqd, w_query), project(xkd, w_key), scale, bias_data),
+            project(xkd, w_value)).data), w_out.data))
+    v = project(xkd, w_value)
+    q, k = project(xqd, w_query), project(xkd, w_key)
+    weights = _attention_softmax(q, k, scale, bias_data)
+    merged = _merge_heads(matmul(weights, v).data)
 
     def bwd(g):
-        inv = np.power(ve, -0.5)
-        if beta.requires_grad:
-            beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            normed = c * inv
-            normed *= g
-            gamma.accumulate_grad(_unbroadcast(normed, gamma.data.shape))
-        if not x.requires_grad:
-            return
-        # x receives gci*inv + gcc + gcc (the gradient of c), then the
-        # broadcast of (-sum(gc)) * k through the mean
-        gci = g * gamma.data
-        ginv = _unbroadcast(gci * c, ve.shape)
-        gvar = (ginv * -0.5) * np.power(ve, -1.5)
-        gcc = (gvar * k) * c
-        gc = gci
-        gc *= inv
-        gc += gcc
-        gc += gcc
-        x.accumulate_grad(gc)
-        x.accumulate_grad(-_unbroadcast(gc, ve.shape) * k)
+        # the composite's nodes run in this order: the output projection,
+        # the value product, the weights, then the query, key and value
+        # heads and projections; each of its intermediates sums here
+        g_merged, g_av, g_weights, g_v, g_q, g_k = (_GradSum() for _ in range(6))
+        _linear_backward(g, merged, w_out, None, g_merged)
+        g_av(_split_heads(g_merged.grad, heads))
+        _matmul_backward(g_av.grad, weights, v, g_weights, g_v)
+        _attention_softmax_backward(g_weights.grad, weights, q, k, scale, biases, g_q, g_k)
+        for g_heads, x, x_acc, w in ((g_q, xqd, _acc(xq), w_query),
+                                     (g_k, xkd, _acc(xk), w_key),
+                                     (g_v, xkd, _acc(xk), w_value)):
+            g_proj = _GradSum()
+            g_proj(_merge_heads(g_heads.grad))
+            _linear_backward(g_proj.grad, x, w, None, x_acc)
 
-    return Tensor._make(out, (x, gamma, beta), bwd)
+    # parents in the order that has the depth-first tape walk reach them as
+    # it did through the composite, so every other node runs in its order
+    return Tensor._make(_linear_forward(merged, w_out.data),
+                        (xq, w_query, w_key, *biases, xk, w_value, w_out), bwd)
+
+
+def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
+                          w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """res + fc2(gelu(fc1(layer_norm(res)))) with res = tokens + attn, the
+    pre-norm feed-forward sublayer with both residual adds, as one tape node.
+
+    Forward and backward repeat, in order, the float operations of that
+    formula built from `+`, `layer_norm`, `linear` and `gelu`, so values and
+    gradients match it bit for bit.
+    """
+    tokens, attn = as_tensor(tokens), as_tensor(attn)
+    res = tokens.data + attn.data
+    if not _GRAD_ENABLED:
+        # one expression, so each intermediate is freed once it is used
+        out = _linear_forward(_gelu(_linear_forward(
+            _layer_norm_forward(res, gamma.data, beta.data, eps)[0], w1.data, b1.data)),
+            w2.data, b2.data)
+        return Tensor._wrap(np.add(res, out, out=out))
+    normed, c, ve = _layer_norm_forward(res, gamma.data, beta.data, eps)
+    hidden = _linear_forward(normed, w1.data, b1.data)
+    act = _gelu(hidden)
+    out = _linear_forward(act, w2.data, b2.data)
+
+    def bwd(g):
+        # the second add hands g to res and to the feed-forward output;
+        # res then gains the norm's two terms and hands its sum on
+        g_res, g_out, g_act, g_hidden, g_normed = (_GradSum() for _ in range(5))
+        g_res(g)
+        g_out(g)
+        _linear_backward(g_out.grad, act, w2, b2, g_act)
+        _gelu_backward(g_act.grad, hidden, g_hidden)
+        _linear_backward(g_hidden.grad, normed, w1, b1, g_normed)
+        _layer_norm_backward(g_normed.grad, c, ve, gamma, beta, g_res)
+        for t in (tokens, attn):
+            if t.requires_grad:
+                t.accumulate_grad(g_res.grad)
+
+    return Tensor._make(np.add(res, out, out=out),
+                        (tokens, attn, gamma, beta, w1, b1, w2, b2), bwd)
 
 
 # ----------------------------------------------------------------------

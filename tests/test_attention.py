@@ -9,12 +9,14 @@ from ctxtrack.attention import (
     LayerNorm,
     Linear,
     WindowAttentionBlock,
+    _PreNormAttention,
     window_partition,
 )
 from ctxtrack.positional import SegmentLayout, UntiedPositionBias, segment_layout
-from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad
+from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad, parameter
 
 from reference_attention import reference_block
+from reference_ops import composite_attend, composite_residual, seeded_root
 
 
 def rel_err(a, b, floor=1e-6):
@@ -167,6 +169,79 @@ def test_window_block_gradcheck():
     loss.backward()
     fd = finite_diff_grad(lambda _: float((blk(x).data * weight).sum()), x)
     assert rel_err(x.grad, fd) < 1e-5
+
+
+# ----------------------------------------------------------------------
+# fused sublayers against the composites they replace
+# ----------------------------------------------------------------------
+
+def _sublayer_case(name):
+    """A layer, an input for it and the call under test, for the window
+    form (batched windows of a flat sequence), the grid form, the joint
+    layer and its two search-query modes."""
+    rng = np.random.default_rng(40)
+    if name in ("window", "grid"):
+        blk = WindowAttentionBlock(8, 2, 2, rng)
+        if name == "grid":
+            return blk, rng.normal(size=(4, 6, 8)), blk
+        windows = window_partition(segment_layout((2, 2), (4, 4), (4, 6)), 2)
+        return blk, rng.normal(size=(windows.order.size, 8)), lambda t: blk(t, windows)
+    layer = CrossFrameAttention(segment_layout((1, 1), (2, 2), (2, 3)), 8, 2, rng)
+    calls = {"joint": layer.forward,
+             "templates": lambda t: layer.forward_search_queries(t, "templates"),
+             "all": lambda t: layer.forward_search_queries(t, "all")}
+    return layer, rng.normal(size=(layer.layout.length, 8)), calls[name]
+
+
+def _sublayer_run(name):
+    """Output, input gradient and every parameter gradient of one taped call
+    whose incoming gradient holds -0.0 entries; the input is an op node, so
+    its residual and norm gradients sum in the sweep."""
+    layer, x0, call = _sublayer_case(name)
+    leaf = parameter(x0)
+    out = call(leaf * 1.5)
+    seed = np.random.default_rng(41).normal(size=out.shape)
+    seed[::3] = -0.0
+    seeded_root(out, seed).backward()
+    return [out.data, leaf.grad] + [p.grad for p in layer.parameters().values()]
+
+
+@pytest.mark.parametrize("name", ["window", "grid", "joint", "templates", "all"])
+def test_fused_sublayers_match_composite_bytes(monkeypatch, name):
+    fused = _sublayer_run(name)
+    monkeypatch.setattr(_PreNormAttention, "attend", composite_attend)
+    monkeypatch.setattr(_PreNormAttention, "_residual", composite_residual)
+    composite = _sublayer_run(name)
+    assert len(fused) == len(composite)
+    for i, (a, b) in enumerate(zip(fused, composite)):
+        assert (a is None) == (b is None), i
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
+def _tape_nodes(*outs):
+    seen, stack = set(), list(outs)
+    while stack:
+        t = stack.pop()
+        if t._parents and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return seen
+
+
+def test_taped_block_records_one_node_per_sublayer():
+    rng = np.random.default_rng(42)
+    blk = WindowAttentionBlock(8, 2, 2, rng)
+    out = blk(parameter(rng.normal(size=(4, 4, 8))))
+    # norm1, the gather into windows, attention, the scatter back, and
+    # the feed-forward sublayer with both residual adds
+    assert len(_tape_nodes(out)) == 5
+    layer, _, rng = toy_layer()
+    out = layer(parameter(rng.normal(size=(9, 8))))
+    attn = out._parents[1]
+    abs_term, rel_term = attn._parents[3:5]
+    # norm1, attention and the feed-forward sublayer, beside the bias terms
+    assert len(_tape_nodes(out)) == 3 + len(_tape_nodes(abs_term, rel_term))
 
 
 # ----------------------------------------------------------------------

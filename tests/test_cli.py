@@ -441,6 +441,20 @@ class TestRespmap(object):
                      "--out-dir", str(tmp_path / "m"),
                      "--layers", "one"]) == 1
 
+    @pytest.mark.parametrize("layers", [",", "", " , "])
+    def test_empty_layer_list_is_config_error_before_the_net_is_built(
+            self, tmp_path, capsys, monkeypatch, layers):
+        def build_net(*_):
+            raise AssertionError("the net was built")
+
+        monkeypatch.setattr(cli, "_build_net", build_net)
+        config = _write_config(tmp_path)
+        out = tmp_path / "maps"
+        assert main(["respmap", "--config", config, "--out-dir", str(out),
+                     "--layers", layers]) == 1
+        assert "names no layer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_parameters_are_exit_2_and_write_nothing(self, tmp_path, capsys):
         from ctxtrack.config import load_config
         from ctxtrack.fileio import save_params

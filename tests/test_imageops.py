@@ -229,6 +229,20 @@ class TestCropResize:
         want = frame[top:top + out_size, left:left + out_size]
         assert crop.shape == want.shape and crop.tobytes() == want.tobytes()
 
+    @settings(derandomize=True, deadline=None)
+    @given(h=st.integers(1, 160), w=st.integers(1, 160),
+           channels=st.integers(1, 4), out_size=st.sampled_from([16, 32]),
+           scale=st.floats(1e-300, 1e250), seed=st.integers(0, 2 ** 32 - 1))
+    def test_off_frame_fill_is_the_frame_mean_bytes(self, h, w, channels, out_size,
+                                                    scale, seed):
+        # integer-aligned samples left of the frame weight the fill by 1
+        # and 0, so every crop pixel is the fill value itself
+        frame = np.random.default_rng(seed).normal(size=(h, w, channels)) * scale
+        win = crop_window((-out_size / 2 - 3.0, h / 2), float(out_size), out_size)
+        crop = crop_resize(frame, win)
+        want = np.broadcast_to(frame.reshape(-1, channels).mean(axis=0), crop.shape)
+        assert crop.tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 class TestBoxIoU:
     def test_identical_boxes(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctxtrack import attention
+from ctxtrack import tensor
 from ctxtrack.attention import WindowAttentionBlock
 from ctxtrack.backbone import BoxEmbedding
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
@@ -345,17 +345,20 @@ def test_drawn_weights_have_the_init_spread(seed):
 
 
 def test_linear_forward_matches_batched_product_at_every_call_site(monkeypatch):
-    # `linear` runs one flat 2-D product where that repeats the bits of
-    # numpy's batched product; over every shape the toy and small presets
-    # feed it, it must give the batched composite's bytes. A taped small
-    # forward would hold gigabytes; its shapes are the tape-free ones.
+    # `linear` and the fused sublayers run their affine maps through one
+    # kernel, which runs one flat 2-D product where that repeats the bits
+    # of numpy's batched product; over every shape the toy and small
+    # presets feed it, `linear` must give the batched composite's bytes. A
+    # taped small forward would hold gigabytes; its shapes are the
+    # tape-free ones.
     shapes = set()
+    kernel = tensor._linear_forward
 
     def recording(x, weight, bias=None):
         shapes.add((x.shape, weight.shape, bias is not None))
-        return linear(x, weight, bias)
+        return kernel(x, weight, bias)
 
-    monkeypatch.setattr(attention, "linear", recording)
+    monkeypatch.setattr(tensor, "_linear_forward", recording)
     rng = np.random.default_rng(0)
     for spec, taped in ((toy_spec(), True), (toy_spec(final_keys="all"), True),
                         (small_spec(), False)):

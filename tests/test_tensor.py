@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ctxtrack.tensor import (
-    Module, Tensor, _unbroadcast, attention_weights, concat, finite_diff_grad,
-    gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
+    Module, Tensor, _unbroadcast, attention_sublayer, attention_weights, concat,
+    feed_forward_sublayer, finite_diff_grad, gelu, layer_norm, linear, matmul,
+    maximum, minimum, no_grad, parameter,
 )
 from ctxtrack.optim import Adam
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
-from reference_ops import softmax_lastdim, tanh
+from reference_ops import seeded_root, softmax_lastdim, tanh
 
 
 def rel_err(a, b, floor=1e-6):
@@ -556,18 +557,6 @@ def composite_layer_norm(x, gamma, beta, eps):
     return centered * ((var + eps) ** -0.5) * gamma + beta
 
 
-def seeded_root(out, seed):
-    """A scalar whose backward hands `out` exactly `seed` as its gradient.
-
-    `accumulate_grad` turns -0.0 into +0.0; this bypasses it so the op under
-    test sees -0.0 in its incoming gradient.
-    """
-    def bwd(_):
-        out.grad = np.array(seed, dtype=np.float64)
-
-    return Tensor._make(np.zeros(()), (out,), bwd)
-
-
 def _inputs(rng, shape):
     x = rng.normal(scale=2.0, size=shape)
     x.flat[:4] = [0.0, -0.0, 1e-160, -30.0]
@@ -843,6 +832,8 @@ def _fused_case(name, rng):
     if name == "gather":
         layout = SegmentLayout((("a", 2, 2), ("b", 1, 3)))
         return PairwiseRegionBias(layout, 2, rng).bias
+    wq, wk, wv, wo = (parameter(rng.normal(size=(4, 4))) for _ in range(4))
+    w2 = parameter(rng.normal(size=(5, 4)))
     return {
         "linear": lambda: linear(x, w, b),
         "linear_no_bias": lambda: linear(x, w),
@@ -851,12 +842,17 @@ def _fused_case(name, rng):
         "layer_norm": lambda: layer_norm(x, g, b[:4], 1e-5),
         "gelu": lambda: gelu(x),
         "concat": lambda: concat([x, y], axis=1),
+        "attention_sublayer": lambda: attention_sublayer(x, y, wq, wk, wv, wo, 2, 0.5,
+                                                         [bias]),
+        "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b[:4], 1e-5,
+                                                               w, b, w2, b[:4]),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["linear", "linear_no_bias", "matmul_raw_operand",
                                   "attention_weights", "layer_norm", "gelu",
-                                  "concat", "gather"])
+                                  "concat", "gather", "attention_sublayer",
+                                  "feed_forward_sublayer"])
 def test_tape_free_fused_op_matches_taped_bytes_and_builds_no_node(monkeypatch, name):
     op = _fused_case(name, np.random.default_rng(7))
     taped = op()
