@@ -13,9 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
-from .tensor import (Module, Tensor, attention_sublayer, attention_weights,
-                     feed_forward_sublayer, gelu, grad_enabled, layer_norm, linear,
-                     normal_parameter, parameter)
+from .tensor import (Module, Tensor, attention_sublayer, feed_forward_sublayer,
+                     grad_enabled, layer_norm, linear, normal_parameter, parameter)
 # perfbench's tracer patches `matmul` in each module that imports it
 from .tensor import matmul  # noqa: F401
 
@@ -46,16 +45,14 @@ class LayerNorm(Module):
 
 
 class FeedForward(Module):
-    """Two affine maps around a gelu, with the usual 4x expansion."""
+    """The two affine maps around a gelu, with the usual 4x expansion, that
+    `feed_forward_sublayer` applies."""
 
     expansion = 4
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, self.expansion * dim, rng)
         self.fc2 = Linear(self.expansion * dim, dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
 
 
 class _PreNormAttention(Module):
@@ -72,9 +69,8 @@ class _PreNormAttention(Module):
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         # logits that sum `logit_terms` terms keep the spread of one content term
-        self.scale = 1.0 / np.sqrt(logit_terms * self.head_dim)
+        self.scale = 1.0 / np.sqrt(logit_terms * (dim // heads))
         self.w_query = Linear(dim, dim, rng, bias=False)
         self.w_key = Linear(dim, dim, rng, bias=False)
         self.w_value = Linear(dim, dim, rng, bias=False)
@@ -86,20 +82,6 @@ class _PreNormAttention(Module):
 
     def _init_bias(self, rng: np.random.Generator) -> None:
         """No logit bias terms by default."""
-
-    def _split(self, t: Tensor) -> Tensor:  # (..., L, dim) -> (..., heads, L, head_dim)
-        *lead, length, _ = t.shape
-        n = len(lead)
-        return t.rearrange((*lead, length, self.heads, self.head_dim),
-                           (*range(n), n + 1, n, n + 2),
-                           (*lead, self.heads, length, self.head_dim))
-
-    def weights(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
-        """Post-softmax (..., heads, Lq, Lk) weights of normed tokens; each
-        bias term is added to the scaled content logits in turn."""
-        q = self._split(self.w_query(xq))
-        k = self._split(self.w_key(xk))
-        return attention_weights(q, k, self.scale, biases)
 
     def attend(self, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
         """Projected attention output (..., Lq, dim) of normed tokens."""
@@ -246,23 +228,23 @@ class CrossFrameAttention(_PreNormAttention):
         self._held = None
 
     def _select(self, tokens: Tensor, keys: str | None = None):
-        """Normed query and key tokens, bias terms and key segment names;
-        `keys` as in `bias_terms`."""
+        """Normed query and key tokens and bias terms; `keys` as in
+        `bias_terms`."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
         if keys is None:
-            return x, x, self.bias_terms(), self.layout.names()
-        rows, stop, names = self._search_keys(keys)
-        return x[rows], x[0:stop], self.bias_terms(keys), names
+            return x, x, self.bias_terms()
+        rows, stop, _ = self._search_keys(keys)
+        return x[rows], x[0:stop], self.bias_terms(keys)
 
     def __call__(self, tokens: Tensor) -> Tensor:
         return self.forward(tokens)
 
     def forward(self, tokens: Tensor) -> Tensor:
         """Full joint attention; output layout equals input layout."""
-        xq, xk, biases, _ = self._select(tokens)
+        xq, xk, biases = self._select(tokens)
         return self._residual(tokens, self.attend(xq, xk, biases))
 
     def forward_search_queries(self, tokens: Tensor, keys: str = "templates") -> Tensor:
@@ -272,25 +254,6 @@ class CrossFrameAttention(_PreNormAttention):
         tokens only; keys="all" keeps search tokens in the key set too.
         Returns just the search-segment tokens.
         """
-        xq, xk, biases, _ = self._select(tokens, keys)
+        xq, xk, biases = self._select(tokens, keys)
         search = tokens[self.layout.segment_slice("search")]
         return self._residual(search, self.attend(xq, xk, biases))
-
-    def attention_blocks(self, tokens: Tensor, keys: str | None = None
-                         ) -> dict[tuple[str, str], np.ndarray]:
-        """Post-softmax weights partitioned by (query segment, key segment).
-
-        keys=None gives the full map, nine blocks for a three-segment
-        layout; "templates" or "all" give only the search-query rows
-        against that key set, as in `forward_search_queries`.
-        """
-        xq, xk, biases, key_names = self._select(tokens, keys)
-        query_names = self.layout.names() if keys is None else ("search",)
-
-        def split(a: np.ndarray, names, axis: int) -> list[np.ndarray]:
-            sizes = [h * w for h, w in map(self.layout.grid, names)]
-            return np.split(a, np.cumsum(sizes)[:-1], axis=axis)
-
-        rows = split(self.weights(xq, xk, biases).data, query_names, 1)
-        return {(qn, kn): block for qn, row in zip(query_names, rows)
-                for kn, block in zip(key_names, split(row, key_names, 2))}

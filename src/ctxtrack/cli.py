@@ -121,7 +121,7 @@ def _cmd_track(args) -> int:
 def _read_trace(path) -> list[float]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):

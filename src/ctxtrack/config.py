@@ -88,6 +88,8 @@ def config_from_dict(data) -> ExperimentConfig:
 
     model_section = dict(data.get("model", {}))
     preset = model_section.pop("preset", "toy")
+    if not isinstance(preset, str):
+        raise ConfigError("model.preset must be a string")
     if preset not in PRESETS:
         raise ConfigError(
             f"unknown model preset {preset!r}, expected one of "
@@ -116,11 +118,13 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the digit limit;
+        # RecursionError, arrays or objects nested past the parser's depth
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(data)
 

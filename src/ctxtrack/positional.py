@@ -29,13 +29,6 @@ class SegmentLayout:
 
     segments: tuple[tuple[str, int, int], ...]
 
-    @classmethod
-    def single(cls, name: str, h: int, w: int) -> "SegmentLayout":
-        # degenerate one-segment layout, used by oracle tests
-        if h < 1 or w < 1:
-            raise ValueError(f"grid must be at least 1x1, got {h}x{w}")
-        return cls(((name, h, w),))
-
     @property
     def length(self) -> int:
         return sum(h * w for _, h, w in self.segments)
@@ -61,26 +54,6 @@ class SegmentLayout:
         off = self.offset(name)
         h, w = self.grid(name)
         return slice(off, off + h * w)
-
-    def coords(self, index: int) -> tuple[str, int, int]:
-        """Token index -> (segment, row, col); inverse of the flattening."""
-        if not 0 <= index < self.length:
-            raise IndexError(index)
-        for seg, h, w in self.segments:
-            if index < h * w:
-                return (seg, index // w, index % w)
-            index -= h * w
-        raise AssertionError("unreachable")
-
-    def token_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-token (segment id, row, col) arrays over the full sequence."""
-        seg_ids, rows, cols = [], [], []
-        for sid, (_, h, w) in enumerate(self.segments):
-            seg_ids.append(np.full(h * w, sid))
-            rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-            rows.append(rr.reshape(-1))
-            cols.append(cc.reshape(-1))
-        return (np.concatenate(seg_ids), np.concatenate(rows), np.concatenate(cols))
 
 
 def segment_layout(target: tuple[int, int], previous: tuple[int, int],
@@ -215,7 +188,3 @@ class PairwiseRegionBias(Module):
         """Full (heads, L, L) relative logits assembled from all regions."""
         names = self.layout.names()
         return self._gather(names, names)
-
-    def zero_(self) -> None:
-        for t in self.tables:
-            t.data[...] = 0.0

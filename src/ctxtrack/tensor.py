@@ -7,8 +7,9 @@ order and accumulates gradients additively over fan-out. Most ops record,
 through `_node`, one local derivative per parent, which the sweep applies
 itself; `matmul` and the fused ops record a backward callable. The fused
 ops, up to a transformer block's attention and feed-forward sublayers,
-share array-level forward and backward kernels. An op run while no tape
-is recorded builds neither. The tape is rebuilt on every forward pass and
+share array-level forward and backward kernels and match, bit for bit,
+the primitive-op composites in the tests. An op run while no tape is
+recorded builds neither. The tape is rebuilt on every forward pass and
 freed by the sweep that walks it; there is no graph reuse.
 """
 from __future__ import annotations
@@ -121,13 +122,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -289,16 +283,6 @@ class Tensor:
         kept = axis if axis is not None and not keepdims else ()
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,),
                      (lambda g: np.broadcast_to(np.expand_dims(g, kept), in_shape),))
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = 1
-            for ax in axes:
-                count *= self.data.shape[ax]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -488,23 +472,6 @@ def _attention_softmax_backward(g: np.ndarray, out: np.ndarray, q: np.ndarray,
     if k_acc is not None:
         kt_shape = k.shape[:-2] + (k.shape[-1], k.shape[-2])
         k_acc(_unbroadcast(q.swapaxes(-1, -2) @ gl, kt_shape).swapaxes(-1, -2))
-
-
-def attention_weights(q, k, scale: float, biases: Sequence[Tensor] = ()) -> Tensor:
-    """softmax(q @ kᵀ * scale + Σ biases) over the last axis, as one tape node.
-
-    Forward and backward repeat, in order, the float operations of the same
-    formula built from `matmul`, `swapaxes`, `*`, `+` and a last-axis
-    softmax node (max subtracted, exp, divided by the sum; its gradient is
-    out * (g - sum(g * out))), so both match it bit for bit.
-    """
-    q, k = as_tensor(q), as_tensor(k)
-    biases = tuple(as_tensor(b) for b in biases)
-    out = _attention_softmax(q.data, k.data, scale, [b.data for b in biases])
-    if not _GRAD_ENABLED:
-        return Tensor._wrap(out)
-    return Tensor._make(out, (q, k) + biases, lambda g: _attention_softmax_backward(
-        g, out, q.data, k.data, scale, biases, _acc(q), _acc(k)))
 
 
 def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
@@ -704,12 +671,13 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
 
     The value, query and key projections of xk, xq and xk are split into
     `heads` heads over the last axis; each head's weights are
-    `attention_weights(q, k, scale, biases)`; the weighted values are merged
-    and projected by `w_out`. Leading axes batch, one per window. Forward
-    and backward repeat, in order, the float operations of that formula
-    built from `linear`, `rearrange`, `attention_weights` and `matmul`, so
-    values and gradients match it bit for bit; that includes the order in
-    which xk receives its key and value gradients, after xq's query
+    softmax(q @ kᵀ * scale + Σ biases) over the keys; the weighted values
+    are merged and projected by `w_out`. Leading axes batch, one per
+    window. Forward and backward repeat, in order, the float operations of
+    that formula built from `linear`, `rearrange`, `matmul`, `*`, `+` and a
+    last-axis softmax node (`composite_attend` in tests/reference_ops.py),
+    so values and gradients match it bit for bit; that includes the order
+    in which xk receives its key and value gradients, after xq's query
     gradient when xq is xk.
     """
     xq, xk = as_tensor(xq), as_tensor(xk)
@@ -817,10 +785,6 @@ class Module:
                     elif isinstance(item, Tensor) and item.requires_grad:
                         out[f"{prefix}{key}.{i}"] = item
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.grad = None
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.parameters()
         missing = sorted(set(params) - set(state))
@@ -845,29 +809,3 @@ def normal_parameter(rng: np.random.Generator, *shape: int) -> Tensor:
     """A weight of `shape` drawn from N(0, 0.02^2), the init of every
     randomly drawn weight in the network."""
     return parameter(rng.normal(scale=0.02, size=shape))
-
-
-# ----------------------------------------------------------------------
-# gradient oracle
-# ----------------------------------------------------------------------
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Perturbs ``x.data`` in place and restores it, so ``f`` may close over a
-    model that owns ``x``. Runs with the tape disabled.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    flat = x.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(x))
-            flat[i] = orig - eps
-            lo = float(f(x))
-            flat[i] = orig
-            grad[i] = (hi - lo) / (2.0 * eps)
-    return grad.reshape(x.data.shape)

@@ -23,9 +23,6 @@ class ConfidenceHistory:
         self._total = 0.0         # sum of values
         self._prefix_total = 0.0  # sum over k of (mean of the first k values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def append(self, value: float) -> None:
         value = float(value)
         if not 0.0 <= value <= 1.0:

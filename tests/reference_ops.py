@@ -1,18 +1,39 @@
-"""Taped primitive ops that only tests use, as references for fused ops.
+"""Reference code that only tests use: the gradient oracle, the primitive-op
+composites that the library's fused ops must match bit for bit, and the
+layout and attention-weight views that no library run reads.
 
-`composite_gelu` builds gelu from `tanh`, and the attention-weight tests
-build their composite from `softmax_lastdim`; both record `_node` tape
-nodes, so their gradients run through the same sweep as the library's.
-`composite_attend` and `composite_residual` are a pre-norm attention
-layer's two sublayers built from one tape node per step, which
-`attention_sublayer` and `feed_forward_sublayer` must match bit for bit.
+The composites record `_node` tape nodes, so their gradients run through
+the same sweep as the library's. `composite_attend` and
+`composite_residual` are a pre-norm attention layer's two sublayers, which
+`attention_sublayer` and `feed_forward_sublayer` replace.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ctxtrack.tensor import Tensor, _exp_normalize, _node, as_tensor, matmul
+from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
+from ctxtrack.tensor import Tensor, _exp_normalize, _node, as_tensor, gelu, matmul, no_grad
+
+
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a
+    time. Perturbs ``x.data`` in place and restores it, so ``f`` may close
+    over a model that owns ``x``. Runs with the tape disabled."""
+    flat = x.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(f(x))
+            flat[i] = orig - eps
+            lo = float(f(x))
+            flat[i] = orig
+            grad[i] = (hi - lo) / (2.0 * eps)
+    return grad.reshape(x.data.shape)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -42,6 +63,22 @@ def seeded_root(out: Tensor, seed) -> Tensor:
     return Tensor._make(np.zeros(()), (out,), bwd)
 
 
+def composite_attention_weights(q, k, scale, biases=()) -> Tensor:
+    """softmax(q @ kᵀ * scale + Σ biases), each bias term added in turn."""
+    logits = matmul(q, k.swapaxes(-1, -2)) * scale
+    for bias in biases:
+        logits = logits + bias
+    return softmax_lastdim(logits)
+
+
+def _split(layer, t: Tensor) -> Tensor:
+    """(..., L, dim) -> (..., heads, L, head_dim), one `rearrange` node."""
+    *lead, length, _ = t.shape
+    n, head_dim = len(lead), layer.dim // layer.heads
+    return t.rearrange((*lead, length, layer.heads, head_dim), (*range(n), n + 1, n, n + 2),
+                       (*lead, layer.heads, length, head_dim))
+
+
 def _merge(layer, t: Tensor) -> Tensor:
     """(..., heads, L, head_dim) -> (..., L, dim), one `rearrange` node."""
     *lead, _, length, _ = t.shape
@@ -49,14 +86,72 @@ def _merge(layer, t: Tensor) -> Tensor:
     return t.rearrange(t.shape, (*range(n), n + 1, n, n + 2), (*lead, length, layer.dim))
 
 
+def layer_weights(layer, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
+    """Post-softmax (..., heads, Lq, Lk) weights of a layer's normed tokens."""
+    q = _split(layer, layer.w_query(xq))
+    k = _split(layer, layer.w_key(xk))
+    return composite_attention_weights(q, k, layer.scale, biases)
+
+
 def composite_attend(layer, xq: Tensor, xk: Tensor, biases=()) -> Tensor:
     """`layer.attend` from `Linear` projections, `rearrange` head splits and
-    merges, `attention_weights` and `matmul`."""
-    v = layer._split(layer.w_value(xk))
-    return layer.w_out(_merge(layer, matmul(layer.weights(xq, xk, biases), v)))
+    merges, `composite_attention_weights` and `matmul`."""
+    v = _split(layer, layer.w_value(xk))
+    return layer.w_out(_merge(layer, matmul(layer_weights(layer, xq, xk, biases), v)))
+
+
+def feed_forward(ff, x: Tensor) -> Tensor:
+    """fc2(gelu(fc1(x))) of a `FeedForward`."""
+    return ff.fc2(gelu(ff.fc1(x)))
 
 
 def composite_residual(layer, tokens: Tensor, attn: Tensor) -> Tensor:
-    """`layer._residual` from `+`, `LayerNorm` and `FeedForward`."""
+    """`layer._residual` from `+`, `LayerNorm` and `feed_forward`."""
     res = tokens + attn
-    return res + layer.ff(layer.norm2(res))
+    return res + feed_forward(layer.ff, layer.norm2(res))
+
+
+def attention_blocks(layer, tokens: Tensor, keys: str | None = None
+                     ) -> dict[tuple[str, str], np.ndarray]:
+    """A `CrossFrameAttention` layer's post-softmax weights by (query
+    segment, key segment): all of them for keys=None, else the search rows
+    against the key set of `forward_search_queries(tokens, keys)`."""
+    xq, xk, biases = layer._select(tokens, keys)
+    layout = layer.layout
+    query_names = layout.names() if keys is None else ("search",)
+    key_names = layout.names() if keys is None else layer._search_keys(keys)[2]
+
+    def split(a: np.ndarray, names, axis: int) -> list[np.ndarray]:
+        sizes = [h * w for h, w in map(layout.grid, names)]
+        return np.split(a, np.cumsum(sizes)[:-1], axis=axis)
+
+    rows = split(layer_weights(layer, xq, xk, biases).data, query_names, 1)
+    return {(qn, kn): block for qn, row in zip(query_names, rows)
+            for kn, block in zip(key_names, split(row, key_names, 2))}
+
+
+def single_layout(name: str, h: int, w: int) -> SegmentLayout:
+    """A one-segment layout."""
+    return SegmentLayout(((name, h, w),))
+
+
+def coords(layout: SegmentLayout, index: int) -> tuple[str, int, int]:
+    """Token index -> (segment, row, col); inverse of the flattening."""
+    if not 0 <= index < layout.length:
+        raise IndexError(index)
+    for seg, h, w in layout.segments:
+        if index < h * w:
+            return (seg, index // w, index % w)
+        index -= h * w
+    raise AssertionError("unreachable")
+
+
+def segment_ids(layout: SegmentLayout) -> np.ndarray:
+    """Each token's segment index over the full sequence."""
+    return np.repeat(np.arange(len(layout.segments)), [h * w for _, h, w in layout.segments])
+
+
+def zero_tables(bias: PairwiseRegionBias) -> None:
+    """Set every relative displacement table of `bias` to zero."""
+    for t in bias.tables:
+        t.data[...] = 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from reference_attention import reference_block
+from reference_ops import coords, single_layout, zero_tables
 
 from ctxtrack.attention import CrossFrameAttention
 from ctxtrack.backbone import ltrb_map
@@ -19,8 +20,7 @@ from ctxtrack.cli import main
 from ctxtrack.heads import (_ltrb_to_boxes_tensor, giou_loss, total_loss,
                             tracking_loss, varifocal_loss)
 from ctxtrack.model import STRIDE, TrackerNet, toy_spec
-from ctxtrack.positional import (PairwiseRegionBias, SegmentLayout,
-                                 segment_layout)
+from ctxtrack.positional import PairwiseRegionBias, segment_layout
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
 from ctxtrack.tensor import Tensor, as_tensor
 from ctxtrack.tracker import TrackConfig, compute_metrics, run_tracker, \
@@ -44,11 +44,11 @@ def test_01_single_segment_attention_matches_vanilla_reference():
         heads = int(rng.choice([1, 2, 4]))
         head_dim = int(rng.integers(1, 32 // heads + 1))
         dim = heads * head_dim               # dim <= 32
-        layout = SegmentLayout.single("search", h, w)
+        layout = single_layout("search", h, w)
         layer = CrossFrameAttention(layout, dim, heads, rng)
         for table in layer.abs_bias.tables:
             table.data[...] = 0.0
-        layer.rel_bias.zero_()
+        zero_tables(layer.rel_bias)
         tokens = rng.normal(size=(h * w, dim))
         out = layer(Tensor(tokens)).data
         params = {k: v.data for k, v in layer.parameters().items()}
@@ -75,7 +75,8 @@ def test_02_full_model_gradients_match_finite_differences():
 
     outputs = net.forward(target, previous, search, prev_box=prev_box)
     total, _, tgt = tracking_loss(outputs, gt, STRIDE)
-    net.zero_grad()
+    for p in net.parameters().values():
+        p.grad = None
     total.backward()
 
     # The IoU-aware classification targets are treated as constants by the
@@ -155,9 +156,9 @@ def test_04_region_bias_assembly_matches_per_pair_lookup():
         n = layout.length
         expected = np.empty((heads, n, n))
         for i in range(n):
-            qseg, qr, qc = layout.coords(i)
+            qseg, qr, qc = coords(layout, i)
             for j in range(n):
-                kseg, kr, kc = layout.coords(j)
+                kseg, kr, kc = coords(layout, j)
                 table = bias_mod.table(qseg, kseg).data
                 hk, wk = layout.grid(kseg)
                 expected[:, i, j] = table[:, qr - kr + hk - 1,

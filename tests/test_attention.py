@@ -12,11 +12,13 @@ from ctxtrack.attention import (
     _PreNormAttention,
     window_partition,
 )
-from ctxtrack.positional import SegmentLayout, UntiedPositionBias, segment_layout
-from ctxtrack.tensor import Tensor, finite_diff_grad, no_grad, parameter
+from ctxtrack.positional import UntiedPositionBias, segment_layout
+from ctxtrack.tensor import Tensor, no_grad, parameter
 
 from reference_attention import reference_block
-from reference_ops import composite_attend, composite_residual, seeded_root
+from reference_ops import (attention_blocks, composite_attend, composite_residual,
+                           feed_forward, finite_diff_grad, seeded_root, single_layout,
+                           zero_tables)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -27,7 +29,7 @@ def rel_err(a, b, floor=1e-6):
 def zero_positional(layer: CrossFrameAttention) -> None:
     for t in layer.abs_bias.tables:
         t.data[...] = 0.0
-    layer.rel_bias.zero_()
+    zero_tables(layer.rel_bias)
 
 
 def toy_layer(seed=0, dim=8, heads=2):
@@ -77,7 +79,7 @@ def test_feedforward_expansion_shapes():
     ff = FeedForward(8, rng)
     assert ff.fc1.weight.shape == (8, 32)
     assert ff.fc2.weight.shape == (32, 8)
-    assert ff(Tensor(rng.normal(size=(6, 8)))).shape == (6, 8)
+    assert feed_forward(ff, Tensor(rng.normal(size=(6, 8)))).shape == (6, 8)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +268,7 @@ def test_forward_rejects_layout_mismatch():
 def test_degeneracy_to_vanilla_block():
     """Single segment + zero positional tables reproduces a plain block."""
     rng = np.random.default_rng(9)
-    layout = SegmentLayout.single("search", 3, 3)
+    layout = single_layout("search", 3, 3)
     layer = CrossFrameAttention(layout, 8, 2, rng)
     zero_positional(layer)
     tokens = rng.normal(size=(9, 8))
@@ -362,7 +364,7 @@ def test_search_query_uniform_keys_give_uniform_attention():
     zero_positional(layer)
     tokens = rng.normal(size=(9, 8))
     tokens[0:5] = tokens[0]  # target and previous tokens all identical
-    blocks = layer.attention_blocks(Tensor(tokens), keys="templates")
+    blocks = attention_blocks(layer, Tensor(tokens), keys="templates")
     stacked = np.concatenate(
         [blocks[("search", "target")], blocks[("search", "previous")]], axis=2)
     assert stacked.shape == (2, 4, 5)
@@ -403,7 +405,7 @@ def test_search_query_gradcheck():
 
 def test_attention_blocks_shapes():
     layer, _, rng = toy_layer(seed=20)
-    blocks = layer.attention_blocks(Tensor(rng.normal(size=(9, 8))))
+    blocks = attention_blocks(layer, Tensor(rng.normal(size=(9, 8))))
     assert len(blocks) == 9
     assert blocks[("target", "target")].shape == (2, 1, 1)
     assert blocks[("target", "previous")].shape == (2, 1, 4)
@@ -412,7 +414,7 @@ def test_attention_blocks_shapes():
 
 def test_attention_blocks_rows_sum_to_one():
     layer, layout, rng = toy_layer(seed=21)
-    blocks = layer.attention_blocks(Tensor(rng.normal(size=(9, 8))))
+    blocks = attention_blocks(layer, Tensor(rng.normal(size=(9, 8))))
     for qn in layout.names():
         row = np.concatenate([blocks[(qn, kn)] for kn in layout.names()], axis=2)
         assert np.allclose(row.sum(axis=2), 1.0, atol=1e-9)
@@ -420,8 +422,7 @@ def test_attention_blocks_rows_sum_to_one():
 
 def test_attention_blocks_restricted_drops_search_keys():
     layer, _, rng = toy_layer(seed=22)
-    blocks = layer.attention_blocks(Tensor(rng.normal(size=(9, 8))),
-                                    keys="templates")
+    blocks = attention_blocks(layer, Tensor(rng.normal(size=(9, 8))), keys="templates")
     assert set(blocks) == {("search", "target"), ("search", "previous")}
     row = np.concatenate([blocks[("search", "target")],
                           blocks[("search", "previous")]], axis=2)
@@ -431,8 +432,8 @@ def test_attention_blocks_restricted_drops_search_keys():
 def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
     layer, layout, rng = toy_layer(seed=24)
     tokens = Tensor(rng.normal(size=(9, 8)))
-    full = layer.attention_blocks(tokens)
-    restricted = layer.attention_blocks(tokens, keys="all")
+    full = attention_blocks(layer, tokens)
+    restricted = attention_blocks(layer, tokens, keys="all")
     assert set(restricted) == {("search", kn) for kn in layout.names()}
     for key, block in restricted.items():
         assert np.max(np.abs(block - full[key])) <= 1e-12

@@ -261,6 +261,21 @@ class TestExitCodes:
         assert "at least 2 frames" in capsys.readouterr().err
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--config", b"\xff\xfe\n"), ("--trace", b"\xff\xfe\n"), ("--config", b"[" * 100_000),
+        ("--config", b'{"train": {"steps": ' + b"9" * 5000 + b"}}")],
+        ids=["config-not-utf8", "trace-not-utf8", "config-too-deep", "config-int-too-long"])
+    def test_unreadable_input_text_is_one_error_line(self, tmp_path, capsys, flag, content):
+        bad, trace = tmp_path / "input", tmp_path / "trace.txt"
+        bad.write_bytes(content)
+        trace.write_text("0.5\n", encoding="utf-8")
+        inputs = {"--config": _write_config(tmp_path), "--trace": str(trace), flag: str(bad)}
+        assert main(["update-sim", *(a for pair in inputs.items() for a in pair),
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+
 
 def test_runtime_imports_only_stdlib_and_numpy():
     # modules `import ctxtrack.cli` adds to a fresh interpreter, against a

@@ -1,11 +1,14 @@
 """Experiment configuration loading tests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ctxtrack.config import (config_from_dict, config_to_dict,
+from ctxtrack.cli import _read_trace
+from ctxtrack.config import (SECTIONS, config_from_dict, config_to_dict,
                              default_config, load_config, save_config)
 from ctxtrack.errors import ConfigError
 from ctxtrack.synthetic import SequenceConfig
@@ -176,6 +179,12 @@ def test_unknown_preset_rejected():
         config_from_dict({"model": {"preset": "huge"}})
 
 
+@pytest.mark.parametrize("preset", [[], {}, ["toy"]], ids=["list", "object", "nested"])
+def test_non_string_preset_rejected(preset):
+    with pytest.raises(ConfigError, match="model.preset must be a string"):
+        config_from_dict({"model": {"preset": preset}})
+
+
 def test_type_errors_rejected():
     with pytest.raises(ConfigError, match="must be an integer"):
         config_from_dict({"train": {"steps": 2.5}})
@@ -229,3 +238,33 @@ _FLOAT_FIELDS = [(TrainConfig, name) for name in
 def test_validate_rejects_non_finite_field(cls, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         cls(**{name: value}).validate()
+
+
+# arbitrary bytes as an input file, among them JSON documents whose keys are
+# config names, so that some draws get past the parser to the field checks
+_KEYS = sorted({*SECTIONS, *(k for sec in config_to_dict(default_config()).values() for k in sec)})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet='[]{}":,.-+e0123456789 \n#aflnrstu\\', max_size=64).map(str.encode),
+    _JSON.map(lambda value: json.dumps(value).encode()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=_FILE_BYTES)
+@example(data=b"\xff\xfe\n")
+@example(data=b"[" * 100_000)
+@example(data=b'{"model": {"preset": []}}')
+def test_arbitrary_bytes_give_a_value_or_config_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        for read in (load_config, _read_trace):
+            try:
+                read(path)
+            except ConfigError:
+                pass

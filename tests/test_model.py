@@ -9,7 +9,9 @@ from ctxtrack.backbone import BoxEmbedding
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
 from ctxtrack.tracker import TrackConfig, run_tracker
-from ctxtrack.tensor import Tensor, finite_diff_grad, linear, matmul, no_grad
+from ctxtrack.tensor import Tensor, linear, matmul, no_grad
+
+from reference_ops import coords, finite_diff_grad
 
 
 def rel_err(a, b, floor=1e-6):
@@ -142,10 +144,10 @@ def test_window_partition_lists_each_window_of_each_image(name):
     assert np.array_equal(windows.order[windows.inverse], np.arange(layout.length))
     seen = set()
     for run in windows.order.reshape(-1, win * win):
-        coords = [layout.coords(int(i)) for i in run]
-        cells = {(seg, r // win, c // win) for seg, r, c in coords}
+        places = [coords(layout, int(i)) for i in run]
+        cells = {(seg, r // win, c // win) for seg, r, c in places}
         assert len(cells) == 1   # one window of one image
-        assert sorted((r % win, c % win) for _, r, c in coords) == \
+        assert sorted((r % win, c % win) for _, r, c in places) == \
             [(r, c) for r in range(win) for c in range(win)]
         seen |= cells
     assert len(seen) == layout.length // (win * win)

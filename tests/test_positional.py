@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ctxtrack.positional import (PairwiseRegionBias, SegmentLayout, UntiedPositionBias,
-                                 _gather_index, segment_layout)
+from ctxtrack.positional import (PairwiseRegionBias, UntiedPositionBias, _gather_index,
+                                 segment_layout)
 from ctxtrack.tensor import Tensor, concat
+
+from reference_ops import coords, segment_ids, single_layout, zero_tables
 
 
 def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
@@ -12,9 +14,9 @@ def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
     L = layout.length
     out = np.zeros((bias.heads, L, L))
     for i in range(L):
-        seg_i, ri, ci = layout.coords(i)
+        seg_i, ri, ci = coords(layout, i)
         for j in range(L):
-            seg_j, rj, cj = layout.coords(j)
+            seg_j, rj, cj = coords(layout, j)
             table = bias.table(seg_i, seg_j).data
             hk, wk = layout.grid(seg_j)
             out[:, i, j] = table[:, ri - rj + hk - 1, ci - cj + wk - 1]
@@ -28,10 +30,10 @@ def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
 def test_layout_small_enumeration():
     lay = segment_layout((1, 1), (2, 2), (2, 2))
     assert lay.length == 9
-    assert lay.coords(0) == ("target", 0, 0)
-    assert lay.coords(1) == ("previous", 0, 0)
-    assert lay.coords(4) == ("previous", 1, 1)
-    assert lay.coords(5) == ("search", 0, 0)
+    assert coords(lay, 0) == ("target", 0, 0)
+    assert coords(lay, 1) == ("previous", 0, 0)
+    assert coords(lay, 4) == ("previous", 1, 1)
+    assert coords(lay, 5) == ("search", 0, 0)
 
 
 def test_layout_stride16_full_scale():
@@ -40,9 +42,9 @@ def test_layout_stride16_full_scale():
 
 
 def test_layout_single_segment():
-    lay = SegmentLayout.single("search", 1, 1)
+    lay = single_layout("search", 1, 1)
     assert lay.length == 1
-    assert lay.coords(0) == ("search", 0, 0)
+    assert coords(lay, 0) == ("search", 0, 0)
 
 
 def test_layout_rejects_zero_grid():
@@ -54,7 +56,7 @@ def test_layout_coords_bijective():
     lay = segment_layout((2, 3), (3, 2), (4, 4))
     seen = set()
     for i in range(lay.length):
-        seg, r, c = lay.coords(i)
+        seg, r, c = coords(lay, i)
         assert lay.offset(seg) + r * lay.grid(seg)[1] + c == i
         seen.add((seg, r, c))
     assert len(seen) == lay.length
@@ -73,7 +75,7 @@ def test_untied_bias_zero_tables_give_zero():
 
 
 def test_untied_bias_scalar_closed_form():
-    lay = SegmentLayout.single("search", 1, 1)
+    lay = single_layout("search", 1, 1)
     bias = UntiedPositionBias(lay, dim=1, heads=1, rng=np.random.default_rng(0))
     c, u, v = 0.7, 1.3, -0.4
     bias.tables[0].data[...] = c
@@ -110,7 +112,7 @@ def test_region_table_sizes():
 def test_region_bias_zero_tables_give_zero():
     lay = segment_layout((1, 1), (2, 2), (2, 2))
     bias = PairwiseRegionBias(lay, heads=2, rng=np.random.default_rng(3))
-    bias.zero_()
+    zero_tables(bias)
     assert np.array_equal(bias.bias().data, np.zeros((2, 9, 9)))
 
 
@@ -119,7 +121,7 @@ def test_adjacent_search_tokens_use_independent_entries():
     bias = PairwiseRegionBias(lay, heads=1, rng=np.random.default_rng(4))
     table = bias.table("search", "search")
     # displacements (0,-1) and (0,+1) live at different table cells
-    bias.zero_()
+    zero_tables(bias)
     table.data[0, 0, 0] = 5.0   # dcol = -1
     table.data[0, 0, 2] = 7.0   # dcol = +1
     block = bias.block("search", "search").data
@@ -150,12 +152,12 @@ def test_translation_invariance_within_segment():
 
 def test_every_pair_resolved_from_exactly_one_region():
     lay = segment_layout((1, 2), (2, 2), (2, 3))
-    table = lay.token_tables()[0]
+    table = segment_ids(lay)
     names = lay.names()
     for i in range(lay.length):
         for j in range(lay.length):
-            seg_i, _, _ = lay.coords(i)
-            seg_j, _, _ = lay.coords(j)
+            seg_i, _, _ = coords(lay, i)
+            seg_j, _, _ = coords(lay, j)
             assert names[table[i]] == seg_i and names[table[j]] == seg_j
 
 

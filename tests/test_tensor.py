@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ctxtrack.tensor import (
-    Module, Tensor, _unbroadcast, attention_sublayer, attention_weights, concat,
-    feed_forward_sublayer, finite_diff_grad, gelu, layer_norm, linear, matmul,
-    maximum, minimum, no_grad, parameter,
+    Module, Tensor, _unbroadcast, attention_sublayer, concat, feed_forward_sublayer,
+    gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
 )
 from ctxtrack.optim import Adam
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
-from reference_ops import seeded_root, softmax_lastdim, tanh
+from reference_ops import finite_diff_grad, seeded_root, softmax_lastdim, tanh
 
 
 def rel_err(a, b, floor=1e-6):
@@ -551,9 +550,10 @@ def composite_gelu(t):
 
 def composite_layer_norm(x, gamma, beta, eps):
     """Layer norm as twelve primitive tape ops, centring by adding -mean."""
-    mu = x.mean(axis=-1, keepdims=True)
+    k = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * k
     centered = x + (-mu)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * k
     return centered * ((var + eps) ** -0.5) * gamma + beta
 
 
@@ -713,7 +713,7 @@ def test_getitem_basic_index_grads_match_scatter_add():
 
 
 # ----------------------------------------------------------------------
-# fused linear and attention softmax against their composites
+# fused linear against its composite, and the attention softmax
 # ----------------------------------------------------------------------
 
 def _bytes_equal(a, b):
@@ -776,46 +776,13 @@ def test_linear_rejects_bad_operands():
         linear(Tensor(np.ones((2, 4, 6))), Tensor(np.ones((3, 2))))
 
 
-def _composite_attention_weights(q, k, scale, biases):
-    logits = matmul(q, k.swapaxes(-1, -2)) * scale
-    for bias in biases:
-        logits = logits + bias
-    return softmax_lastdim(logits)
-
-
-def _run_attention(op, n_bias, batch, seed=4):
-    """Weights and every gradient when q and k are two-head projections of
-    one shared input, split as the attention layers split them, so their
-    gradients meet in it."""
-    rng = np.random.default_rng(seed)
-    lq, lk, d = 5, 6, 4
-    x = parameter(rng.normal(size=batch + (lk, 8)))
-    wq = parameter(rng.normal(scale=0.5, size=(8, 2 * d)))
-    wk = parameter(rng.normal(scale=0.5, size=(8, 2 * d)))
-    biases = [parameter(rng.normal(size=(2, lq, lk))) for _ in range(n_bias)]
-    q = matmul(x[..., :lq, :], wq).reshape(*batch, lq, 2, d).swapaxes(-3, -2)
-    k = matmul(x, wk).reshape(*batch, lk, 2, d).swapaxes(-3, -2)
-    weights = op(q, k, np.float64(0.37), biases)
-    c = rng.normal(size=weights.shape)
-    c[rng.random(weights.shape) < 0.3] = -0.0
-    (weights * c).sum().backward()
-    return weights.data, [t.grad for t in (x, wq, wk, *biases)]
-
-
-@pytest.mark.parametrize("n_bias", [0, 1, 2])
-@pytest.mark.parametrize("batch", [(), (3, 2)], ids=["joint", "windows"])
-def test_attention_weights_match_composite_bytes(n_bias, batch):
-    got, got_grads = _run_attention(attention_weights, n_bias, batch)
-    want, want_grads = _run_attention(_composite_attention_weights, n_bias, batch)
-    assert _bytes_equal(got, want)
-    for g, w in zip(got_grads, want_grads):
-        assert _bytes_equal(g, w)
-
-
 def test_attention_weights_rows_sum_to_one_with_extreme_logits():
-    q = Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
-    k = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]))
-    out = attention_weights(q, k, 1.0).data
+    # one head whose identity value and output maps pass the weights
+    # through: query rows (±1000, 0, 0) meet keys (1, 0, 0), (-1, 0, 0), 0
+    xq = Tensor(np.array([[1000.0, 0.0, 0.0], [-1000.0, 0.0, 0.0]]))
+    eye = Tensor(np.eye(3))
+    w_key = Tensor(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    out = attention_sublayer(xq, eye, eye, w_key, eye, eye, 1, 1.0).data
     assert np.all(np.isfinite(out))
     assert np.allclose(out.sum(axis=-1), 1.0)
 
@@ -838,7 +805,6 @@ def _fused_case(name, rng):
         "linear": lambda: linear(x, w, b),
         "linear_no_bias": lambda: linear(x, w),
         "matmul_raw_operand": lambda: matmul(x.data, w),
-        "attention_weights": lambda: attention_weights(x, y, 0.5, [bias]),
         "layer_norm": lambda: layer_norm(x, g, b[:4], 1e-5),
         "gelu": lambda: gelu(x),
         "concat": lambda: concat([x, y], axis=1),
@@ -850,9 +816,8 @@ def _fused_case(name, rng):
 
 
 @pytest.mark.parametrize("name", ["linear", "linear_no_bias", "matmul_raw_operand",
-                                  "attention_weights", "layer_norm", "gelu",
-                                  "concat", "gather", "attention_sublayer",
-                                  "feed_forward_sublayer"])
+                                  "layer_norm", "gelu", "concat", "gather",
+                                  "attention_sublayer", "feed_forward_sublayer"])
 def test_tape_free_fused_op_matches_taped_bytes_and_builds_no_node(monkeypatch, name):
     op = _fused_case(name, np.random.default_rng(7))
     taped = op()

@@ -285,7 +285,8 @@ class TestReusedBiasTerms:
 
     @staticmethod
     def _gradients(net):
-        net.zero_grad()
+        for p in net.parameters().values():
+            p.grad = None
         out = net.forward(*_images(), prev_box=(20.0, 20.0, 40.0, 40.0))
         (out.cls.sum() + out.reg.sum()).backward()
         return {name: p.grad for name, p in net.parameters().items()}
