@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import LayerNorm, Linear
-from .imageops import Box, cell_grid, validate_box
+from .imageops import STRIDE, Box, cell_grid, validate_box
 from .tensor import Module, Tensor, gelu, normal_parameter
 
 
@@ -57,36 +57,31 @@ class Downsample(Module):
         return self.reduce(self.norm(x))
 
 
-def ltrb_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
+def ltrb_map(box: Box, grid: tuple[int, int]) -> np.ndarray:
     """Per-position distances to the four box sides, in grid units.
 
-    Position (row k_y, col k_x) gets (l, t, r, b) with l = k_x - x1/s,
-    t = k_y - y1/s, r = x2/s - k_x, b = y2/s - k_y. The channel sums l+r
-    and t+b equal the box width and height in grid units everywhere.
+    Position (row k_y, col k_x) gets (l, t, r, b) = (k_x - x1, k_y - y1,
+    x2 - k_x, y2 - k_y) for the box in grid units (pixels / STRIDE). The
+    channel sums l+r and t+b equal the box width and height everywhere.
     """
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
     x1, y1, x2, y2 = validate_box(box)
     ky, kx = cell_grid(grid)
-    out = np.stack([kx - x1 / stride, ky - y1 / stride,
-                    x2 / stride - kx, y2 / stride - ky], axis=-1)
-    return out
+    return np.stack([kx - x1 / STRIDE, ky - y1 / STRIDE,
+                     x2 / STRIDE - kx, y2 / STRIDE - ky], axis=-1)
 
 
-def gaussian_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
+def gaussian_map(box: Box, grid: tuple[int, int]) -> np.ndarray:
     """Isotropic Gaussian prior over the token grid, peak normalized to 1.
 
     The center is the box center in grid coordinates and the spread is
-    sigma = max(box_w, box_h) / (4 * stride) grid units, so larger targets
+    sigma = max(box_w, box_h) / (4 * STRIDE) grid units, so larger targets
     get wider priors. Normalizing by the maximum puts exactly 1.0 at the
     token nearest the center and keeps every value strictly positive.
     """
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
     x1, y1, x2, y2 = validate_box(box)
-    cx = (x1 + x2) / 2.0 / stride
-    cy = (y1 + y2) / 2.0 / stride
-    sigma = max(x2 - x1, y2 - y1) / (4.0 * stride)
+    cx = (x1 + x2) / 2.0 / STRIDE
+    cy = (y1 + y2) / 2.0 / STRIDE
+    sigma = max(x2 - x1, y2 - y1) / (4.0 * STRIDE)
     ky, kx = cell_grid(grid)
     d2 = (kx - cx) ** 2 + (ky - cy) ** 2
     # subtracting the minimum normalizes the peak to exp(0) = 1 without ever
@@ -98,24 +93,18 @@ def gaussian_map(box: Box, grid: tuple[int, int], stride: float) -> np.ndarray:
 class BoxEmbedding(Module):
     """Learnable injection of the previous-frame box into template tokens.
 
-    Produces w * gaussian + mlp(ltrb) over the token grid, where w is a
-    per-channel weight broadcast over positions and the mlp lifts the four
-    distance channels to the token width.
+    Produces w * gaussian_map + mlp(ltrb_map) of a box, in pixels, over the
+    `grid` fixed at construction; w is a per-channel weight broadcast over
+    positions and the mlp lifts the four distance channels to the token width.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, grid: tuple[int, int], rng: np.random.Generator):
         self.dim = dim
+        self.grid = grid
         self.weight = normal_parameter(rng, 1, 1, dim)
         self.fc1 = Linear(4, dim, rng)
         self.fc2 = Linear(dim, dim, rng)
 
-    def __call__(self, gaussian: np.ndarray, ltrb: np.ndarray) -> Tensor:
-        gaussian = np.asarray(gaussian, dtype=np.float64)
-        ltrb = np.asarray(ltrb, dtype=np.float64)
-        if (gaussian.ndim != 3 or gaussian.shape[2] != 1
-                or ltrb.ndim != 3 or ltrb.shape[2] != 4
-                or gaussian.shape[:2] != ltrb.shape[:2]):
-            raise ValueError(
-                f"grid mismatch: gaussian {gaussian.shape} vs ltrb {ltrb.shape}")
-        lifted = self.fc2(gelu(self.fc1(Tensor(ltrb))))
-        return self.weight * Tensor(gaussian) + lifted
+    def __call__(self, box: Box) -> Tensor:
+        lifted = self.fc2(gelu(self.fc1(Tensor(ltrb_map(box, self.grid)))))
+        return self.weight * Tensor(gaussian_map(box, self.grid)) + lifted

@@ -45,13 +45,25 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config)
 
 
-def _check_outputs(*paths) -> None:
-    """Fail before any work when an output file's directory is missing;
-    other write errors still surface as an OSError at the write."""
+def _check_outputs(*paths, out_dir=None) -> None:
+    """Fail before any work when an output file is a directory or its
+    directory is missing, or when `out_dir` or its nearest existing
+    ancestor is not a directory; other write errors still surface as an
+    OSError at the write."""
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write output {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write output {path}: directory "
                               f"{Path(path).parent} does not exist")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"cannot write output directory {out_dir}: "
+                              f"{existing} is not a directory")
 
 
 def _build_net(cfg: ExperimentConfig, params_path=None) -> TrackerNet:
@@ -67,6 +79,7 @@ def _build_net(cfg: ExperimentConfig, params_path=None) -> TrackerNet:
 
 
 def _cmd_gen(args) -> int:
+    _check_outputs(out_dir=args.out_dir)
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
     out_dir = Path(args.out_dir)
@@ -171,6 +184,7 @@ def _parse_layers(text) -> list[int] | None:
 
 
 def _cmd_respmap(args) -> int:
+    _check_outputs(out_dir=args.out_dir)
     cfg = _load(args)
     layers = _parse_layers(args.layers)
     sequence = gen_sequence(cfg.sequence)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import Linear
-from .imageops import Box, cell_grid, validate_box
+from .imageops import STRIDE, Box, cell_grid, validate_box
 from .tensor import (Module, Tensor, as_tensor, concat, gelu, maximum, minimum,
                      no_grad)
 
@@ -25,10 +25,6 @@ class HeadOutputs:
 
     cls: Tensor  # (H, W, 1)
     reg: Tensor  # (H, W, 4)
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.cls.shape[0], self.cls.shape[1]
 
 
 class Heads(Module):
@@ -67,11 +63,11 @@ def _data(x) -> np.ndarray:
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
 
 
-def decode_box(outputs: HeadOutputs, stride: float) -> DecodedBox:
+def decode_box(outputs: HeadOutputs) -> DecodedBox:
     """Box at the classification argmax; ties break to the lowest flat index.
 
     Grid position (row k_y, col k_x) with distances (l, t, r, b) decodes to
-    ((k_x - l) s, (k_y - t) s, (k_x + r) s, (k_y + b) s). A box without
+    STRIDE * (k_x - l, k_y - t, k_x + r, k_y + b) pixels. A box without
     positive extent on both axes is flagged as degenerate.
     """
     cls = _data(outputs.cls)[..., 0]
@@ -81,8 +77,8 @@ def decode_box(outputs: HeadOutputs, stride: float) -> DecodedBox:
     ky, kx = divmod(flat, w)
     l, t, r, b = reg[ky, kx]
     ay, ax = (g[ky, kx] for g in cell_grid((h, w)))
-    box = ((ax - l) * stride, (ay - t) * stride,
-           (ax + r) * stride, (ay + b) * stride)
+    box = ((ax - l) * STRIDE, (ay - t) * STRIDE,
+           (ax + r) * STRIDE, (ay + b) * STRIDE)
     return DecodedBox(box=box, confidence=float(cls[ky, kx]),
                       position=(ky, kx), degenerate=(l + r <= 0 or t + b <= 0))
 
@@ -164,21 +160,20 @@ class TrainingTarget:
     box: Box               # ground truth in pixels
 
 
-def build_targets(gt_box: Box, grid: tuple[int, int], stride: float,
-                  boxes) -> TrainingTarget:
+def build_targets(gt_box: Box, boxes: Tensor) -> TrainingTarget:
     """Positives are cells whose centers fall strictly inside the gt box;
     their target is the IoU of the predicted box at that cell, given as
     decoded (H, W, 4) grid-unit `boxes`, taken as a constant (no gradient
     flows through it)."""
     x1, y1, x2, y2 = validate_box(gt_box)
-    h, w = grid
-    if x1 < 0 or y1 < 0 or x2 > w * stride or y2 > h * stride:
-        raise ValueError(f"gt box {gt_box} outside the {w * stride}x{h * stride} image")
+    h, w = grid = boxes.shape[:2]
+    if x1 < 0 or y1 < 0 or x2 > w * STRIDE or y2 > h * STRIDE:
+        raise ValueError(f"gt box {gt_box} outside the {w * STRIDE}x{h * STRIDE} image")
     ky, kx = cell_grid(grid)
-    cy, cx = (ky + 0.5) * stride, (kx + 0.5) * stride
+    cy, cx = (ky + 0.5) * STRIDE, (kx + 0.5) * STRIDE
     positives = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
     with no_grad():
-        _, inter, union = _overlap(boxes, tuple(v / stride for v in (x1, y1, x2, y2)))
+        _, inter, union = _overlap(boxes, tuple(v / STRIDE for v in (x1, y1, x2, y2)))
         iou = (inter / union).data
     q = np.where(positives, np.clip(iou, 0.0, 1.0), 0.0)[..., None]
     return TrainingTarget(q=q, positives=positives, box=(x1, y1, x2, y2))
@@ -190,16 +185,16 @@ def total_loss(cls_term, giou_term, lambda_cls: float = 1.5,
     return cls_term * lambda_cls + giou_term * lambda_giou
 
 
-def tracking_loss(outputs: HeadOutputs, gt_box: Box, stride: float,
+def tracking_loss(outputs: HeadOutputs, gt_box: Box,
                   alpha: float = 0.75, gamma: float = 2.0,
                   lambda_cls: float = 1.5, lambda_giou: float = 1.5
                   ) -> tuple[Tensor, dict[str, float], TrainingTarget]:
     """Full objective for one frame: weighted cls + giou over positives."""
     boxes = _ltrb_to_boxes_tensor(outputs.reg)
-    target = build_targets(gt_box, outputs.grid, stride, boxes)
+    target = build_targets(gt_box, boxes)
     cls_term = varifocal_loss(outputs.cls, target.q, alpha, gamma)
     if target.positives.any():
-        gt_grid = tuple(v / stride for v in target.box)
+        gt_grid = tuple(v / STRIDE for v in target.box)
         per_pos = giou_loss(boxes, gt_grid)
         mask = target.positives.astype(np.float64)
         giou_term = (per_pos * mask).sum() / float(mask.sum())

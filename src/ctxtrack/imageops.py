@@ -59,15 +59,20 @@ class CropWindow:
                 x2 / s + self.left, y2 / s + self.top)
 
 
+# Pixels per token of the grid that the box maps, the training targets and
+# the decoded box share: a 4x4 patch embedding, then two 2x2 merges.
+STRIDE = 16
+
+
 @lru_cache(maxsize=16)
 def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Float64 (ky, kx) row and column indices over a (H, W) token grid.
 
-    This is the anchor convention of every stride-s map: cell (k_y, k_x)
-    sits at pixel (k_x s, k_y s), so its anchor in grid units is the
-    index itself. `heads.build_targets` alone tests cell centres,
-    (k + 0.5) s, against the box, so a positive cell's anchor lies half a
-    cell up and left of the point that made it positive.
+    This is the anchor convention of every map on the grid: cell (k_y, k_x)
+    sits at pixel (k_x STRIDE, k_y STRIDE), so its anchor in grid units is
+    the index itself. `heads.build_targets` alone tests cell centres,
+    (k + 0.5) STRIDE, against the box, so a positive cell's anchor lies half
+    a cell up and left of the point that made it positive.
 
     Built once per grid shape; the arrays are read-only, since every
     caller shares them.
@@ -82,8 +87,8 @@ def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 def crop_window(center: tuple[float, float], size: float, out_size: int) -> CropWindow:
     if size <= 0:
         raise ValueError(f"crop window size must be positive, got {size}")
-    if out_size < 16 or out_size % 16:
-        raise ValueError(f"output size must be a positive multiple of 16, got {out_size}")
+    if out_size < STRIDE or out_size % STRIDE:
+        raise ValueError(f"output size must be a positive multiple of {STRIDE}, got {out_size}")
     return CropWindow(cx=float(center[0]), cy=float(center[1]),
                       size=float(size), out_size=int(out_size))
 

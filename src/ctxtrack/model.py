@@ -21,13 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import CrossFrameAttention, WindowAttentionBlock, window_partition
-from .backbone import BoxEmbedding, Downsample, PatchEmbed, gaussian_map, ltrb_map
+from .backbone import BoxEmbedding, Downsample, PatchEmbed
 from .heads import HeadOutputs, Heads
-from .imageops import Box
+from .imageops import STRIDE, Box
 from .positional import segment_layout
 from .tensor import Module, Tensor, concat, grad_enabled
-
-STRIDE = 16
 
 
 class Encoded(NamedTuple):
@@ -113,7 +111,7 @@ class TrackerNet(Module):
         self.stage3_joint = [CrossFrameAttention(self.layout, d, h, rng)
                              for _ in range(spec.n1)]
 
-        self.box_embed = BoxEmbedding(d, rng)
+        self.box_embed = BoxEmbedding(d, self.layout.grid("previous"), rng)
         self.neck_full = [CrossFrameAttention(self.layout, d, h, rng)
                           for _ in range(spec.n3 - 1)]
         self.neck_last = CrossFrameAttention(self.layout, d, h, rng)
@@ -221,9 +219,7 @@ class TrackerNet(Module):
         held = self._held_box is not None and not grad_enabled()
         if held and self._held_box[0] == key:
             return self._held_box[1]
-        grid = self.layout.grid("previous")
-        emb = self.box_embed(gaussian_map(box, grid, STRIDE),
-                             ltrb_map(box, grid, STRIDE))
+        emb = self.box_embed(box)
         if held:
             # one slot: a box that changes every frame replaces it
             self._held_box = (key, emb)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, require_finite
 from .heads import decode_box
 from .imageops import Box, box_iou, box_window, crop_resize
-from .model import STRIDE, TrackerNet
+from .model import TrackerNet
 from .synthetic import SyntheticSequence
 from .tensor import no_grad
 from .update import MODES, TrackState
@@ -113,7 +113,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
             if not (np.all(np.isfinite(outputs.cls.data))
                     and np.all(np.isfinite(outputs.reg.data))):
                 raise NumericError(f"non-finite head outputs at frame {t}")
-            decoded = decode_box(outputs, STRIDE)
+            decoded = decode_box(outputs)
             confidence = float(decoded.confidence)
 
             if decoded.degenerate:

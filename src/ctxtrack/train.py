@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, require_finite
 from .heads import tracking_loss
 from .imageops import CropWindow, box_window, crop_resize, crop_window
-from .model import STRIDE, TrackerNet
+from .model import TrackerNet
 from .optim import Adam
 from .synthetic import SyntheticSequence
 
@@ -168,7 +168,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
         if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
             raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(
-            outputs, gt_box, STRIDE, alpha=cfg.alpha, gamma=cfg.gamma,
+            outputs, gt_box, alpha=cfg.alpha, gamma=cfg.gamma,
             lambda_cls=cfg.lambda_cls, lambda_giou=cfg.lambda_giou)
         value = float(loss.data)
         if not np.isfinite(value):

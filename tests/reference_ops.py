@@ -146,11 +146,6 @@ def coords(layout: SegmentLayout, index: int) -> tuple[str, int, int]:
     raise AssertionError("unreachable")
 
 
-def segment_ids(layout: SegmentLayout) -> np.ndarray:
-    """Each token's segment index over the full sequence."""
-    return np.repeat(np.arange(len(layout.segments)), [h * w for _, h, w in layout.segments])
-
-
 def zero_tables(bias: PairwiseRegionBias) -> None:
     """Set every relative displacement table of `bias` to zero."""
     for t in bias.tables:

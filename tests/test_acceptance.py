@@ -74,7 +74,7 @@ def test_02_full_model_gradients_match_finite_differences():
     gt = (20.0, 12.0, 52.0, 44.0)
 
     outputs = net.forward(target, previous, search, prev_box=prev_box)
-    total, _, tgt = tracking_loss(outputs, gt, STRIDE)
+    total, _, tgt = tracking_loss(outputs, gt)
     for p in net.parameters().values():
         p.grad = None
     total.backward()
@@ -181,7 +181,7 @@ def test_05_box_offset_encode_decode_roundtrip():
         box = (float(xs[0]), float(ys[0]), float(xs[1]), float(ys[1]))
         if box[2] - box[0] <= 0 or box[3] - box[1] <= 0:
             continue
-        offsets = ltrb_map(box, grid, STRIDE)
+        offsets = ltrb_map(box, grid)
         for ky in range(grid[0]):
             for kx in range(grid[1]):
                 left, top, right, bottom = offsets[ky, kx]

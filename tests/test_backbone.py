@@ -104,31 +104,29 @@ def test_downsample_rejects_odd_grid():
 # ----------------------------------------------------------------------
 
 def test_ltrb_map_worked_example():
-    out = ltrb_map((32, 16, 96, 80), (8, 8), 16)
+    out = ltrb_map((32, 16, 96, 80), (8, 8))
     # row k_y=3, col k_x=4
     assert np.allclose(out[3, 4], (2.0, 2.0, 2.0, 2.0))
 
 
 def test_ltrb_map_zero_at_box_corner():
-    out = ltrb_map((32, 16, 96, 80), (8, 8), 16)
+    out = ltrb_map((32, 16, 96, 80), (8, 8))
     # grid position exactly at the box top-left: col 2, row 1
     l, t, _, _ = out[1, 2]
     assert l == 0.0 and t == 0.0
 
 
 def test_ltrb_map_channel_sums_constant():
-    out = ltrb_map((32, 16, 96, 80), (8, 8), 16)
+    out = ltrb_map((32, 16, 96, 80), (8, 8))
     assert np.allclose(out[..., 0] + out[..., 2], 4.0)   # box width / stride
     assert np.allclose(out[..., 1] + out[..., 3], 4.0)   # box height / stride
 
 
-def test_ltrb_map_rejects_degenerate_box_and_bad_stride():
+def test_ltrb_map_rejects_degenerate_box():
     with pytest.raises(ValueError, match="degenerate"):
-        ltrb_map((10, 10, 10, 20), (4, 4), 16)
+        ltrb_map((10, 10, 10, 20), (4, 4))
     with pytest.raises(ValueError, match="degenerate"):
-        ltrb_map((10, 30, 20, 20), (4, 4), 16)
-    with pytest.raises(ValueError, match="stride"):
-        ltrb_map((0, 0, 10, 10), (4, 4), 0)
+        ltrb_map((10, 30, 20, 20), (4, 4))
 
 
 # ----------------------------------------------------------------------
@@ -136,19 +134,19 @@ def test_ltrb_map_rejects_degenerate_box_and_bad_stride():
 # ----------------------------------------------------------------------
 
 def test_gaussian_peak_is_one_at_center_token():
-    out = gaussian_map((0, 0, 64, 64), (4, 4), 16)
+    out = gaussian_map((0, 0, 64, 64), (4, 4))
     assert out.shape == (4, 4, 1)
     assert out[2, 2, 0] == 1.0
 
 
 def test_gaussian_symmetry_about_center():
-    out = gaussian_map((0, 0, 64, 64), (4, 4), 16)[..., 0]
+    out = gaussian_map((0, 0, 64, 64), (4, 4))[..., 0]
     assert out[1, 2] == out[3, 2] == out[2, 1] == out[2, 3]
 
 
 def test_gaussian_one_sigma_value():
     # box 64 px wide at stride 16: sigma = 64 / 64 = 1 grid unit, center (2,2)
-    out = gaussian_map((0, 0, 64, 64), (4, 4), 16)[..., 0]
+    out = gaussian_map((0, 0, 64, 64), (4, 4))[..., 0]
     assert np.isclose(out[2, 3], np.exp(-0.5), atol=1e-12)
 
 
@@ -157,69 +155,56 @@ def test_gaussian_values_in_unit_interval():
     for _ in range(20):
         x1, y1 = rng.uniform(0, 30, size=2)
         bw, bh = rng.uniform(4, 30, size=2)
-        out = gaussian_map((x1, y1, x1 + bw, y1 + bh), (4, 4), 16)
+        out = gaussian_map((x1, y1, x1 + bw, y1 + bh), (4, 4))
         assert np.all(out > 0.0) and np.all(out <= 1.0)
         assert out.max() == 1.0
 
 
 def test_gaussian_rejects_degenerate_box():
     with pytest.raises(ValueError, match="degenerate"):
-        gaussian_map((5, 5, 5, 10), (4, 4), 16)
+        gaussian_map((5, 5, 5, 10), (4, 4))
 
 
 # ----------------------------------------------------------------------
 # box embedding
 # ----------------------------------------------------------------------
 
-def make_maps():
-    box = (16, 16, 48, 48)
-    return gaussian_map(box, (4, 4), 16), ltrb_map(box, (4, 4), 16)
+BOX = (16, 16, 48, 48)
 
 
 def test_box_embedding_shape():
     rng = np.random.default_rng(10)
-    emb = BoxEmbedding(32, rng)
-    g, d = make_maps()
-    assert emb(g, d).shape == (4, 4, 32)
+    emb = BoxEmbedding(32, (4, 4), rng)
+    assert emb(BOX).shape == (4, 4, 32)
 
 
 def test_box_embedding_zeroed_is_zero():
     rng = np.random.default_rng(11)
-    emb = BoxEmbedding(16, rng)
+    emb = BoxEmbedding(16, (4, 4), rng)
     emb.weight.data[...] = 0.0
     emb.fc2.weight.data[...] = 0.0
     emb.fc2.bias.data[...] = 0.0
-    g, d = make_maps()
-    assert np.array_equal(emb(g, d).data, np.zeros((4, 4, 16)))
+    assert np.array_equal(emb(BOX).data, np.zeros((4, 4, 16)))
 
 
 def test_box_embedding_weight_term_peaks_at_gaussian_peak():
     rng = np.random.default_rng(12)
-    emb = BoxEmbedding(16, rng)
+    emb = BoxEmbedding(16, (4, 4), rng)
     emb.fc2.weight.data[...] = 0.0  # isolate the gaussian-weighted term
     emb.fc2.bias.data[...] = 0.0
-    g, d = make_maps()
-    out = np.abs(emb(g, d).data)
+    out = np.abs(emb(BOX).data)
+    g = gaussian_map(BOX, (4, 4))
     peak = np.unravel_index(np.argmax(g[..., 0]), g.shape[:2])
     for c in range(16):
         assert out[..., c].max() == out[peak[0], peak[1], c]
 
 
-def test_box_embedding_rejects_grid_mismatch():
-    rng = np.random.default_rng(13)
-    emb = BoxEmbedding(16, rng)
-    g, d = make_maps()
-    with pytest.raises(ValueError, match="mismatch"):
-        emb(g[:3], d)
-
-
 def test_box_embedding_gradcheck():
     rng = np.random.default_rng(14)
-    emb = BoxEmbedding(8, rng)
-    g, d = make_maps()
+    emb = BoxEmbedding(8, (4, 4), rng)
     weight = rng.normal(size=(4, 4, 8))
-    loss = (emb(g, d) * weight).sum()
+    loss = (emb(BOX) * weight).sum()
     loss.backward()
     for p in (emb.weight, emb.fc1.weight, emb.fc2.bias):
-        fd = finite_diff_grad(lambda _: float((emb(g, d).data * weight).sum()), p)
+        fd = finite_diff_grad(lambda _: float((emb(BOX).data * weight).sum()), p)
         assert rel_err(p.grad, fd) < 1e-5

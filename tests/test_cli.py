@@ -249,6 +249,30 @@ class TestExitCodes:
                      "--metrics", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, work", [
+        ("train", "--params", "toy_train"), ("track", "--metrics", "run_tracker"),
+        ("update-sim", "--out", "simulate_updates"),
+        ("respmap", "--out-dir", "response_maps"), ("gen", "--out-dir", "gen_sequence")])
+    def test_output_of_the_wrong_kind_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"called {work} before checking {flag}")
+
+        monkeypatch.setattr(cli, work, never)
+        out, trace = tmp_path / "out", tmp_path / "trace.txt"
+        trace.write_text("0.9\n", encoding="utf-8")
+        if flag == "--out-dir":   # a file where the directory goes, or above it
+            out.touch()
+            path = out / "frames" if command == "gen" else out
+        else:                     # an output file that is a directory
+            out.mkdir()
+            path = out
+        argv = [command, "--config", _write_config(tmp_path), flag, str(path)]
+        assert main(argv + (["--trace", str(trace)] if command == "update-sim" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_track_one_frame_sequence_writes_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
         def never(*args, **kwargs):

@@ -70,7 +70,7 @@ def test_decode_worked_example():
     cls[3, 4] = 0.9
     reg = np.ones((8, 8, 4))
     reg[3, 4] = (2.0, 2.0, 2.0, 2.0)
-    decoded = decode_box(outputs_with_peak(cls, reg), stride=16)
+    decoded = decode_box(outputs_with_peak(cls, reg))
     assert decoded.box == (32.0, 16.0, 96.0, 80.0)
     assert decoded.confidence == pytest.approx(0.9)
     assert decoded.position == (3, 4)
@@ -81,24 +81,24 @@ def test_decode_zero_extent_flagged_degenerate():
     cls = np.full((4, 4), 0.2)
     cls[1, 1] = 0.8
     reg = np.zeros((4, 4, 4))
-    decoded = decode_box(outputs_with_peak(cls, reg), stride=16)
+    decoded = decode_box(outputs_with_peak(cls, reg))
     assert decoded.degenerate
 
 
 def test_decode_tie_breaks_to_lowest_flat_index():
     cls = np.full((4, 4), 0.5)
     reg = np.ones((4, 4, 4))
-    decoded = decode_box(outputs_with_peak(cls, reg), stride=16)
+    decoded = decode_box(outputs_with_peak(cls, reg))
     assert decoded.position == (0, 0)
 
 
 def test_encode_decode_roundtrip():
     from ctxtrack.backbone import ltrb_map
     box = (32.0, 16.0, 96.0, 80.0)
-    reg = ltrb_map(box, (8, 8), 16)
+    reg = ltrb_map(box, (8, 8))
     cls = np.zeros((8, 8))
     cls[2, 3] = 1.0  # any position inside the box works
-    decoded = decode_box(outputs_with_peak(cls, reg), stride=16)
+    decoded = decode_box(outputs_with_peak(cls, reg))
     assert decoded.box == box
 
 
@@ -228,7 +228,7 @@ def test_varifocal_gradcheck():
 def test_targets_single_center_inside():
     # cell centers at 8, 24, 40, 56; this box contains only (24, 24)
     boxes = _ltrb_to_boxes_tensor(Tensor(np.ones((4, 4, 4))))
-    target = build_targets((17, 17, 31, 31), (4, 4), 16, boxes)
+    target = build_targets((17, 17, 31, 31), boxes)
     assert target.positives.sum() == 1
     assert target.positives[1, 1]
     assert np.all(target.q[~target.positives] == 0.0)
@@ -237,8 +237,8 @@ def test_targets_single_center_inside():
 def test_targets_perfect_predictions_give_q_one():
     from ctxtrack.backbone import ltrb_map
     box = (16.0, 16.0, 48.0, 48.0)
-    boxes = _ltrb_to_boxes_tensor(Tensor(ltrb_map(box, (4, 4), 16)))
-    target = build_targets(box, (4, 4), 16, boxes)
+    boxes = _ltrb_to_boxes_tensor(Tensor(ltrb_map(box, (4, 4))))
+    target = build_targets(box, boxes)
     assert target.positives.sum() > 0
     assert np.allclose(target.q[target.positives], 1.0, atol=1e-12)
 
@@ -246,16 +246,16 @@ def test_targets_perfect_predictions_give_q_one():
 def test_targets_q_in_unit_interval():
     rng = np.random.default_rng(7)
     boxes = _ltrb_to_boxes_tensor(Tensor(np.exp(rng.normal(size=(4, 4, 4)))))
-    target = build_targets((10, 12, 50, 40), (4, 4), 16, boxes)
+    target = build_targets((10, 12, 50, 40), boxes)
     assert np.all(target.q >= 0.0) and np.all(target.q <= 1.0)
 
 
 def test_targets_reject_gt_outside_image():
     boxes = _ltrb_to_boxes_tensor(Tensor(np.ones((4, 4, 4))))
     with pytest.raises(ValueError, match="outside"):
-        build_targets((10, 10, 70, 40), (4, 4), 16, boxes)
+        build_targets((10, 10, 70, 40), boxes)
     with pytest.raises(ValueError, match="degenerate"):
-        build_targets((10, 10, 10, 40), (4, 4), 16, boxes)
+        build_targets((10, 10, 10, 40), boxes)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_tracking_loss_end_to_end_gradcheck():
     gt = (12.0, 10.0, 52.0, 46.0)
 
     out = heads(feats)
-    total, parts, target = tracking_loss(out, gt, stride=16)
+    total, parts, target = tracking_loss(out, gt)
     total.backward()
 
     # freeze the IoU-aware targets: finite differences must see the same
@@ -305,6 +305,6 @@ def test_tracking_loss_reports_parts():
     rng = np.random.default_rng(9)
     heads = Heads(8, rng)
     out = heads(Tensor(rng.normal(size=(4, 4, 8))))
-    total, parts, target = tracking_loss(out, (12, 10, 52, 46), stride=16)
+    total, parts, target = tracking_loss(out, (12, 10, 52, 46))
     assert total.item() == pytest.approx(1.5 * parts["cls"] + 1.5 * parts["giou"])
     assert parts["giou"] > 0.0 and parts["cls"] > 0.0

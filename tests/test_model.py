@@ -392,9 +392,9 @@ def _count_box_embeddings(monkeypatch):
     boxes = []
     original = BoxEmbedding.__call__
 
-    def counting(self, gaussian, ltrb):
-        boxes.append(ltrb[0, 0].tobytes())
-        return original(self, gaussian, ltrb)
+    def counting(self, box):
+        boxes.append(box)
+        return original(self, box)
 
     monkeypatch.setattr(BoxEmbedding, "__call__", counting)
     return boxes

@@ -5,7 +5,7 @@ from ctxtrack.positional import (PairwiseRegionBias, UntiedPositionBias, _gather
                                  segment_layout)
 from ctxtrack.tensor import Tensor, concat
 
-from reference_ops import coords, segment_ids, single_layout, zero_tables
+from reference_ops import coords, single_layout, zero_tables
 
 
 def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
@@ -27,6 +27,20 @@ def brute_force_relative_bias(bias: PairwiseRegionBias) -> np.ndarray:
 # layout
 # ----------------------------------------------------------------------
 
+def assert_slices_tile(lay):
+    """`segment_slice` ranges tile range(lay.length) in `names()` order,
+    and each index lies in the slice of the segment `coords` names."""
+    stop = 0
+    for name in lay.names():
+        s = lay.segment_slice(name)
+        assert s.start == stop and s.stop > s.start and s.step is None
+        stop = s.stop
+    assert stop == lay.length
+    for i in range(lay.length):
+        s = lay.segment_slice(coords(lay, i)[0])
+        assert s.start <= i < s.stop
+
+
 def test_layout_small_enumeration():
     lay = segment_layout((1, 1), (2, 2), (2, 2))
     assert lay.length == 9
@@ -34,6 +48,7 @@ def test_layout_small_enumeration():
     assert coords(lay, 1) == ("previous", 0, 0)
     assert coords(lay, 4) == ("previous", 1, 1)
     assert coords(lay, 5) == ("search", 0, 0)
+    assert_slices_tile(lay)
 
 
 def test_layout_stride16_full_scale():
@@ -45,6 +60,7 @@ def test_layout_single_segment():
     lay = single_layout("search", 1, 1)
     assert lay.length == 1
     assert coords(lay, 0) == ("search", 0, 0)
+    assert_slices_tile(lay)
 
 
 def test_layout_rejects_zero_grid():
@@ -60,6 +76,7 @@ def test_layout_coords_bijective():
         assert lay.offset(seg) + r * lay.grid(seg)[1] + c == i
         seen.add((seg, r, c))
     assert len(seen) == lay.length
+    assert_slices_tile(lay)
 
 
 # ----------------------------------------------------------------------
@@ -152,13 +169,17 @@ def test_translation_invariance_within_segment():
 
 def test_every_pair_resolved_from_exactly_one_region():
     lay = segment_layout((1, 2), (2, 2), (2, 3))
-    table = segment_ids(lay)
     names = lay.names()
+    index, sizes = _gather_index(lay, names, names)
+    # flat range of each pair's table, in row-major pair order
+    ends = np.cumsum(sizes)
+    regions = [range(end - size, end) for size, end in zip(sizes, ends)]
     for i in range(lay.length):
+        seg_i, _, _ = coords(lay, i)
         for j in range(lay.length):
-            seg_i, _, _ = coords(lay, i)
             seg_j, _, _ = coords(lay, j)
-            assert names[table[i]] == seg_i and names[table[j]] == seg_j
+            pair = names.index(seg_i) * len(names) + names.index(seg_j)
+            assert [r for r, region in enumerate(regions) if index[i, j] in region] == [pair]
 
 
 def test_region_bias_gradients_flow_to_tables():

@@ -167,9 +167,9 @@ class TestInference:
         flags = []
         original = tracker_mod.decode_box
 
-        def recording(outputs, stride):
+        def recording(outputs):
             flags.append(outputs.cls.requires_grad or outputs.reg.requires_grad)
-            return original(outputs, stride)
+            return original(outputs)
 
         monkeypatch.setattr(tracker_mod, "decode_box", recording)
         records = run_tracker(_net(), _sequence())

@@ -32,14 +32,17 @@ The battery (about half a minute per tree; the two trees run at once):
                    with those parameters: the metrics CSV and every PGM
 
 The battery calls the package's public API as this tree has it, so REV
-must be recent enough to share it. Hashes depend on the numpy and BLAS
-build, so compare trees on one machine only; tests pin none of them.
+must be recent enough to share it. One call adapts: `tracking_loss` gets
+the stride only where it still has a `stride` parameter. Hashes depend on
+the numpy and BLAS build, so compare trees on one machine only; tests pin
+none of them.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -104,7 +107,10 @@ def battery() -> dict[str, str]:
     rng = np.random.default_rng(0)
     outputs = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
                           rng.random((64, 64, 3)), prev_box=(16.0, 16.0, 48.0, 48.0))
-    loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0), STRIDE)
+    # older trees take the stride as an argument; the check can go once no
+    # REV of interest has the parameter
+    stride = (STRIDE,) if "stride" in inspect.signature(tracking_loss).parameters else ()
+    loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0), *stride)
     loss.backward()
     out["taped.outputs"] = _arrays_digest(
         [("cls", outputs.cls.data), ("reg", outputs.reg.data), ("loss", loss.data)])
