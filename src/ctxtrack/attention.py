@@ -14,7 +14,7 @@ import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
 from .tensor import (Module, Tensor, attention_sublayer, feed_forward_sublayer,
-                     grad_enabled, layer_norm, linear, normal_parameter, parameter)
+                     layer_norm, linear, normal_parameter, parameter)
 # perfbench's tracer patches `matmul` in each module that imports it
 from .tensor import matmul  # noqa: F401
 
@@ -179,7 +179,6 @@ class CrossFrameAttention(_PreNormAttention):
                  rng: np.random.Generator):
         self.layout = layout
         super().__init__(dim, heads, 2, rng)
-        self._held = None   # key set -> bias terms while held
 
     def _init_bias(self, rng: np.random.Generator) -> None:
         self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng)
@@ -199,61 +198,46 @@ class CrossFrameAttention(_PreNormAttention):
 
         keys=None gives the full map. "templates" or "all" keep only the
         search rows against that key set, and gather only the relative-bias
-        blocks those rows use. While held (`hold_bias_terms`) and no tape
-        is recorded, the terms of each key set are built once and kept.
+        blocks those rows use. The terms depend only on the weights.
         """
-        held = self._held is not None and not grad_enabled()
-        if held and keys in self._held:
-            return self._held[keys]
         if keys is None:
-            terms = self.abs_bias.bias(), self.rel_bias.bias()
-        else:
-            rows, stop, names = self._search_keys(keys)
-            terms = (self.abs_bias.bias()[:, rows, 0:stop],
-                     self.rel_bias.block("search", *names))
-        if held:
-            # a search-row slice is copied, so the full term behind it is freed
-            terms = self._held[keys] = tuple(Tensor(np.ascontiguousarray(t.data))
-                                             for t in terms)
-        return terms
+            return self.abs_bias.bias(), self.rel_bias.bias()
+        rows, stop, names = self._search_keys(keys)
+        return (self.abs_bias.bias()[:, rows, 0:stop],
+                self.rel_bias.block("search", *names))
 
-    def hold_bias_terms(self) -> None:
-        """Reuse the bias terms in tape-free calls until `release_bias_terms`:
-        the first such call for a key set builds them, later ones get that
-        copy. They depend only on the weights, which must not change
-        meanwhile."""
-        self._held = {}
-
-    def release_bias_terms(self) -> None:
-        self._held = None
-
-    def _select(self, tokens: Tensor, keys: str | None = None):
+    def _select(self, tokens: Tensor, keys: str | None = None, terms=None):
         """Normed query and key tokens and bias terms; `keys` as in
-        `bias_terms`."""
+        `bias_terms`, whose output `terms` may give instead."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
+        if terms is None:
+            terms = self.bias_terms(keys)
         if keys is None:
-            return x, x, self.bias_terms()
+            return x, x, terms
         rows, stop, _ = self._search_keys(keys)
-        return x[rows], x[0:stop], self.bias_terms(keys)
+        return x[rows], x[0:stop], terms
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        return self.forward(tokens)
+    def __call__(self, tokens: Tensor, terms=None) -> Tensor:
+        return self.forward(tokens, terms)
 
-    def forward(self, tokens: Tensor) -> Tensor:
-        """Full joint attention; output layout equals input layout."""
-        xq, xk, biases = self._select(tokens)
+    def forward(self, tokens: Tensor, terms=None) -> Tensor:
+        """Full joint attention; output layout equals input layout. `terms`,
+        when given, is this layer's `bias_terms()`, built once ahead."""
+        xq, xk, biases = self._select(tokens, None, terms)
         return self._residual(tokens, self.attend(xq, xk, biases))
 
-    def forward_search_queries(self, tokens: Tensor, keys: str = "templates") -> Tensor:
+    def forward_search_queries(self, tokens: Tensor, keys: str = "templates",
+                               terms=None) -> Tensor:
         """Final-layer variant: only search tokens act as queries.
 
         With keys="templates" the keys/values are the target and previous
         tokens only; keys="all" keeps search tokens in the key set too.
-        Returns just the search-segment tokens.
+        `terms`, when given, is `bias_terms(keys)`. Returns just the
+        search-segment tokens.
         """
-        xq, xk, biases = self._select(tokens, keys)
+        xq, xk, biases = self._select(tokens, keys, terms)
         search = tokens[self.layout.segment_slice("search")]
         return self._residual(search, self.attend(xq, xk, biases))

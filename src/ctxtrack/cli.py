@@ -45,11 +45,13 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config)
 
 
-def _check_outputs(*paths, out_dir=None) -> None:
-    """Fail before any work when an output file is a directory or its
-    directory is missing, or when `out_dir` or its nearest existing
-    ancestor is not a directory; other write errors still surface as an
-    OSError at the write."""
+def _check_outputs(*paths, out_dir=None, inputs=()) -> None:
+    """Fail before any work when an output file is a directory, its
+    directory is missing, or it resolves to the same file as another
+    output or as one of the command's `inputs`, or when `out_dir` or its
+    nearest existing ancestor is not a directory; other write errors still
+    surface as an OSError at the write."""
+    seen = {Path(p).resolve(): f"input {p}" for p in inputs if p is not None}
     for path in paths:
         if path is None:
             continue
@@ -58,6 +60,10 @@ def _check_outputs(*paths, out_dir=None) -> None:
         if not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write output {path}: directory "
                               f"{Path(path).parent} does not exist")
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"cannot write output {path}: same file as {seen[resolved]}")
+        seen[resolved] = f"output {path}"
     if out_dir is not None:
         out_dir = Path(out_dir)
         existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
@@ -97,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(args.params, args.loss_csv)
+    _check_outputs(args.params, args.loss_csv, inputs=[args.config])
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
     net = _build_net(cfg)
@@ -113,7 +119,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    _check_outputs(args.metrics)
+    _check_outputs(args.metrics, inputs=[args.config, args.params])
     cfg = _load(args)
     sequence = gen_sequence(cfg.sequence)
     if len(sequence) < 2:
@@ -152,7 +158,7 @@ def _read_trace(path) -> list[float]:
 
 
 def _cmd_update_sim(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=[args.config, args.trace])
     cfg = _load(args)
     mode = args.mode if args.mode is not None else cfg.track.update_mode
     seed_conf = (args.seed_confidence if args.seed_confidence is not None

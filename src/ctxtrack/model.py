@@ -5,7 +5,8 @@ windowed local attention, two downsamplings to stride 16). The final
 backbone stage holds the three token sets as one sequence and alternates
 window attention, local to each image, with joint layers that mix all
 three. Everything before the first joint layer is per image, so `encode`
-can compute it once for a template that stays fixed.
+can compute it once for a template that stays fixed, with its box
+embedding, and `bias_terms` the joint layers' weight-only terms.
 The neck stacks more joint layers, injecting the previous-frame box into
 the previous-template tokens once at entry, and ends with a layer where
 only search tokens act as queries. The heads turn the resulting search
@@ -14,7 +15,6 @@ features into per-position scores and box distances.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -25,14 +25,16 @@ from .backbone import BoxEmbedding, Downsample, PatchEmbed
 from .heads import HeadOutputs, Heads
 from .imageops import STRIDE, Box
 from .positional import segment_layout
-from .tensor import Module, Tensor, concat, grad_enabled
+from .tensor import Module, Tensor, concat, grad_enabled, no_grad
 
 
 class Encoded(NamedTuple):
     """One image's (H, W, d) token grid at stride 16, after the early
-    stages and the first local block pair of the last backbone stage."""
+    stages and the first local block pair of the last backbone stage, and
+    for a previous template encoded with its box, that box's embedding."""
 
     grid: Tensor
+    box: Tensor | None = None
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,16 @@ class TrackerNet(Module):
                           for _ in range(spec.n3 - 1)]
         self.neck_last = CrossFrameAttention(self.layout, d, h, rng)
         self.head = Heads(d, rng)
-        self._held_box = None   # (box bytes, embedding) while held
 
     # ------------------------------------------------------------------
     # backbone
     # ------------------------------------------------------------------
-    def encode(self, image) -> Encoded:
-        """Features of one image up to the first joint layer.
+    def encode(self, image, box: Box | None = None) -> Encoded:
+        """Features of one image up to the first joint layer, and the
+        embedding of `box`, when given, for a previous-template image.
 
         A template that does not change between frames can be encoded once
-        and passed to `forward` in place of its image.
+        and passed to `forward` in place of its image and box.
         """
         if not isinstance(image, Tensor):
             image = Tensor(np.asarray(image))
@@ -138,7 +140,7 @@ class TrackerNet(Module):
         t = self.down2(t)
         for blk in self.stage3_local[0:2]:
             t = blk(t)
-        return Encoded(t)
+        return Encoded(t, None if box is None else self.box_embed(box))
 
     def _flatten(self, grids: list[Tensor]) -> Tensor:
         return concat([g.reshape(-1, self.spec.dim) for g in grids], axis=0)
@@ -150,19 +152,31 @@ class TrackerNet(Module):
             out.append(tokens[self.layout.segment_slice(name)].reshape(h, w, self.spec.dim))
         return out
 
+    @no_grad()
+    def bias_terms(self) -> list[tuple[Tensor, Tensor]]:
+        """Every joint layer's position-bias terms, tape-free, in the order
+        stage3_joint, neck_full, neck_last. They depend only on the weights,
+        so one list serves every tape-free forward until the weights change.
+        The last layer's search rows are copied, so its full term is freed."""
+        terms = [layer.bias_terms() for layer in self.stage3_joint + self.neck_full]
+        last = self.neck_last.bias_terms(self.spec.final_keys)
+        return terms + [tuple(Tensor(np.ascontiguousarray(t.data)) for t in last)]
+
     def backbone_forward(self, target, previous, search,
-                         trace: list | None = None) -> Tensor:
+                         trace: list | None = None, bias_terms=None) -> Tensor:
         """Token sequence (L, d) at stride 16 for the three input images.
 
         Each input is an image or its `encode` output. A list passed as
-        `trace` receives the output tokens of each joint layer.
+        `trace` receives the output tokens of each joint layer; `bias_terms`
+        is as in `forward`.
         """
         tokens = self._flatten([(x if isinstance(x, Encoded) else self.encode(x)).grid
                                 for x in (target, previous, search)])
-        for g in range(self.spec.n1):
+        terms = bias_terms or [None] * self.spec.n1
+        for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
                 tokens = self._local_pair(self.stage3_local[2 * g: 2 * g + 2], tokens)
-            tokens = self.stage3_joint[g](tokens)
+            tokens = layer(tokens, terms[g])
             if trace is not None:
                 trace.append(tokens)
         return tokens
@@ -188,73 +202,51 @@ class TrackerNet(Module):
     # ------------------------------------------------------------------
     # neck and heads
     # ------------------------------------------------------------------
-    def neck_forward(self, tokens: Tensor, prev_box: Box | None = None,
-                     trace: list | None = None) -> Tensor:
+    def neck_forward(self, tokens: Tensor, box: Tensor | None = None,
+                     trace: list | None = None, bias_terms=None) -> Tensor:
         """Search feature map (H, W, d) after the joint refinement stack.
 
-        prev_box, when given, is the previous-frame box in pixel
-        coordinates of the previous-template image; it enters the
-        previous-template tokens once, here at neck entry. A list passed
-        as `trace` receives the output tokens of each full layer.
+        box, when given, is the previous template's box embedding; it enters
+        the previous-template tokens once, here at neck entry. A list passed
+        as `trace` receives the output tokens of each full layer;
+        `bias_terms` is as in `forward`.
         """
-        if prev_box is not None:
+        if box is not None:
             parts = self._split(tokens)
-            parts[1] = parts[1] + self._box_embedding(prev_box)
+            parts[1] = parts[1] + box
             tokens = self._flatten(parts)
-        for layer in self.neck_full:
-            tokens = layer(tokens)
+        terms = (bias_terms or [None] * (self.spec.n1 + self.spec.n3))[self.spec.n1:]
+        for layer, layer_terms in zip(self.neck_full, terms):
+            tokens = layer(tokens, layer_terms)
             if trace is not None:
                 trace.append(tokens)
-        out = self.neck_last.forward_search_queries(tokens, keys=self.spec.final_keys)
+        out = self.neck_last.forward_search_queries(tokens, self.spec.final_keys, terms[-1])
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
 
-    def _box_embedding(self, box: Box) -> Tensor:
-        """The previous-template box embedding of `box` (pixels).
-
-        Inside `reused_bias_terms` a tape-free call keeps the last box and
-        its embedding, and reuses it while the box keeps the same bits.
-        """
-        key = np.asarray(box, dtype=np.float64).tobytes()
-        held = self._held_box is not None and not grad_enabled()
-        if held and self._held_box[0] == key:
-            return self._held_box[1]
-        emb = self.box_embed(box)
-        if held:
-            # one slot: a box that changes every frame replaces it
-            self._held_box = (key, emb)
-        return emb
-
-    @contextmanager
-    def reused_bias_terms(self):
-        """Hold what tape-free forwards in the block would rebuild alike.
-
-        Each joint layer's position-bias terms depend only on the weights,
-        so the first tape-free forward in the block builds one copy per
-        layer and later ones reuse it. The previous-template box embedding
-        also depends on the box, so one slot keeps the last box's and
-        rebuilds it when the box changes. A taped forward builds its own
-        terms and embedding. The weights must not change in the block;
-        everything held is dropped on exit.
-        """
-        layers = self.stage3_joint + self.neck_full + [self.neck_last]
-        try:
-            for layer in layers:
-                layer.hold_bias_terms()
-            self._held_box = (None, None)
-            yield
-        finally:
-            for layer in layers:
-                layer.release_bias_terms()
-            self._held_box = None
-
     def forward(self, target, previous, search, prev_box: Box | None = None,
-                trace: list | None = None) -> HeadOutputs:
-        """Head outputs for the three inputs. A list passed as `trace`
-        receives the output tokens of every full cross-frame layer: the
-        joint backbone layers, then the full neck layers."""
-        tokens = self.backbone_forward(target, previous, search, trace=trace)
-        features = self.neck_forward(tokens, prev_box, trace)
+                trace: list | None = None, bias_terms=None) -> HeadOutputs:
+        """Head outputs for the three inputs, each an image or its `encode`
+        output.
+
+        prev_box, when given, is the previous-frame box in pixel
+        coordinates of the previous-template image; a previous template
+        encoded with its box carries its embedding instead. `bias_terms`,
+        when given, is the output of `bias_terms()`, which a tape-free
+        forward uses in place of building its own; a taped forward builds
+        its own, so that the bias tables get gradients. A list passed
+        as `trace` receives the output tokens of every full cross-frame
+        layer: the joint backbone layers, then the full neck layers.
+        """
+        box = previous.box if isinstance(previous, Encoded) else None
+        if box is not None and prev_box is not None:
+            raise ValueError("prev_box given for a template encoded with its box")
+        if bias_terms is not None and grad_enabled():
+            raise ValueError("a taped forward builds its own bias terms")
+        tokens = self.backbone_forward(target, previous, search, trace, bias_terms)
+        if prev_box is not None:
+            box = self.box_embed(prev_box)
+        features = self.neck_forward(tokens, box, trace, bias_terms)
         return self.head(features)
 
     def __call__(self, *args, **kwargs) -> HeadOutputs:

@@ -3,12 +3,12 @@
 A Tensor wraps a numpy float64 array. Every op that touches a tensor
 requiring gradients records its parents and how to reach them, so calling
 ``backward()`` on a scalar result walks the tape in reverse topological
-order and accumulates gradients additively over fan-out. Most ops record,
-through `_node`, one local derivative per parent, which the sweep applies
-itself; `matmul` and the fused ops record a backward callable. The fused
-ops, up to a transformer block's attention and feed-forward sublayers,
-share array-level forward and backward kernels and match, bit for bit,
-the primitive-op composites in the tests. An op run while no tape is
+order and accumulates gradients additively over fan-out. `Tensor._make`
+builds every node. Most ops record one local derivative per parent, which
+the sweep applies itself; `matmul` and the fused ops record a backward
+callable. The fused ops, up to a transformer block's attention and
+feed-forward sublayers, share array-level forward and backward kernels and
+match, bit for bit, the primitive-op composites in the tests. An op run while no tape is
 recorded builds neither. The tape is rebuilt on every forward pass and
 freed by the sweep that walks it; there is no graph reuse.
 """
@@ -57,19 +57,6 @@ def _released(_grad: np.ndarray) -> None:
                        "backward() already freed; run the forward again")
 
 
-def _node(out: np.ndarray, parents: tuple["Tensor", ...],
-          grads: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> "Tensor":
-    """A tape node that keeps, of its parents, those that require a gradient
-    and their local derivatives, in parent order; `grads[i]` maps the output
-    gradient to parent i's local gradient, which `Tensor.backward` reduces
-    with `_unbroadcast` to the parent's shape."""
-    # per-op Python cost bounds tracking speed, so a tape-free op builds no
-    # node; `Tensor.backward` walks the pairs itself, with no frame per node
-    if not _GRAD_ENABLED:
-        return Tensor(out)
-    return Tensor._make(out, parents, grads)
-
-
 @lru_cache(maxsize=64)
 def _inverse(axes: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation that undoes transpose(axes)."""
@@ -95,7 +82,7 @@ def _scatter(g: np.ndarray, shape: tuple[int, ...], idx) -> np.ndarray:
 
 
 class Tensor:
-    # `_backward` is None on a leaf; on a `_node` node, a tuple with one
+    # `_backward` is None on a leaf; on a primitive op's node, a tuple with one
     # local derivative per entry of `_parents`; on `matmul` or a fused op, a
     # callable that takes the output gradient
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
@@ -143,9 +130,9 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...],
               backward: Callable[[np.ndarray], None] | tuple) -> "Tensor":
-        """A node over the parents that require a gradient; a tuple
-        `backward` holds one local derivative per parent and is filtered
-        with them."""
+        """A node over the parents that require a gradient, or a plain tensor
+        while no tape is recorded. A tuple `backward` holds one local
+        derivative per parent, output to parent gradient, filtered with them."""
         out = Tensor(data)
         if _GRAD_ENABLED:
             keep = tuple([p for p in parents if p.requires_grad])
@@ -215,32 +202,32 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        return _node(self.data + other.data, (self, other), (_same, _same))
+        return Tensor._make(self.data + other.data, (self, other), (_same, _same))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        return _node(-self.data, (self,), (np.negative,))
+        return Tensor._make(-self.data, (self,), (np.negative,))
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
-        return _node(self.data - other.data, (self, other), (_same, np.negative))
+        return Tensor._make(self.data - other.data, (self, other), (_same, np.negative))
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        return _node(self.data * other.data, (self, other),
-                     (lambda g: g * other.data, lambda g: g * self.data))
+        return Tensor._make(self.data * other.data, (self, other),
+                            (lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        return _node(self.data / other.data, (self, other),
-                     (lambda g: g / other.data,
-                      lambda g: -g * self.data / (other.data * other.data)))
+        return Tensor._make(self.data / other.data, (self, other),
+                            (lambda g: g / other.data,
+                             lambda g: -g * self.data / (other.data * other.data)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
@@ -249,8 +236,8 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         c = float(exponent)
-        return _node(np.power(self.data, c), (self,),
-                     (lambda g: g * c * np.power(self.data, c - 1.0),))
+        return Tensor._make(np.power(self.data, c), (self,),
+                            (lambda g: g * c * np.power(self.data, c - 1.0),))
 
     # ------------------------------------------------------------------
     # elementwise transcendentals
@@ -258,20 +245,20 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         out = np.exp(self.data)
-        return _node(out, (self,), (lambda g: g * out,))
+        return Tensor._make(out, (self,), (lambda g: g * out,))
 
     def log(self) -> "Tensor":
-        return _node(np.log(self.data), (self,), (lambda g: g / self.data,))
+        return Tensor._make(np.log(self.data), (self,), (lambda g: g / self.data,))
 
     def sigmoid(self) -> "Tensor":
         x = self.data
         out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return _node(out, (self,), (lambda g: g * out * (1.0 - out),))
+        return Tensor._make(out, (self,), (lambda g: g * out * (1.0 - out),))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        return _node(np.where(mask, self.data, 0.0), (self,), (lambda g: g * mask,))
+        return Tensor._make(np.where(mask, self.data, 0.0), (self,), (lambda g: g * mask,))
 
     # ------------------------------------------------------------------
     # reductions
@@ -281,8 +268,8 @@ class Tensor:
         in_shape = self.data.shape
         # the summed axes come back as size-1 axes, then broadcast
         kept = axis if axis is not None and not keepdims else ()
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                     (lambda g: np.broadcast_to(np.expand_dims(g, kept), in_shape),))
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                            (lambda g: np.broadcast_to(np.expand_dims(g, kept), in_shape),))
 
     # ------------------------------------------------------------------
     # shape ops
@@ -292,8 +279,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         in_shape = self.data.shape
-        return _node(self.data.reshape(shape), (self,),
-                     (lambda g: g.reshape(in_shape),))
+        return Tensor._make(self.data.reshape(shape), (self,),
+                            (lambda g: g.reshape(in_shape),))
 
     def rearrange(self, shape: tuple[int, ...], axes: tuple[int, ...],
                   out_shape: tuple[int, ...]) -> "Tensor":
@@ -302,16 +289,16 @@ class Tensor:
         `axes` is a permutation of range(len(shape))."""
         view = self.data.reshape(shape).transpose(axes)
         mid, in_shape = view.shape, self.data.shape
-        return _node(view.reshape(out_shape), (self,),
-                     (lambda g: g.reshape(mid).transpose(_inverse(axes)).reshape(in_shape),))
+        return Tensor._make(view.reshape(out_shape), (self,), (
+            lambda g: g.reshape(mid).transpose(_inverse(axes)).reshape(in_shape),))
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        return _node(self.data.swapaxes(ax1, ax2), (self,),
-                     (lambda g: g.swapaxes(ax1, ax2),))
+        return Tensor._make(self.data.swapaxes(ax1, ax2), (self,),
+                            (lambda g: g.swapaxes(ax1, ax2),))
 
     def __getitem__(self, idx) -> "Tensor":
         in_shape = self.data.shape
-        return _node(self.data[idx], (self,), (lambda g: _scatter(g, in_shape, idx),))
+        return Tensor._make(self.data[idx], (self,), (lambda g: _scatter(g, in_shape, idx),))
 
 
 def as_tensor(value) -> Tensor:
@@ -476,8 +463,8 @@ def _attention_softmax_backward(g: np.ndarray, out: np.ndarray, q: np.ndarray,
 
 def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
     """a where `take_a` holds, else b; each gradient follows the pick."""
-    return _node(np.where(take_a, a.data, b.data), (a, b),
-                 (lambda g: g * take_a, lambda g: g * ~take_a))
+    return Tensor._make(np.where(take_a, a.data, b.data), (a, b),
+                        (lambda g: g * take_a, lambda g: g * ~take_a))
 
 
 def maximum(a, b) -> Tensor:

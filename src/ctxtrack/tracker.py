@@ -6,16 +6,14 @@ template, decodes the best box, and maps it back to frame coordinates.
 After every frame the update policy decides whether the previous-frame
 template is replaced with a crop around the new prediction. Inference
 builds no autodiff tape, and each template is encoded only when it
-changes: the target once per sequence, the previous template at the first
-frame after each replacement. The joint layers' position-bias terms depend
-only on the weights, and the previous template's box embedding only on the
-weights and its box, so a sequence with two or more frames to track builds
-the terms once for all its forwards and the embedding once per box.
+changes: the target once per sequence, the previous template, with its
+box, at the first frame after each replacement. The joint layers'
+position-bias terms depend only on the weights, so a sequence with two or
+more frames to track builds them once for all its forwards.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,54 +91,52 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     state = TrackState(cfg.update_mode, cfg.seed_confidence)
     target_features = net.encode(target)
     previous_features = None   # encoded at the first forward that uses it
+    # shared terms pay off once two or more forwards use them; for a single
+    # forward, building every layer's terms ahead would only hold memory
+    bias_terms = net.bias_terms() if len(sequence) > 2 else None
 
     last_box = first_box
     records: list[FrameRecord] = []
-    # held bias terms and box embedding pay off once two or more forwards
-    # share them; for a single forward, holding them would only cost memory
-    with net.reused_bias_terms() if len(sequence) > 2 else nullcontext():
-        for t in range(1, len(sequence)):
+    for t in range(1, len(sequence)):
+        try:
+            search_window = box_window(last_box, cfg.context_scale, spec.search_size)
+            search_crop = crop_resize(sequence.frames[t], search_window)
+        except ValueError as exc:
+            raise NumericError(f"cannot crop frame {t}: {exc}") from exc
+        if previous_features is None:
+            previous_features = net.encode(previous.crop, previous.box)
+        outputs = net.forward(target_features, previous_features, search_crop,
+                              bias_terms=bias_terms)
+        if not (np.all(np.isfinite(outputs.cls.data))
+                and np.all(np.isfinite(outputs.reg.data))):
+            raise NumericError(f"non-finite head outputs at frame {t}")
+        decoded = decode_box(outputs)
+        confidence = float(decoded.confidence)
+
+        if decoded.degenerate:
+            pred_box = last_box   # hold position rather than collapse
+        else:
+            pred_box = search_window.to_frame(decoded.box)
+        if cfg.oracle:
+            pred_box = sequence.boxes[t]
+
+        decision = state.should_update(confidence)
+        updated = decision.update and not decoded.degenerate
+        if updated:
             try:
-                search_window = box_window(last_box, cfg.context_scale,
-                                           spec.search_size)
-                search_crop = crop_resize(sequence.frames[t], search_window)
+                previous = make_template(sequence.frames[t], pred_box,
+                                         cfg.context_scale, spec.search_size)
             except ValueError as exc:
-                raise NumericError(f"cannot crop frame {t}: {exc}") from exc
-            if previous_features is None:
-                previous_features = net.encode(previous.crop)
-            outputs = net.forward(target_features, previous_features,
-                                  search_crop, prev_box=previous.box)
-            if not (np.all(np.isfinite(outputs.cls.data))
-                    and np.all(np.isfinite(outputs.reg.data))):
-                raise NumericError(f"non-finite head outputs at frame {t}")
-            decoded = decode_box(outputs)
-            confidence = float(decoded.confidence)
+                raise NumericError(
+                    f"cannot crop the template at frame {t}: {exc}") from exc
+            previous_features = None
 
-            if decoded.degenerate:
-                pred_box = last_box   # hold position rather than collapse
-            else:
-                pred_box = search_window.to_frame(decoded.box)
-            if cfg.oracle:
-                pred_box = sequence.boxes[t]
-
-            decision = state.should_update(confidence)
-            updated = decision.update and not decoded.degenerate
-            if updated:
-                try:
-                    previous = make_template(sequence.frames[t], pred_box,
-                                             cfg.context_scale,
-                                             spec.search_size)
-                except ValueError as exc:
-                    raise NumericError(
-                        f"cannot crop the template at frame {t}: {exc}") from exc
-                previous_features = None
-
-            records.append(FrameRecord(
-                frame=t, box=pred_box,
-                iou=box_iou(pred_box, sequence.boxes[t]),
-                confidence=confidence, threshold=decision.threshold,
-                updated=updated))
-            last_box = pred_box
+        records.append(FrameRecord(
+            frame=t, box=pred_box,
+            iou=box_iou(pred_box, sequence.boxes[t]),
+            confidence=confidence, threshold=decision.threshold,
+            updated=updated))
+        last_box = pred_box
     return records
 
 

@@ -2,7 +2,7 @@
 composites that the library's fused ops must match bit for bit, and the
 layout and attention-weight views that no library run reads.
 
-The composites record `_node` tape nodes, so their gradients run through
+The composites record `Tensor._make` nodes, so their gradients run through
 the same sweep as the library's. `composite_attend` and
 `composite_residual` are a pre-norm attention layer's two sublayers, which
 `attention_sublayer` and `feed_forward_sublayer` replace.
@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
-from ctxtrack.tensor import Tensor, _exp_normalize, _node, as_tensor, gelu, matmul, no_grad
+from ctxtrack.tensor import Tensor, _exp_normalize, as_tensor, gelu, matmul, no_grad
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4) -> np.ndarray:
@@ -38,7 +38,7 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4)
 
 def tanh(t: Tensor) -> Tensor:
     out = np.tanh(t.data)
-    return _node(out, (t,), (lambda g: g * (1.0 - out * out),))
+    return Tensor._make(out, (t,), (lambda g: g * (1.0 - out * out),))
 
 
 def softmax_lastdim(t: Tensor) -> Tensor:
@@ -47,7 +47,7 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     if t.ndim == 0 or t.shape[-1] < 1:
         raise ValueError("softmax_lastdim needs a non-empty last axis")
     out = _exp_normalize(t.data - t.data.max(axis=-1, keepdims=True))
-    return _node(out, (t,),
+    return Tensor._make(out, (t,),
                  (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 

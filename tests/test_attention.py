@@ -440,13 +440,15 @@ def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
 
 
 # ----------------------------------------------------------------------
-# held bias terms
+# bias terms passed in
 # ----------------------------------------------------------------------
 
-def test_held_layer_builds_each_key_set_once(monkeypatch):
-    layer, _, _ = toy_layer(seed=25)
+def test_layer_given_its_terms_builds_none(monkeypatch):
+    layer, _, rng = toy_layer(seed=25)
+    tokens = Tensor(rng.normal(size=(9, 8)))
     with no_grad():
-        fresh = {keys: layer.bias_terms(keys) for keys in (None, "templates")}
+        terms = {keys: layer.bias_terms(keys) for keys in (None, "templates")}
+        own = [layer(tokens), layer.forward_search_queries(tokens)]
     calls = []
     original = UntiedPositionBias.bias
 
@@ -455,19 +457,15 @@ def test_held_layer_builds_each_key_set_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(UntiedPositionBias, "bias", counting)
-    layer.hold_bias_terms()
     with no_grad():
-        held = [(keys, layer.bias_terms(keys))
-                for keys in (None, "templates", None, "templates")]
-    assert len(calls) == 2
-    for keys, terms in held:
-        assert [t.data.tobytes() for t in terms] == \
-            [t.data.tobytes() for t in fresh[keys]]
-    assert held[0][1] is held[2][1] and held[1][1] is held[3][1]
-    # a taped call builds its own terms even while held
+        given = [layer(tokens, terms[None]),
+                 layer.forward_search_queries(tokens, "templates", terms["templates"])]
+    assert calls == []
+    for out, want in zip(given, own):
+        assert out.data.tobytes() == want.data.tobytes()
+    # a layer given no terms builds its own, taped or not
     taped = layer.bias_terms(None)
-    assert taped[0].requires_grad and len(calls) == 3
-    layer.release_bias_terms()
+    assert taped[0].requires_grad and len(calls) == 1
     with no_grad():
-        layer.bias_terms("templates")
-    assert len(calls) == 4
+        layer.forward_search_queries(tokens)
+    assert len(calls) == 2

@@ -273,6 +273,31 @@ class TestExitCodes:
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("command, flags, work", [
+        ("train", ["--params", "--loss-csv"], "toy_train"),
+        ("update-sim", ["--trace", "--out"], "simulate_updates"),
+        ("track", ["--config", "--metrics"], "run_tracker")],
+        ids=["two-outputs", "output-is-input", "output-is-config"])
+    def test_output_that_is_another_named_file_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flags, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"called {work} before checking {flags}")
+
+        monkeypatch.setattr(cli, work, never)
+        config = _write_config(tmp_path)
+        same = tmp_path / "same.out"
+        same.write_text(Path(config).read_text(encoding="utf-8") if command == "track"
+                        else "0.9\n", encoding="utf-8")
+        before = same.read_bytes()
+        argv = [command] + (["--config", config] if command != "track" else [])
+        # the second path names the same file through a different spelling
+        argv += [flags[0], str(same), flags[1], str(tmp_path / "." / "same.out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert "same file" in err
+        assert same.read_bytes() == before
+
     def test_track_one_frame_sequence_writes_nothing(self, tmp_path, capsys,
                                                      monkeypatch):
         def never(*args, **kwargs):

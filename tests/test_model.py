@@ -190,7 +190,7 @@ def test_neck_output_shape_and_depth():
     rng = np.random.default_rng(6)
     tokens = net.backbone_forward(*toy_images(rng))
     trace = []
-    out = net.neck_forward(tokens, prev_box=(16, 16, 48, 48), trace=trace)
+    out = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48)), trace=trace)
     assert out.shape == (4, 4, 32)
     assert len(trace) == spec.n3 - 1  # the search-query layer is not traced
 
@@ -200,7 +200,7 @@ def test_neck_single_layer_config():
     rng = np.random.default_rng(7)
     tokens = net.backbone_forward(*toy_images(rng))
     assert net.neck_full == []
-    out = net.neck_forward(tokens, prev_box=(16, 16, 48, 48))
+    out = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48)))
     assert out.shape == (4, 4, 32)
 
 
@@ -211,8 +211,8 @@ def test_neck_zeroed_box_embedding_matches_no_injection():
     net.box_embed.fc2.bias.data[...] = 0.0
     rng = np.random.default_rng(8)
     tokens = net.backbone_forward(*toy_images(rng))
-    with_box = net.neck_forward(tokens, prev_box=(16, 16, 48, 48)).data
-    without = net.neck_forward(tokens, prev_box=None).data
+    with_box = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48))).data
+    without = net.neck_forward(tokens, None).data
     assert np.array_equal(with_box, without)
 
 
@@ -220,8 +220,8 @@ def test_neck_box_injection_changes_output():
     net, _ = toy_net(seed=9)
     rng = np.random.default_rng(9)
     tokens = net.backbone_forward(*toy_images(rng))
-    a = net.neck_forward(tokens, prev_box=(16, 16, 48, 48)).data
-    b = net.neck_forward(tokens, prev_box=(8, 8, 40, 40)).data
+    a = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48))).data
+    b = net.neck_forward(tokens, net.box_embed((8, 8, 40, 40))).data
     assert not np.allclose(a, b)
 
 
@@ -385,7 +385,7 @@ def test_linear_forward_matches_batched_product_at_every_call_site(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the held previous-template box embedding
+# the previous template's box embedding, encoded with it
 # ----------------------------------------------------------------------
 
 def _count_box_embeddings(monkeypatch):
@@ -400,37 +400,43 @@ def _count_box_embeddings(monkeypatch):
     return boxes
 
 
-def test_held_box_embedding_is_rebuilt_only_when_the_box_changes(monkeypatch):
+def test_encode_embeds_the_box_once_per_template(monkeypatch):
     net, _ = toy_net()
-    images = toy_images(np.random.default_rng(1))
+    target, previous, search = toy_images(np.random.default_rng(1))
     a, b = (18.0, 22.0, 41.0, 37.0), (10.0, 12.0, 30.0, 44.0)
     with no_grad():
-        plain = {box: net.forward(*images, prev_box=box) for box in (a, b)}
+        plain = {box: net.forward(target, previous, search, prev_box=box) for box in (a, b)}
+        own = {box: net.box_embed(box) for box in (a, b)}
         calls = _count_box_embeddings(monkeypatch)
-        with net.reused_bias_terms():
-            held = [(box, net.forward(*images, prev_box=box)) for box in (a, a, b, a)]
-    # a, then b, then a again: one slot, rebuilt on each change
-    assert len(calls) == 3
-    for box, out in held:
+        encoded = {box: net.encode(previous, box) for box in (a, b)}
+        outputs = [(box, net.forward(target, encoded[box], search)) for box in (a, a, b, a)]
+    # one embedding per encoded template, however many forwards read it
+    assert calls == [a, b]
+    for box, out in outputs:
+        assert encoded[box].box.data.tobytes() == own[box].data.tobytes()
         assert out.cls.data.tobytes() == plain[box].cls.data.tobytes()
         assert out.reg.data.tobytes() == plain[box].reg.data.tobytes()
+    with pytest.raises(ValueError, match="encoded with its box"):
+        net.forward(target, encoded[a], search, prev_box=a)
 
 
-def test_taped_forward_in_the_block_builds_its_own_box_embedding(monkeypatch):
+def test_taped_forward_embeds_its_box_and_gives_it_a_gradient(monkeypatch):
     net, _ = toy_net()
-    images = toy_images(np.random.default_rng(2))
+    target, previous, search = toy_images(np.random.default_rng(2))
     box = (18.0, 22.0, 41.0, 37.0)
     calls = _count_box_embeddings(monkeypatch)
-    with net.reused_bias_terms():
-        with no_grad():
-            net.forward(*images, prev_box=box)
-        out = net.forward(*images, prev_box=box)
+    grads = []
+    for encoded in (False, True):
+        for p in net.parameters().values():
+            p.grad = None
+        prev = net.encode(previous, box) if encoded else previous
+        out = net.forward(target, prev, search, prev_box=None if encoded else box)
         out.cls.sum().backward()
-        with no_grad():
-            net.forward(*images, prev_box=box)
-    # the taped forward builds one and leaves the held one in place
+        grads.append({name: p.grad for name, p in net.box_embed.parameters().items()})
     assert len(calls) == 2
-    assert net.box_embed.fc1.weight.grad is not None
+    assert all(g is not None for g in grads[0].values())
+    for name, grad in grads[0].items():
+        assert grads[1][name].tobytes() == grad.tobytes(), name
 
 
 def test_run_tracker_embeds_an_unchanged_box_once_per_sequence(monkeypatch):
@@ -440,3 +446,13 @@ def test_run_tracker_embeds_an_unchanged_box_once_per_sequence(monkeypatch):
                           TrackConfig(update_mode="never"))
     assert len(records) == 4
     assert len(calls) == 1
+
+
+def test_run_tracker_embeds_each_new_template_box_once(monkeypatch):
+    calls = _count_box_embeddings(monkeypatch)
+    net, _ = toy_net()
+    records = run_tracker(net, gen_sequence(SequenceConfig(num_frames=5)),
+                          TrackConfig(update_mode="always-last"))
+    # the first template, and each replacement that a later frame reads
+    assert [r.updated for r in records] == [True] * 4
+    assert len(calls) == 4

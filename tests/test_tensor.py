@@ -801,17 +801,18 @@ def _fused_case(name, rng):
         return PairwiseRegionBias(layout, 2, rng).bias
     wq, wk, wv, wo = (parameter(rng.normal(size=(4, 4))) for _ in range(4))
     w2 = parameter(rng.normal(size=(5, 4)))
+    b4 = b[:4]   # sliced here, so that `Tensor._make` sees only the op itself
     return {
         "linear": lambda: linear(x, w, b),
         "linear_no_bias": lambda: linear(x, w),
         "matmul_raw_operand": lambda: matmul(x.data, w),
-        "layer_norm": lambda: layer_norm(x, g, b[:4], 1e-5),
+        "layer_norm": lambda: layer_norm(x, g, b4, 1e-5),
         "gelu": lambda: gelu(x),
         "concat": lambda: concat([x, y], axis=1),
         "attention_sublayer": lambda: attention_sublayer(x, y, wq, wk, wv, wo, 2, 0.5,
                                                          [bias]),
-        "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b[:4], 1e-5,
-                                                               w, b, w2, b[:4]),
+        "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b4, 1e-5,
+                                                               w, b, w2, b4),
     }[name]
 
 

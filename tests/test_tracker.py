@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -94,13 +93,13 @@ class TestRunTracker:
             def __init__(self):
                 self.spec = spec
 
-            def encode(self, image):
+            def encode(self, image, box=None):
                 return image
 
-            def reused_bias_terms(self):
-                return nullcontext()
+            def bias_terms(self):
+                return None
 
-            def forward(self, target, previous, search, prev_box=None):
+            def forward(self, target, previous, search, bias_terms=None):
                 cls = Tensor(np.full((grid, grid, 1), 0.9))
                 reg = Tensor(np.zeros((grid, grid, 4)))
                 return HeadOutputs(cls=cls, reg=reg)
@@ -141,9 +140,9 @@ class TestInference:
         seen = []
         original = net.forward
 
-        def recording(target, previous, search, prev_box=None):
-            seen.append((previous.grid.data.copy(), prev_box))
-            return original(target, previous, search, prev_box=prev_box)
+        def recording(target, previous, search, bias_terms=None):
+            seen.append((previous.grid.data.copy(), previous.box.data.copy()))
+            return original(target, previous, search, bias_terms=bias_terms)
 
         monkeypatch.setattr(net, "forward", recording)
         seq = _sequence(num_frames=8)
@@ -154,10 +153,11 @@ class TestInference:
 
         template = make_template(seq.frames[0], seq.boxes[0],
                                  cfg.context_scale, net.spec.search_size)
-        for record, (features, prev_box) in zip(records, seen):
-            assert prev_box == template.box
-            assert features.tobytes() == \
-                net.encode(template.crop).grid.data.tobytes()
+        for record, (features, box) in zip(records, seen):
+            with no_grad():
+                encoded = net.encode(template.crop, template.box)
+            assert box.tobytes() == encoded.box.data.tobytes()
+            assert features.tobytes() == encoded.grid.data.tobytes()
             if record.updated:
                 template = make_template(seq.frames[record.frame], record.box,
                                          cfg.context_scale,
@@ -232,16 +232,22 @@ class TestReusedBiasTerms:
         return calls
 
     @staticmethod
-    def _record_held(monkeypatch, net):
-        held = []
-        original = net.forward
+    def _record_terms(monkeypatch):
+        passed = []
+        original = TrackerNet.forward
 
-        def recording(*args, **kwargs):
-            held.append([layer._held is not None for layer in _joint_layers(net)])
-            return original(*args, **kwargs)
+        def recording(self, *args, bias_terms=None, **kwargs):
+            passed.append(bias_terms)
+            return original(self, *args, bias_terms=bias_terms, **kwargs)
 
-        monkeypatch.setattr(net, "forward", recording)
-        return held
+        monkeypatch.setattr(TrackerNet, "forward", recording)
+        return passed
+
+    @staticmethod
+    def _attributes(net):
+        """Each attribute of the net and of every joint layer, by identity."""
+        return [{name: id(value) for name, value in vars(obj).items()}
+                for obj in [net, *_joint_layers(net)]]
 
     @pytest.mark.parametrize("mode", ["p-mean", "always-last"])
     def test_terms_are_built_once_per_layer_per_sequence(self, monkeypatch, mode):
@@ -261,27 +267,32 @@ class TestReusedBiasTerms:
     def test_two_frame_sequence_holds_nothing(self, monkeypatch):
         calls = self._count_bias_calls(monkeypatch)
         net = _net()
-        held = self._record_held(monkeypatch, net)
+        passed = self._record_terms(monkeypatch)
+        monkeypatch.setattr(net, "bias_terms", lambda: pytest.fail("built terms ahead"))
         run_tracker(net, _sequence(num_frames=2))
-        assert held == [[False] * 7]
+        assert passed == [None]
         assert len([key for key in calls if key[1] == "bias"]) == 13
         assert set(calls.values()) == {1}
 
     def test_terms_are_dropped_on_return(self, monkeypatch):
         net = _net()
-        held = self._record_held(monkeypatch, net)
+        before = self._attributes(net)
+        passed = self._record_terms(monkeypatch)
         run_tracker(net, _sequence(num_frames=5))
-        assert held == [[True] * 7] * 4
-        assert all(layer._held is None for layer in _joint_layers(net))
+        # every frame reads one list of the seven layers' terms
+        assert len(passed) == 4 and len(passed[0]) == 7
+        assert all(terms is passed[0] for terms in passed)
+        assert self._attributes(net) == before
 
     def test_terms_are_dropped_on_numeric_error(self, monkeypatch):
         net = _net()
         net.patch.proj.weight.data[:] = np.nan
-        held = self._record_held(monkeypatch, net)
+        before = self._attributes(net)
+        passed = self._record_terms(monkeypatch)
         with pytest.raises(NumericError, match="frame 1"):
             run_tracker(net, _sequence(num_frames=5))
-        assert held == [[True] * 7]
-        assert all(layer._held is None for layer in _joint_layers(net))
+        assert len(passed) == 1 and len(passed[0]) == 7
+        assert self._attributes(net) == before
 
     @staticmethod
     def _gradients(net):
@@ -296,15 +307,19 @@ class TestReusedBiasTerms:
         net = _net()
         run_tracker(net, _sequence(num_frames=5))
         after = self._gradients(net)
-        with net.reused_bias_terms():
-            inside = self._gradients(net)
+        terms = net.bias_terms()
+        with no_grad():
+            net.forward(*_images(), prev_box=(20.0, 20.0, 40.0, 40.0), bias_terms=terms)
+        between = self._gradients(net)
+        with pytest.raises(ValueError, match="builds its own bias terms"):
+            net.forward(*_images(), bias_terms=terms)
         tables = [name for name in expected
                   if ".abs_bias." in name or ".rel_bias." in name]
         # every table the layers read gets a gradient
         assert all(expected[name] is not None for name in tables
                    if name.startswith(("stage3_joint", "neck_full"))
                    or ".abs_bias." in name)
-        for grads in (after, inside):
+        for grads in (after, between):
             assert grads.keys() == expected.keys()
             for name, grad in expected.items():
                 if grad is None:
@@ -320,11 +335,28 @@ class TestReusedBiasTerms:
         box = (18.0, 22.0, 41.0, 37.0)
         with no_grad():
             plain = net.forward(*images, prev_box=box)
-            with net.reused_bias_terms():
-                reused = [net.forward(*images, prev_box=box) for _ in range(2)]
+            terms = net.bias_terms()
+            reused = [net.forward(*images, prev_box=box, bias_terms=terms)
+                      for _ in range(2)]
         for out in reused:
             assert out.cls.data.tobytes() == plain.cls.data.tobytes()
             assert out.reg.data.tobytes() == plain.reg.data.tobytes()
+
+    @pytest.mark.parametrize("final_keys", ["templates", "all"])
+    def test_bias_terms_are_each_layers_own_terms(self, final_keys):
+        net = TrackerNet(toy_spec(final_keys=final_keys),
+                         np.random.default_rng(0))
+        terms = net.bias_terms()
+        layers = _joint_layers(net)
+        assert len(terms) == len(layers) == 7
+        for i, (layer, shared) in enumerate(zip(layers, terms)):
+            own = layer.bias_terms(final_keys if layer is net.neck_last else None)
+            assert not any(t.requires_grad for t in shared), i
+            assert [t.shape for t in shared] == [t.shape for t in own], i
+            assert [t.data.tobytes() for t in shared] == \
+                [t.data.tobytes() for t in own], i
+        # the last layer's search rows are a copy, not a view of its full term
+        assert all(t.data.flags.c_contiguous and t.data.base is None for t in terms[-1])
 
 
 class TestComputeMetrics:

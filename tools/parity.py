@@ -23,6 +23,9 @@ The battery (about half a minute per tree; the two trees run at once):
                    occlusion over frames 30-38), where crops reach past the
                    frame edge and always-last changes the template every
                    frame
+  records.two_frame
+                   the same for toy seed 0, untrained, on a 2-frame
+                   sequence, whose one forward builds each layer's own terms
   train.*          the per-step losses and final `state()` of that training
                    (30 steps of `toy_train` per seed)
   track.small      `run_tracker` records of the untrained small preset on
@@ -32,17 +35,14 @@ The battery (about half a minute per tree; the two trees run at once):
                    with those parameters: the metrics CSV and every PGM
 
 The battery calls the package's public API as this tree has it, so REV
-must be recent enough to share it. One call adapts: `tracking_loss` gets
-the stride only where it still has a `stride` parameter. Hashes depend on
-the numpy and BLAS build, so compare trees on one machine only; tests pin
-none of them.
+must be recent enough to share it. Hashes depend on the numpy and BLAS
+build, so compare trees on one machine only; tests pin none of them.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -86,7 +86,7 @@ def battery() -> dict[str, str]:
     """sha256 of every artifact, computed by the `ctxtrack` on sys.path."""
     from ctxtrack.cli import main as ctxtrack_main
     from ctxtrack.heads import tracking_loss
-    from ctxtrack.model import STRIDE, TrackerNet, small_spec, toy_spec
+    from ctxtrack.model import TrackerNet, small_spec, toy_spec
     from ctxtrack.synthetic import SequenceConfig, gen_sequence
     from ctxtrack.tracker import TrackConfig, run_tracker
     from ctxtrack.train import TrainConfig, toy_train
@@ -107,10 +107,7 @@ def battery() -> dict[str, str]:
     rng = np.random.default_rng(0)
     outputs = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
                           rng.random((64, 64, 3)), prev_box=(16.0, 16.0, 48.0, 48.0))
-    # older trees take the stride as an argument; the check can go once no
-    # REV of interest has the parameter
-    stride = (STRIDE,) if "stride" in inspect.signature(tracking_loss).parameters else ()
-    loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0), *stride)
+    loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0))
     loss.backward()
     out["taped.outputs"] = _arrays_digest(
         [("cls", outputs.cls.data), ("reg", outputs.reg.data), ("loss", loss.data)])
@@ -125,6 +122,10 @@ def battery() -> dict[str, str]:
     def track_all_modes(net, sequences):
         return [run_tracker(net, sequence, TrackConfig(update_mode=m))
                 for sequence in sequences for m in MODES]
+
+    out["records.two_frame"] = _records_digest(track_all_modes(
+        TrackerNet(toy_spec(), np.random.default_rng(0)),
+        [gen_sequence(SequenceConfig(num_frames=2))]))
 
     for keys in ("templates", "all"):
         runs = {"untrained": [], "trained": [], "long.untrained": [], "long.trained": []}
