@@ -114,6 +114,15 @@ def config_from_dict(data) -> ExperimentConfig:
                             track=track, sequence=sequence)
 
 
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -121,10 +130,10 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and integers past the digit limit;
-        # RecursionError, arrays or objects nested past the parser's depth
+        # ValueError covers malformed JSON, a repeated key and integers past
+        # the digit limit; RecursionError, arrays or objects nested too deep
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(data)
 

@@ -68,6 +68,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             name = bytes(take(name_len)).decode("utf-8")
         except UnicodeDecodeError as e:
             raise ConfigError(f"tensor name in {path} is not valid UTF-8: {e}") from e
+        if name in state:
+            raise ConfigError(f"tensor {name!r} repeated in parameter file {path}")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         size = math.prod(shape)   # a Python int: no overflow before `take`

@@ -59,10 +59,6 @@ class DecodedBox(NamedTuple):
     degenerate: bool
 
 
-def _data(x) -> np.ndarray:
-    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-
 def decode_box(outputs: HeadOutputs) -> DecodedBox:
     """Box at the classification argmax; ties break to the lowest flat index.
 
@@ -70,8 +66,8 @@ def decode_box(outputs: HeadOutputs) -> DecodedBox:
     STRIDE * (k_x - l, k_y - t, k_x + r, k_y + b) pixels. A box without
     positive extent on both axes is flagged as degenerate.
     """
-    cls = _data(outputs.cls)[..., 0]
-    reg = _data(outputs.reg)
+    cls = outputs.cls.data[..., 0]
+    reg = outputs.reg.data
     h, w = cls.shape
     flat = int(np.argmax(cls.reshape(-1)))
     ky, kx = divmod(flat, w)

@@ -127,7 +127,7 @@ class TrackerNet(Module):
         embedding of `box`, when given, for a previous-template image.
 
         A template that does not change between frames can be encoded once
-        and passed to `forward` in place of its image and box.
+        and passed to `forward` in place of its image.
         """
         if not isinstance(image, Tensor):
             image = Tensor(np.asarray(image))
@@ -224,28 +224,21 @@ class TrackerNet(Module):
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
 
-    def forward(self, target, previous, search, prev_box: Box | None = None,
-                trace: list | None = None, bias_terms=None) -> HeadOutputs:
+    def forward(self, target, previous, search, trace: list | None = None,
+                bias_terms=None) -> HeadOutputs:
         """Head outputs for the three inputs, each an image or its `encode`
-        output.
-
-        prev_box, when given, is the previous-frame box in pixel
-        coordinates of the previous-template image; a previous template
-        encoded with its box carries its embedding instead. `bias_terms`,
-        when given, is the output of `bias_terms()`, which a tape-free
-        forward uses in place of building its own; a taped forward builds
-        its own, so that the bias tables get gradients. A list passed
-        as `trace` receives the output tokens of every full cross-frame
-        layer: the joint backbone layers, then the full neck layers.
+        output; the previous-frame box enters only as the embedding that
+        `encode(previous, box)` carries. `bias_terms`, when given, is the
+        output of `bias_terms()`, which a tape-free forward uses in place of
+        building its own; a taped forward builds its own, so that the bias
+        tables get gradients. A list passed as `trace` receives the output
+        tokens of every full cross-frame layer: the joint backbone layers,
+        then the full neck layers.
         """
-        box = previous.box if isinstance(previous, Encoded) else None
-        if box is not None and prev_box is not None:
-            raise ValueError("prev_box given for a template encoded with its box")
         if bias_terms is not None and grad_enabled():
             raise ValueError("a taped forward builds its own bias terms")
         tokens = self.backbone_forward(target, previous, search, trace, bias_terms)
-        if prev_box is not None:
-            box = self.box_embed(prev_box)
+        box = previous.box if isinstance(previous, Encoded) else None
         features = self.neck_forward(tokens, box, trace, bias_terms)
         return self.head(features)
 

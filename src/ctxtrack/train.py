@@ -163,8 +163,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
             gt_box = search_window.to_crop(sequence.boxes[cur])
         search_crop = crop_resize(sequence.frames[cur], search_window)
 
-        outputs = net.forward(target_crop, prev_crop, search_crop,
-                              prev_box=prev_box)
+        outputs = net.forward(target_crop, net.encode(prev_crop, prev_box), search_crop)
         if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
             raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(

@@ -13,7 +13,8 @@ import pytest
 import ctxtrack
 from ctxtrack import cli
 from ctxtrack.cli import main
-from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm
+from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm, save_params
+from ctxtrack.model import TrackerNet, toy_spec
 
 
 def _write_config(tmp_path, **sections):
@@ -432,6 +433,24 @@ class TestTrainTrackPipeline(object):
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_track_rejects_params_with_a_repeated_name(self, tmp_path, capsys):
+        state = TrackerNet(toy_spec(), np.random.default_rng(0)).state()
+        params = tmp_path / "dup.params"
+        save_params(params, state)
+        # the first tensor again, holding 7.0, with the tensor count raised
+        name, arr = next(iter(state.items()))
+        data = bytearray(params.read_bytes())
+        struct.pack_into("<I", data, len(PARAMS_MAGIC) + 4, len(state) + 1)
+        data += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(),
+                            arr.ndim, *arr.shape) + np.full(arr.shape, 7.0).tobytes()
+        params.write_bytes(bytes(data))
+        metrics = tmp_path / "m.csv"
+        assert main(["track", "--config", _write_config(tmp_path),
+                     "--params", str(params), "--metrics", str(metrics)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"tensor {name!r} repeated" in err
+        assert not metrics.exists()
 
 
 class TestUpdateSim(object):

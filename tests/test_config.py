@@ -221,6 +221,18 @@ def test_bad_files_rejected(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"train": {"steps": 2, "steps": 1}}', "steps"),
+    ('{"train": {"steps": 2}, "train": {"steps": 1}}', "train"),
+    ('{"sequence": {"seed": 1, "num_frames": 4, "seed": 1}}', "seed"),
+], ids=["key", "section", "same-value"])
+def test_repeated_key_rejected(tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+        load_config(path)
+
+
 # a config built in code skips `_build`, so each validate() must reject
 # non-finite values itself; range checks like `x < 0` let NaN through
 _FLOAT_FIELDS = [(TrainConfig, name) for name in

@@ -86,6 +86,17 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="UTF-8"):
             load_params(path)
 
+    def test_rejects_repeated_name(self, tmp_path):
+        path = tmp_path / "dup.params"
+        save_params(path, {"w": np.arange(4.0), "b": np.zeros(1)})
+        # a second record named "w", with the tensor count raised to match
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, len(PARAMS_MAGIC) + 4, 3)
+        data += struct.pack("<I1sII", 1, b"w", 1, 4) + np.full(4, 7.0).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="tensor 'w' repeated"):
+            load_params(path)
+
 
 class TestPnm:
     def test_pgm_roundtrip(self, tmp_path):

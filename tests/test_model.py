@@ -9,6 +9,7 @@ from ctxtrack.backbone import BoxEmbedding
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
 from ctxtrack.tracker import TrackConfig, run_tracker
+from ctxtrack.train import TrainConfig, toy_train
 from ctxtrack.tensor import Tensor, linear, matmul, no_grad
 
 from reference_ops import coords, finite_diff_grad
@@ -27,6 +28,12 @@ def toy_net(seed=0, **overrides):
 def toy_images(rng):
     return (rng.random((32, 32, 3)), rng.random((64, 64, 3)),
             rng.random((64, 64, 3)))
+
+
+def with_box(net, images, box=(16, 16, 48, 48)):
+    """The three images, the previous one encoded with its box."""
+    target, previous, search = images
+    return target, net.encode(previous, box), search
 
 
 # ----------------------------------------------------------------------
@@ -122,12 +129,12 @@ def test_tape_free_stage3_matches_taped_per_image_path(name):
     net = TrackerNet(spec, np.random.default_rng(17))
     images = _spec_images(spec, 17)
     box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
-    taped = net.forward(*images, prev_box=box)
+    taped = net.forward(*with_box(net, images, box))
     tokens = net.backbone_forward(*images)
     local = net._local_pair(net.stage3_local[2:4], tokens)
     assert taped.cls.requires_grad and local.requires_grad
     with no_grad():
-        free = net.forward(*images, prev_box=box)
+        free = net.forward(*with_box(net, images, box))
         free_local = net._local_pair(net.stage3_local[2:4], tokens)
     assert taped.cls.data.tobytes() == free.cls.data.tobytes()
     assert taped.reg.data.tobytes() == free.reg.data.tobytes()
@@ -170,14 +177,14 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
     target, previous, search = toy_images(np.random.default_rng(18))
     box = (16, 16, 48, 48)
     with no_grad():
-        encoded = net.encode(target), net.encode(previous)
+        encoded = net.encode(target), net.encode(previous, box)
     calls = _count_window_calls(monkeypatch)
     with no_grad():
-        net.forward(*encoded, search, prev_box=box)
+        net.forward(*encoded, search)
     # 6 to encode the search image, then one per block of pairs g >= 1
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
     calls.clear()
-    net.forward(target, previous, search, prev_box=box)
+    net.forward(*with_box(net, (target, previous, search), box))
     assert len(calls) == 3 * (6 + 2 * (spec.n1 - 1)) == 30
 
 
@@ -233,7 +240,7 @@ def test_forward_head_outputs():
     net, _ = toy_net(seed=10)
     rng = np.random.default_rng(10)
     target, previous, search = toy_images(rng)
-    out = net(target, previous, search, prev_box=(16, 16, 48, 48))
+    out = net(target, net.encode(previous, (16, 16, 48, 48)), search)
     assert out.cls.shape == (4, 4, 1)
     assert out.reg.shape == (4, 4, 4)
     assert np.all(out.cls.data > 0) and np.all(out.cls.data < 1)
@@ -244,8 +251,8 @@ def test_forward_is_deterministic():
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     net_a, _ = toy_net(seed=11)
     net_b, _ = toy_net(seed=11)
-    out_a = net_a(*toy_images(rng_a), prev_box=(16, 16, 48, 48))
-    out_b = net_b(*toy_images(rng_b), prev_box=(16, 16, 48, 48))
+    out_a = net_a(*with_box(net_a, toy_images(rng_a)))
+    out_b = net_b(*with_box(net_b, toy_images(rng_b)))
     assert np.array_equal(out_a.cls.data, out_b.cls.data)
     assert np.array_equal(out_a.reg.data, out_b.reg.data)
 
@@ -253,19 +260,20 @@ def test_forward_is_deterministic():
 def test_forward_on_encoded_templates_is_byte_identical():
     net, _ = toy_net(seed=13)
     target, previous, search = toy_images(np.random.default_rng(13))
-    box = (16, 16, 48, 48)
-    direct = net.forward(target, previous, search, prev_box=box)
-    cached = net.forward(net.encode(target), net.encode(previous), search,
-                         prev_box=box)
-    assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
-    assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
+    boxed = net.encode(previous, (16, 16, 48, 48))
+    for direct, cached in (
+            (net.forward(target, previous, search),
+             net.forward(net.encode(target), net.encode(previous), search)),
+            (net.forward(target, boxed, search),
+             net.forward(net.encode(target), boxed, search))):
+        assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
+        assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
 
 
 def test_forward_trace_holds_every_full_cross_frame_layer():
     net, spec = toy_net(seed=14)
     trace = []
-    net.forward(*toy_images(np.random.default_rng(14)),
-                prev_box=(16, 16, 48, 48), trace=trace)
+    net.forward(*with_box(net, toy_images(np.random.default_rng(14))), trace=trace)
     assert len(trace) == spec.n1 + spec.n3 - 1
     for tokens in trace:
         assert tokens.shape == (net.layout.length, spec.dim)
@@ -273,10 +281,9 @@ def test_forward_trace_holds_every_full_cross_frame_layer():
 
 def test_forward_with_trace_is_byte_identical():
     net, _ = toy_net(seed=15)
-    images = toy_images(np.random.default_rng(15))
-    box = (16, 16, 48, 48)
-    plain = net.forward(*images, prev_box=box)
-    traced = net.forward(*images, prev_box=box, trace=[])
+    images = with_box(net, toy_images(np.random.default_rng(15)))
+    plain = net.forward(*images)
+    traced = net.forward(*images, trace=[])
     assert plain.cls.data.tobytes() == traced.cls.data.tobytes()
     assert plain.reg.data.tobytes() == traced.reg.data.tobytes()
 
@@ -284,8 +291,8 @@ def test_forward_with_trace_is_byte_identical():
 def test_last_traced_layer_feeds_the_search_query_layer():
     net, spec = toy_net(seed=16)
     trace = []
-    out = net.forward(*toy_images(np.random.default_rng(16)),
-                      prev_box=(16, 16, 48, 48), trace=trace)
+    out = net.forward(*with_box(net, toy_images(np.random.default_rng(16))),
+                      trace=trace)
     features = net.neck_last.forward_search_queries(trace[-1], keys=spec.final_keys)
     h, w = net.layout.grid("search")
     again = net.head(features.reshape(h, w, spec.dim))
@@ -305,10 +312,10 @@ def test_forward_gradients_match_finite_differences():
     w_reg = rng.normal(size=(2, 2, 4))
 
     def scalar(_=None):
-        out = net(*images, prev_box=box)
+        out = net(*with_box(net, images, box))
         return float((out.cls.data * w_cls).sum() + (out.reg.data * w_reg).sum())
 
-    out = net(*images, prev_box=box)
+    out = net(*with_box(net, images, box))
     loss = (out.cls * w_cls).sum() + (out.reg * w_reg).sum()
     loss.backward()
     params = net.parameters()
@@ -370,9 +377,9 @@ def test_linear_forward_matches_batched_product_at_every_call_site(monkeypatch):
         box = (spec.search_size * 0.3, spec.search_size * 0.3,
                spec.search_size * 0.6, spec.search_size * 0.6)
         with no_grad():
-            net.forward(*images, prev_box=box)
+            net.forward(*with_box(net, images, box))
         if taped:
-            net.forward(*images, prev_box=box)
+            net.forward(*with_box(net, images, box))
     assert len(shapes) > 20
     for x_shape, w_shape, has_bias in sorted(shapes):
         x, w, b = (rng.normal(size=x_shape), rng.normal(size=w_shape),
@@ -405,8 +412,9 @@ def test_encode_embeds_the_box_once_per_template(monkeypatch):
     target, previous, search = toy_images(np.random.default_rng(1))
     a, b = (18.0, 22.0, 41.0, 37.0), (10.0, 12.0, 30.0, 44.0)
     with no_grad():
-        plain = {box: net.forward(target, previous, search, prev_box=box) for box in (a, b)}
+        tokens = net.backbone_forward(target, previous, search)
         own = {box: net.box_embed(box) for box in (a, b)}
+        plain = {box: net.head(net.neck_forward(tokens, own[box])) for box in (a, b)}
         calls = _count_box_embeddings(monkeypatch)
         encoded = {box: net.encode(previous, box) for box in (a, b)}
         outputs = [(box, net.forward(target, encoded[box], search)) for box in (a, a, b, a)]
@@ -416,8 +424,6 @@ def test_encode_embeds_the_box_once_per_template(monkeypatch):
         assert encoded[box].box.data.tobytes() == own[box].data.tobytes()
         assert out.cls.data.tobytes() == plain[box].cls.data.tobytes()
         assert out.reg.data.tobytes() == plain[box].reg.data.tobytes()
-    with pytest.raises(ValueError, match="encoded with its box"):
-        net.forward(target, encoded[a], search, prev_box=a)
 
 
 def test_taped_forward_embeds_its_box_and_gives_it_a_gradient(monkeypatch):
@@ -429,12 +435,16 @@ def test_taped_forward_embeds_its_box_and_gives_it_a_gradient(monkeypatch):
     for encoded in (False, True):
         for p in net.parameters().values():
             p.grad = None
-        prev = net.encode(previous, box) if encoded else previous
-        out = net.forward(target, prev, search, prev_box=None if encoded else box)
+        calls.clear()
+        if encoded:
+            out = net.forward(target, net.encode(previous, box), search)
+        else:   # the same graph built by hand, embedding the box after the backbone
+            tokens = net.backbone_forward(target, previous, search)
+            out = net.head(net.neck_forward(tokens, net.box_embed(box)))
         out.cls.sum().backward()
         grads.append({name: p.grad for name, p in net.box_embed.parameters().items()})
-    assert len(calls) == 2
-    assert all(g is not None for g in grads[0].values())
+        assert calls == [box]
+    assert all(g is not None for g in grads[1].values())
     for name, grad in grads[0].items():
         assert grads[1][name].tobytes() == grad.tobytes(), name
 
@@ -446,6 +456,15 @@ def test_run_tracker_embeds_an_unchanged_box_once_per_sequence(monkeypatch):
                           TrackConfig(update_mode="never"))
     assert len(records) == 4
     assert len(calls) == 1
+
+
+def test_toy_train_embeds_the_previous_box_once_per_step(monkeypatch):
+    calls = _count_box_embeddings(monkeypatch)
+    net, _ = toy_net()
+    losses = toy_train(net, gen_sequence(SequenceConfig(num_frames=5)),
+                       TrainConfig(steps=3))
+    assert len(losses) == 3
+    assert len(calls) == 3
 
 
 def test_run_tracker_embeds_each_new_template_box_once(monkeypatch):

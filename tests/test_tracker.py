@@ -213,6 +213,12 @@ def _images(seed=0):
             rng.random((64, 64, 3)))
 
 
+def _with_box(net, images, box=(20.0, 20.0, 40.0, 40.0)):
+    """The three images, the previous one encoded with its box."""
+    target, previous, search = images
+    return target, net.encode(previous, box), search
+
+
 class TestReusedBiasTerms:
     """Each joint layer's position-bias terms are built once per sequence."""
 
@@ -298,7 +304,7 @@ class TestReusedBiasTerms:
     def _gradients(net):
         for p in net.parameters().values():
             p.grad = None
-        out = net.forward(*_images(), prev_box=(20.0, 20.0, 40.0, 40.0))
+        out = net.forward(*_with_box(net, _images()))
         (out.cls.sum() + out.reg.sum()).backward()
         return {name: p.grad for name, p in net.parameters().items()}
 
@@ -309,7 +315,7 @@ class TestReusedBiasTerms:
         after = self._gradients(net)
         terms = net.bias_terms()
         with no_grad():
-            net.forward(*_images(), prev_box=(20.0, 20.0, 40.0, 40.0), bias_terms=terms)
+            net.forward(*_with_box(net, _images()), bias_terms=terms)
         between = self._gradients(net)
         with pytest.raises(ValueError, match="builds its own bias terms"):
             net.forward(*_images(), bias_terms=terms)
@@ -331,13 +337,11 @@ class TestReusedBiasTerms:
     def test_forward_with_reused_terms_is_byte_identical(self, final_keys):
         net = TrackerNet(toy_spec(final_keys=final_keys),
                          np.random.default_rng(0))
-        images = _images(1)
-        box = (18.0, 22.0, 41.0, 37.0)
         with no_grad():
-            plain = net.forward(*images, prev_box=box)
+            images = _with_box(net, _images(1), (18.0, 22.0, 41.0, 37.0))
+            plain = net.forward(*images)
             terms = net.bias_terms()
-            reused = [net.forward(*images, prev_box=box, bias_terms=terms)
-                      for _ in range(2)]
+            reused = [net.forward(*images, bias_terms=terms) for _ in range(2)]
         for out in reused:
             assert out.cls.data.tobytes() == plain.cls.data.tobytes()
             assert out.reg.data.tobytes() == plain.reg.data.tobytes()

@@ -2,6 +2,7 @@
 """Check that the working tree computes the same bits as an earlier revision.
 
     python tools/parity.py REV [--expect-change NAME ...]
+    python tools/parity.py --ulp-sweep N
 
 Copies `src/` as committed at REV into a temporary directory, then runs
 one battery of outputs for REV and for the working tree, each in a fresh
@@ -37,6 +38,16 @@ The battery (about half a minute per tree; the two trees run at once):
 The battery calls the package's public API as this tree has it, so REV
 must be recent enough to share it. Hashes depend on the numpy and BLAS
 build, so compare trees on one machine only; tests pin none of them.
+
+`--ulp-sweep N` measures instead how far the working tree's `test_07`
+(tests/test_acceptance.py) depends on the last bit of its start. For k = 0
+to N-1 it builds that test's net, moves element 0 of parameter (37*k) mod P
+(in `parameters()` order, of P) up by one ulp with `np.nextafter(x, +inf)`,
+and runs the test's training and tracking, read from the test module's
+OVERFIT_* constants. Each k runs in a fresh single-BLAS-thread interpreter,
+two at a time, about 30 s each. It prints k, the parameter, the final loss
+ratio (mean of the last 10 losses over the first) and AO, and exits 1 when
+a run misses the test's bounds. It is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -49,6 +60,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +117,9 @@ def battery() -> dict[str, str]:
 
     net = TrackerNet(toy_spec(), np.random.default_rng(0))
     rng = np.random.default_rng(0)
-    outputs = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
-                          rng.random((64, 64, 3)), prev_box=(16.0, 16.0, 48.0, 48.0))
+    target, previous, search = (rng.random((32, 32, 3)), rng.random((64, 64, 3)),
+                                rng.random((64, 64, 3)))
+    outputs = net.forward(target, net.encode(previous, (16.0, 16.0, 48.0, 48.0)), search)
     loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0))
     loss.backward()
     out["taped.outputs"] = _arrays_digest(
@@ -170,6 +183,52 @@ def battery() -> dict[str, str]:
     return out
 
 
+def ulp_run(k: int) -> dict:
+    """`test_07`'s final loss ratio and AO, after moving one initial weight
+    of its net up by one ulp."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_acceptance import (OVERFIT_MAX_RATIO, OVERFIT_MIN_AO,
+                                 OVERFIT_SEQUENCE, OVERFIT_TRAIN)
+    from ctxtrack.model import TrackerNet, toy_spec
+    from ctxtrack.synthetic import gen_sequence
+    from ctxtrack.tracker import TrackConfig, compute_metrics, run_tracker
+    from ctxtrack.train import toy_train
+
+    net = TrackerNet(toy_spec(), np.random.default_rng(0))
+    name, p = list(net.parameters().items())[(37 * k) % len(net.parameters())]
+    p.data.flat[0] = np.nextafter(p.data.flat[0], np.inf)
+    sequence = gen_sequence(OVERFIT_SEQUENCE)
+    losses = toy_train(net, sequence, OVERFIT_TRAIN)
+    records = run_tracker(net, sequence, TrackConfig())
+    ratio = float(np.mean(losses[-10:])) / losses[0]
+    ao = compute_metrics([r.iou for r in records]).ao
+    return {"k": k, "parameter": name, "ratio": ratio, "ao": ao,
+            "miss": ratio > OVERFIT_MAX_RATIO or ao < OVERFIT_MIN_AO}
+
+
+def ulp_sweep(n: int) -> int:
+    """Run `ulp_run` for k = 0 to n-1, two interpreters at a time; 1 when a
+    run misses `test_07`'s bounds."""
+    def run(k: int) -> dict:
+        proc = subprocess.run([sys.executable, __file__, "--ulp-run", str(k)],
+                              env=_single_thread_env(ROOT / "src", "0"),
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"ulp run {k} failed:\n{proc.stderr}")
+        return json.loads(proc.stdout)
+
+    print("test_07 with one initial weight one ulp up")
+    print(f"{'k':>3}  {'parameter':36s} {'ratio':>6}  {'AO':>5}")
+    missed = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for r in pool.map(run, range(n)):
+            missed += r["miss"]
+            print(f"{r['k']:>3}  {r['parameter']:36s} {100 * r['ratio']:5.1f}%  "
+                  f"{r['ao']:.3f}{'  MISS' if r['miss'] else ''}", flush=True)
+    print(f"{missed} of {n} run(s) missed test_07's bounds")
+    return 1 if missed else 0
+
+
 def _export_src(rev: str, dest: Path) -> None:
     """Write the files under `src/` as committed at `rev` below `dest`."""
     names = subprocess.run(["git", "-C", ROOT, "ls-tree", "-r", "--name-only",
@@ -183,12 +242,15 @@ def _export_src(rev: str, dest: Path) -> None:
         path.write_bytes(blob)
 
 
+def _single_thread_env(src: Path, hash_seed: str) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def _start_battery(src: Path, cwd: Path, hash_seed: str) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed,
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, __file__, "--battery", str(src)],
-                            cwd=cwd, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+                            cwd=cwd, env=_single_thread_env(src, hash_seed),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def main(argv=None) -> int:
@@ -196,14 +258,25 @@ def main(argv=None) -> int:
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
     parser.add_argument("--expect-change", action="append", default=[],
                         metavar="NAME", help="artifact allowed to differ")
+    parser.add_argument("--ulp-sweep", type=int, metavar="N",
+                        help="run test_07 with one initial weight one ulp up, "
+                             "for N choices of the weight")
     parser.add_argument("--battery", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--ulp-run", type=int, metavar="K", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.battery:
+    if args.battery or args.ulp_run is not None:
         import ctxtrack
-        if not Path(ctxtrack.__file__).resolve().is_relative_to(Path(args.battery).resolve()):
-            sys.exit(f"imported {ctxtrack.__file__}, not the package under {args.battery}")
-        print(json.dumps(battery()))
+        src = Path(args.battery or ROOT / "src")
+        if not Path(ctxtrack.__file__).resolve().is_relative_to(src.resolve()):
+            sys.exit(f"imported {ctxtrack.__file__}, not the package under {src}")
+        print(json.dumps(battery() if args.battery else ulp_run(args.ulp_run)))
         return 0
+    if args.ulp_sweep is not None:
+        if args.rev is not None or args.expect_change:
+            parser.error("--ulp-sweep takes no REV or --expect-change")
+        if args.ulp_sweep < 1:
+            parser.error("--ulp-sweep N needs N >= 1")
+        return ulp_sweep(args.ulp_sweep)
     if args.rev is None:
         parser.error("REV is required")
     rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
