@@ -78,7 +78,7 @@ def _build_net(cfg: ExperimentConfig, params_path=None) -> TrackerNet:
         state = load_params(params_path)
         try:
             net.load_state(state)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(
                 f"parameter file does not match the model: {exc}") from exc
     return net

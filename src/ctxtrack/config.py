@@ -94,22 +94,11 @@ def config_from_dict(data) -> ExperimentConfig:
         raise ConfigError(
             f"unknown model preset {preset!r}, expected one of "
             f"{sorted(PRESETS)}")
-    try:
-        spec = _build(ModelSpec, PRESETS[preset](), model_section, "model")
-        spec.validate()
-        train = _build(TrainConfig, TrainConfig(), data.get("train", {}),
-                       "train")
-        train.validate()
-        track = _build(TrackConfig, TrackConfig(), data.get("track", {}),
-                       "track")
-        track.validate()
-        sequence = _build(SequenceConfig, SequenceConfig(),
-                          data.get("sequence", {}), "sequence")
-        sequence.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _build(ModelSpec, PRESETS[preset](), model_section, "model")
+    train = _build(TrainConfig, TrainConfig(), data.get("train", {}), "train")
+    track = _build(TrackConfig, TrackConfig(), data.get("track", {}), "track")
+    sequence = _build(SequenceConfig, SequenceConfig(),
+                      data.get("sequence", {}), "sequence")
     return ExperimentConfig(preset=preset, spec=spec, train=train,
                             track=track, sequence=sequence)
 

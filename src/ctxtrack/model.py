@@ -22,6 +22,7 @@ import numpy as np
 
 from .attention import CrossFrameAttention, WindowAttentionBlock, window_partition
 from .backbone import BoxEmbedding, Downsample, PatchEmbed
+from .errors import ConfigError
 from .heads import HeadOutputs, Heads
 from .imageops import STRIDE, Box
 from .positional import segment_layout
@@ -55,43 +56,41 @@ class ModelSpec:
     def dim(self) -> int:
         return 4 * self.channels
 
-    def validate(self) -> "ModelSpec":
+    def __post_init__(self) -> None:
         for name in ("target_size", "search_size"):
             size = getattr(self, name)
             if size < STRIDE or size % STRIDE:
-                raise ValueError(f"{name} must be a positive multiple of {STRIDE}")
+                raise ConfigError(f"{name} must be a positive multiple of {STRIDE}")
         for name in ("channels", "n1", "n2", "n3", "heads", "window"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise ConfigError(f"{name} must be at least 1")
         if self.channels % self.heads:
-            raise ValueError(
+            raise ConfigError(
                 f"channels {self.channels} not divisible by heads {self.heads}")
         for size in (self.target_size, self.search_size):
             for stride in (4, 8, STRIDE):
                 if (size // stride) % self.window:
-                    raise ValueError(
+                    raise ConfigError(
                         f"window {self.window} does not divide the "
                         f"{size // stride}-wide grid at stride {stride}")
         if self.final_keys not in ("templates", "all"):
-            raise ValueError(f"unknown final_keys mode: {self.final_keys!r}")
-        return self
+            raise ConfigError(f"unknown final_keys mode: {self.final_keys!r}")
 
 
 def toy_spec(**overrides) -> ModelSpec:
-    return replace(ModelSpec(), **overrides).validate()
+    return replace(ModelSpec(), **overrides)
 
 
 def small_spec(**overrides) -> ModelSpec:
     base = ModelSpec(target_size=112, search_size=224, channels=96,
                      n1=3, n2=2, n3=4, heads=6, window=7)
-    return replace(base, **overrides).validate()
+    return replace(base, **overrides)
 
 
 class TrackerNet(Module):
     """Backbone + neck + heads with weights shared across the three images."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
-        spec.validate()
         self.spec = spec
         c, d, h = spec.channels, spec.dim, spec.heads
         t16 = spec.target_size // STRIDE

@@ -29,7 +29,7 @@ class SequenceConfig:
     occlusion_start: int = -1   # first occluded frame; -1 disables occlusion
     occlusion_end: int = -1     # first frame after the occlusion window
 
-    def validate(self) -> "SequenceConfig":
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
@@ -53,7 +53,6 @@ class SequenceConfig:
         occluded = self.occlusion_start >= 0 or self.occlusion_end >= 0
         if occluded and not (0 <= self.occlusion_start < self.occlusion_end):
             raise ConfigError("occlusion window must satisfy 0 <= start < end")
-        return self
 
 
 @dataclass
@@ -105,13 +104,10 @@ def _random_walk(rng: np.random.Generator, start: np.ndarray, n: int,
 
 def gen_sequence(config: SequenceConfig) -> SyntheticSequence:
     """Render a sequence deterministically from its config's seed."""
-    config = config.validate()
     rng = np.random.default_rng(config.seed)
     size = config.frame_size
     half = config.box_size / 2.0
     margin = half + 2.0
-    if margin >= size - margin:
-        raise ConfigError("box_size leaves no room for motion in frame_size")
 
     background = _checker(size, size, 16, rng.uniform(0.25, 0.45, size=(2, 3)))
     background = background + rng.normal(scale=0.01, size=background.shape)

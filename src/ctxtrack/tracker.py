@@ -35,7 +35,7 @@ class TrackConfig:
     context_scale: float = 2.0
     oracle: bool = False   # score ground-truth boxes through the pipeline
 
-    def validate(self) -> "TrackConfig":
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.update_mode not in MODES:
             raise ConfigError(
@@ -45,7 +45,6 @@ class TrackConfig:
             raise ConfigError("seed_confidence must lie in [0, 1]")
         if not 1.0 <= self.context_scale <= 100.0:
             raise ConfigError("context_scale must lie in [1, 100]")
-        return self
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
                 cfg: TrackConfig = TrackConfig()) -> list[FrameRecord]:
     """Track through the sequence; returns one record per frame after the
     first (the first frame provides the ground-truth initialization)."""
-    cfg.validate()
     if len(sequence) < 1:
         raise ConfigError("cannot track an empty sequence")
     spec = net.spec

@@ -49,7 +49,7 @@ class TrainConfig:
     search_center_jitter: float = 0.35
     search_scale_jitter: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
@@ -128,7 +128,6 @@ def _jittered_window(rng: np.random.Generator, box, context: float,
 def toy_train(net: TrackerNet, sequence: SyntheticSequence,
               cfg: TrainConfig) -> list[float]:
     """Run the overfit loop and return the per-step loss values."""
-    cfg.validate()
     if len(sequence) < 2:
         raise ConfigError("training needs a sequence with at least 2 frames")
     spec = net.spec

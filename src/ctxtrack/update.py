@@ -76,8 +76,6 @@ class TrackState:
         it is appended afterwards regardless of the decision.
         """
         confidence = float(confidence)
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {confidence}")
         threshold = self.threshold()
         if self.mode == "never":
             update = False

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from ctxtrack.cli import _read_trace
 from ctxtrack.config import (SECTIONS, config_from_dict, config_to_dict,
                              default_config, load_config, save_config)
 from ctxtrack.errors import ConfigError
+from ctxtrack.model import ModelSpec
 from ctxtrack.synthetic import SequenceConfig
 from ctxtrack.tracker import TrackConfig
 from ctxtrack.train import TrainConfig
@@ -233,8 +235,9 @@ def test_repeated_key_rejected(tmp_path, text, key):
         load_config(path)
 
 
-# a config built in code skips `_build`, so each validate() must reject
-# non-finite values itself; range checks like `x < 0` let NaN through
+# a config built in code or by `dataclasses.replace` skips `_build`, so each
+# dataclass must reject non-finite values itself when built; range checks
+# like `x < 0` let NaN through
 _FLOAT_FIELDS = [(TrainConfig, name) for name in
                  ("lr", "eps", "lambda_cls", "lambda_giou", "context_scale",
                   "alpha", "gamma")] + \
@@ -249,7 +252,27 @@ _FLOAT_FIELDS = [(TrainConfig, name) for name in
                          ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
 def test_validate_rejects_non_finite_field(cls, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        cls(**{name: value}).validate()
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        replace(cls(), **{name: value})
+
+
+# the same holds for every range check, in all four config dataclasses
+_OUT_OF_RANGE = [
+    (ModelSpec, "heads", 3, "not divisible by heads"),
+    (TrainConfig, "steps", 0, "steps must be at least 1"),
+    (TrackConfig, "seed_confidence", 1.5, "seed_confidence must lie in"),
+    (SequenceConfig, "num_frames", 0, "num_frames must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("cls, name, value, match", _OUT_OF_RANGE,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in _OUT_OF_RANGE])
+def test_out_of_range_field_rejected_when_built(cls, name, value, match):
+    with pytest.raises(ConfigError, match=match):
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=match):
+        replace(cls(), **{name: value})
 
 
 # arbitrary bytes as an input file, among them JSON documents whose keys are

@@ -128,9 +128,9 @@ def test_config_rejections():
 def test_step_sigma_that_dwarfs_the_frame_is_rejected():
     # at 1e20 the reflecting walk never gets back inside the frame
     with pytest.raises(ConfigError, match="step_sigma"):
-        SequenceConfig(step_sigma=1e20).validate()
+        SequenceConfig(step_sigma=1e20)
     with pytest.raises(ConfigError, match="step_sigma"):
-        SequenceConfig(frame_size=32, box_size=4.0, step_sigma=128.5).validate()
+        SequenceConfig(frame_size=32, box_size=4.0, step_sigma=128.5)
     seq = gen_sequence(SequenceConfig(seed=8, num_frames=40, frame_size=32,
                                       box_size=4.0, step_sigma=128.0))
     for x1, y1, x2, y2 in seq.boxes:

@@ -31,11 +31,11 @@ def _net(seed=0):
 class TestTrackConfig:
     def test_rejections(self):
         with pytest.raises(ConfigError, match="update mode"):
-            TrackConfig(update_mode="sometimes").validate()
+            TrackConfig(update_mode="sometimes")
         with pytest.raises(ConfigError, match="seed_confidence"):
-            TrackConfig(seed_confidence=1.5).validate()
+            TrackConfig(seed_confidence=1.5)
         with pytest.raises(ConfigError, match="context_scale"):
-            TrackConfig(context_scale=-2.0).validate()
+            TrackConfig(context_scale=-2.0)
 
 
 class TestRunTracker:

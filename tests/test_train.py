@@ -26,24 +26,24 @@ ZERO_JITTER = dict(prev_center_jitter=0.0, prev_scale_jitter=0.0,
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_rejections(self):
         with pytest.raises(ConfigError, match="steps"):
-            TrainConfig(steps=0).validate()
+            TrainConfig(steps=0)
         with pytest.raises(ConfigError, match="lr"):
-            TrainConfig(lr=-1e-3).validate()
+            TrainConfig(lr=-1e-3)
         with pytest.raises(ConfigError, match="betas"):
-            TrainConfig(beta1=1.0).validate()
+            TrainConfig(beta1=1.0)
         with pytest.raises(ConfigError, match="eps"):
-            TrainConfig(eps=0.0).validate()
+            TrainConfig(eps=0.0)
         with pytest.raises(ConfigError, match="context_scale"):
-            TrainConfig(context_scale=0.0).validate()
+            TrainConfig(context_scale=0.0)
         with pytest.raises(ConfigError, match="jitter"):
-            TrainConfig(prev_center_jitter=0.5).validate()
+            TrainConfig(prev_center_jitter=0.5)
         with pytest.raises(ConfigError, match="outside the crop"):
             TrainConfig(search_center_jitter=0.45,
-                        search_scale_jitter=0.2).validate()
+                        search_scale_jitter=0.2)
 
 
 class TestToyTrain:
@@ -97,9 +97,9 @@ class TestToyTrain:
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigError, match="warmup_steps"):
-            TrainConfig(steps=5, warmup_steps=5).validate()
+            TrainConfig(steps=5, warmup_steps=5)
         with pytest.raises(ConfigError, match="final_lr_scale"):
-            TrainConfig(final_lr_scale=0.0).validate()
+            TrainConfig(final_lr_scale=0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self):
