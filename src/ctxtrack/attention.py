@@ -63,14 +63,13 @@ class _PreNormAttention(Module):
     between the projections and the norms in parameter and draw order.
     """
 
-    def __init__(self, dim: int, heads: int, logit_terms: int,
-                 rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
         self.heads = heads
         # logits that sum `logit_terms` terms keep the spread of one content term
-        self.scale = 1.0 / np.sqrt(logit_terms * (dim // heads))
+        self.scale = 1.0 / np.sqrt(self.logit_terms * (dim // heads))
         self.w_query = Linear(dim, dim, rng, bias=False)
         self.w_key = Linear(dim, dim, rng, bias=False)
         self.w_value = Linear(dim, dim, rng, bias=False)
@@ -134,12 +133,14 @@ class WindowAttentionBlock(_PreNormAttention):
     windows; only the gather into windows differs.
     """
 
+    logit_terms = 1
+
     def __init__(self, dim: int, heads: int, window: int,
                  rng: np.random.Generator):
         if window < 1:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
-        super().__init__(dim, heads, 1, rng)
+        super().__init__(dim, heads, rng)
 
     def __call__(self, tokens: Tensor, windows: Windows | None = None) -> Tensor:
         win, dim = self.window, self.dim
@@ -173,71 +174,70 @@ class CrossFrameAttention(_PreNormAttention):
     1/sqrt(2 * head_dim) so that content and absolute terms, which add up,
     stay on the footing a single softmax expects. The attention sits inside
     the usual pre-norm residual block with a feed-forward sublayer.
+
+    The role is fixed when the layer is built: keys=None gives a full layer
+    (`forward`); "templates" or "all" a search-query layer
+    (`forward_search_queries`) whose keys are the target and previous
+    tokens, or all tokens. Calling the layer runs its role.
     """
 
+    logit_terms = 2
+
     def __init__(self, layout: SegmentLayout, dim: int, heads: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, keys: str | None = None):
+        if keys not in (None, "templates", "all"):
+            raise ValueError(f"unknown key mode: {keys!r}")
         self.layout = layout
-        super().__init__(dim, heads, 2, rng)
+        self.keys = keys
+        # query rows, key rows and key segment names of the layer's role
+        self.rows = layout.segment_slice("search") if keys else slice(0, layout.length)
+        templates = keys == "templates"
+        self.key_rows = slice(0, self.rows.start if templates else layout.length)
+        self.key_names = tuple(n for n in layout.names() if not templates or n != "search")
+        super().__init__(dim, heads, rng)
 
     def _init_bias(self, rng: np.random.Generator) -> None:
         self.abs_bias = UntiedPositionBias(self.layout, self.dim, self.heads, rng)
         self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng)
 
-    def _search_keys(self, keys: str) -> tuple[slice, int, tuple[str, ...]]:
-        """Search query rows, key stop and key segment names for `keys`."""
-        if keys not in ("templates", "all"):
-            raise ValueError(f"unknown key mode: {keys!r}")
-        rows, names = self.layout.segment_slice("search"), self.layout.names()
-        if keys == "templates":
-            return rows, rows.start, tuple(n for n in names if n != "search")
-        return rows, self.layout.length, names
-
-    def bias_terms(self, keys: str | None = None) -> tuple[Tensor, Tensor]:
-        """Absolute and relative logit terms for the rows and keys of `keys`.
-
-        keys=None gives the full map. "templates" or "all" keep only the
-        search rows against that key set, and gather only the relative-bias
-        blocks those rows use. The terms depend only on the weights.
-        """
-        if keys is None:
+    def bias_terms(self) -> tuple[Tensor, Tensor]:
+        """Absolute and relative logit terms of the layer's query and key
+        rows. A search-query layer gathers only the relative-bias blocks its
+        rows use. The terms depend only on the weights."""
+        if self.keys is None:
             return self.abs_bias.bias(), self.rel_bias.bias()
-        rows, stop, names = self._search_keys(keys)
-        return (self.abs_bias.bias()[:, rows, 0:stop],
-                self.rel_bias.block("search", *names))
+        return (self.abs_bias.bias()[:, self.rows, self.key_rows],
+                self.rel_bias.block("search", *self.key_names))
 
-    def _select(self, tokens: Tensor, keys: str | None = None, terms=None):
-        """Normed query and key tokens and bias terms; `keys` as in
-        `bias_terms`, whose output `terms` may give instead."""
+    def _select(self, tokens: Tensor, terms=None):
+        """Normed query and key tokens and bias terms of the layer's role;
+        `terms`, when given, is `bias_terms()`, built once ahead."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
         if terms is None:
-            terms = self.bias_terms(keys)
-        if keys is None:
+            terms = self.bias_terms()
+        if self.keys is None:
             return x, x, terms
-        rows, stop, _ = self._search_keys(keys)
-        return x[rows], x[0:stop], terms
+        return x[self.rows], x[self.key_rows], terms
 
     def __call__(self, tokens: Tensor, terms=None) -> Tensor:
-        return self.forward(tokens, terms)
+        run = self.forward if self.keys is None else self.forward_search_queries
+        return run(tokens, terms)
 
     def forward(self, tokens: Tensor, terms=None) -> Tensor:
         """Full joint attention; output layout equals input layout. `terms`,
-        when given, is this layer's `bias_terms()`, built once ahead."""
-        xq, xk, biases = self._select(tokens, None, terms)
+        when given, is `bias_terms()`."""
+        if self.keys is not None:
+            raise ValueError(f"a layer built with keys={self.keys!r} has no full forward")
+        xq, xk, biases = self._select(tokens, terms)
         return self._residual(tokens, self.attend(xq, xk, biases))
 
-    def forward_search_queries(self, tokens: Tensor, keys: str = "templates",
-                               terms=None) -> Tensor:
-        """Final-layer variant: only search tokens act as queries.
-
-        With keys="templates" the keys/values are the target and previous
-        tokens only; keys="all" keeps search tokens in the key set too.
-        `terms`, when given, is `bias_terms(keys)`. Returns just the
-        search-segment tokens.
-        """
-        xq, xk, biases = self._select(tokens, keys, terms)
-        search = tokens[self.layout.segment_slice("search")]
-        return self._residual(search, self.attend(xq, xk, biases))
+    def forward_search_queries(self, tokens: Tensor, terms=None) -> Tensor:
+        """Search-query attention; returns just the search-segment tokens.
+        `terms`, when given, is `bias_terms()`."""
+        if self.keys is None:
+            raise ValueError("a full layer (keys=None) has no search-query forward")
+        xq, xk, biases = self._select(tokens, terms)
+        return self._residual(tokens[self.rows], self.attend(xq, xk, biases))

@@ -49,20 +49,18 @@ def _build(cls, base, section: dict, name: str):
     coerced = {}
     for key, value in section.items():
         want = hints[key]
-        if want is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}.{key} must be a number")
+        if want in (float, int):
+            if isinstance(value, bool) or not isinstance(value, (int, want)):
+                raise ConfigError(f"{name}.{key} must be "
+                                  + ("a number" if want is float else "an integer"))
+            # an int that no float can hold overflows where it meets a float
             try:
-                value = float(value)
+                number = float(value)
             except OverflowError:
                 raise ConfigError(f"{name}.{key} is too large for a float") from None
-            if not math.isfinite(value):
-                raise ConfigError(f"{name}.{key} must be finite, got {value}")
-            coerced[key] = value
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}.{key} must be an integer")
-            coerced[key] = value
+            if not math.isfinite(number):
+                raise ConfigError(f"{name}.{key} must be finite, got {number}")
+            coerced[key] = number if want is float else value
         elif want is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"{name}.{key} must be true or false")

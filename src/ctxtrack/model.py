@@ -115,7 +115,7 @@ class TrackerNet(Module):
         self.box_embed = BoxEmbedding(d, self.layout.grid("previous"), rng)
         self.neck_full = [CrossFrameAttention(self.layout, d, h, rng)
                           for _ in range(spec.n3 - 1)]
-        self.neck_last = CrossFrameAttention(self.layout, d, h, rng)
+        self.neck_last = CrossFrameAttention(self.layout, d, h, rng, keys=spec.final_keys)
         self.head = Heads(d, rng)
 
     # ------------------------------------------------------------------
@@ -152,14 +152,15 @@ class TrackerNet(Module):
         return out
 
     @no_grad()
-    def bias_terms(self) -> list[tuple[Tensor, Tensor]]:
-        """Every joint layer's position-bias terms, tape-free, in the order
-        stage3_joint, neck_full, neck_last. They depend only on the weights,
-        so one list serves every tape-free forward until the weights change.
-        The last layer's search rows are copied, so its full term is freed."""
-        terms = [layer.bias_terms() for layer in self.stage3_joint + self.neck_full]
-        last = self.neck_last.bias_terms(self.spec.final_keys)
-        return terms + [tuple(Tensor(np.ascontiguousarray(t.data)) for t in last)]
+    def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
+        """Every joint layer's weight-only position-bias terms, tape-free, by
+        layer: one map serves every tape-free forward until the weights
+        change. The last layer's search rows are copied, freeing its full term."""
+        terms = {layer: layer.bias_terms()
+                 for layer in [*self.stage3_joint, *self.neck_full, self.neck_last]}
+        last = self.neck_last
+        terms[last] = tuple(Tensor(np.ascontiguousarray(t.data)) for t in terms[last])
+        return terms
 
     def backbone_forward(self, target, previous, search,
                          trace: list | None = None, bias_terms=None) -> Tensor:
@@ -171,11 +172,11 @@ class TrackerNet(Module):
         """
         tokens = self._flatten([(x if isinstance(x, Encoded) else self.encode(x)).grid
                                 for x in (target, previous, search)])
-        terms = bias_terms or [None] * self.spec.n1
+        terms = bias_terms or {}
         for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
                 tokens = self._local_pair(self.stage3_local[2 * g: 2 * g + 2], tokens)
-            tokens = layer(tokens, terms[g])
+            tokens = layer(tokens, terms.get(layer))
             if trace is not None:
                 trace.append(tokens)
         return tokens
@@ -214,12 +215,12 @@ class TrackerNet(Module):
             parts = self._split(tokens)
             parts[1] = parts[1] + box
             tokens = self._flatten(parts)
-        terms = (bias_terms or [None] * (self.spec.n1 + self.spec.n3))[self.spec.n1:]
-        for layer, layer_terms in zip(self.neck_full, terms):
-            tokens = layer(tokens, layer_terms)
+        terms = bias_terms or {}
+        for layer in self.neck_full:
+            tokens = layer(tokens, terms.get(layer))
             if trace is not None:
                 trace.append(tokens)
-        out = self.neck_last.forward_search_queries(tokens, self.spec.final_keys, terms[-1])
+        out = self.neck_last(tokens, terms.get(self.neck_last))
         h, w = self.layout.grid("search")
         return out.reshape(h, w, self.spec.dim)
 

@@ -111,15 +111,14 @@ def composite_residual(layer, tokens: Tensor, attn: Tensor) -> Tensor:
     return res + feed_forward(layer.ff, layer.norm2(res))
 
 
-def attention_blocks(layer, tokens: Tensor, keys: str | None = None
-                     ) -> dict[tuple[str, str], np.ndarray]:
+def attention_blocks(layer, tokens: Tensor) -> dict[tuple[str, str], np.ndarray]:
     """A `CrossFrameAttention` layer's post-softmax weights by (query
-    segment, key segment): all of them for keys=None, else the search rows
-    against the key set of `forward_search_queries(tokens, keys)`."""
-    xq, xk, biases = layer._select(tokens, keys)
+    segment, key segment): all of them for a full layer, else the search
+    rows against the layer's own key set."""
+    xq, xk, biases = layer._select(tokens)
     layout = layer.layout
-    query_names = layout.names() if keys is None else ("search",)
-    key_names = layout.names() if keys is None else layer._search_keys(keys)[2]
+    query_names = layout.names() if layer.keys is None else ("search",)
+    key_names = layer.key_names
 
     def split(a: np.ndarray, names, axis: int) -> list[np.ndarray]:
         sizes = [h * w for h, w in map(layout.grid, names)]

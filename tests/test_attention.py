@@ -32,10 +32,10 @@ def zero_positional(layer: CrossFrameAttention) -> None:
     zero_tables(layer.rel_bias)
 
 
-def toy_layer(seed=0, dim=8, heads=2):
+def toy_layer(seed=0, dim=8, heads=2, keys=None):
     rng = np.random.default_rng(seed)
     layout = segment_layout((1, 1), (2, 2), (2, 2))
-    return CrossFrameAttention(layout, dim, heads, rng), layout, rng
+    return CrossFrameAttention(layout, dim, heads, rng, keys=keys), layout, rng
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +188,9 @@ def _sublayer_case(name):
             return blk, rng.normal(size=(4, 6, 8)), blk
         windows = window_partition(segment_layout((2, 2), (4, 4), (4, 6)), 2)
         return blk, rng.normal(size=(windows.order.size, 8)), lambda t: blk(t, windows)
-    layer = CrossFrameAttention(segment_layout((1, 1), (2, 2), (2, 3)), 8, 2, rng)
-    calls = {"joint": layer.forward,
-             "templates": lambda t: layer.forward_search_queries(t, "templates"),
-             "all": lambda t: layer.forward_search_queries(t, "all")}
-    return layer, rng.normal(size=(layer.layout.length, 8)), calls[name]
+    layer = CrossFrameAttention(segment_layout((1, 1), (2, 2), (2, 3)), 8, 2, rng,
+                                keys=None if name == "joint" else name)
+    return layer, rng.normal(size=(layer.layout.length, 8)), layer
 
 
 def _sublayer_run(name):
@@ -348,23 +346,34 @@ def test_forward_gradients_match_finite_differences():
 # ----------------------------------------------------------------------
 
 def test_search_query_shape_contract():
-    layer, layout, rng = toy_layer(seed=14)
+    layer, layout, rng = toy_layer(seed=14, keys="templates")
     out = layer.forward_search_queries(Tensor(rng.normal(size=(9, 8))))
     assert out.shape == (4, 8)
 
 
 def test_search_query_rejects_bad_key_mode():
-    layer, _, rng = toy_layer(seed=15)
     with pytest.raises(ValueError, match="key mode"):
-        layer.forward_search_queries(Tensor(rng.normal(size=(9, 8))), keys="everything")
+        toy_layer(seed=15, keys="everything")
+
+
+@pytest.mark.parametrize("keys", [None, "templates", "all"])
+def test_layer_runs_only_its_role(keys):
+    layer, _, rng = toy_layer(seed=15, keys=keys)
+    tokens = Tensor(rng.normal(size=(9, 8)))
+    role, other = layer.forward, layer.forward_search_queries
+    if keys is not None:
+        role, other = other, role
+    assert layer(tokens).data.tobytes() == role(tokens).data.tobytes()
+    with pytest.raises(ValueError, match="keys="):
+        other(tokens)
 
 
 def test_search_query_uniform_keys_give_uniform_attention():
-    layer, layout, rng = toy_layer(seed=16)
+    layer, layout, rng = toy_layer(seed=16, keys="templates")
     zero_positional(layer)
     tokens = rng.normal(size=(9, 8))
     tokens[0:5] = tokens[0]  # target and previous tokens all identical
-    blocks = attention_blocks(layer, Tensor(tokens), keys="templates")
+    blocks = attention_blocks(layer, Tensor(tokens))
     stacked = np.concatenate(
         [blocks[("search", "target")], blocks[("search", "previous")]], axis=2)
     assert stacked.shape == (2, 4, 5)
@@ -372,23 +381,28 @@ def test_search_query_uniform_keys_give_uniform_attention():
 
 
 def test_search_query_differs_from_full_forward():
-    layer, layout, rng = toy_layer(seed=17)
+    layer, layout, rng = toy_layer(seed=17, keys="templates")
+    full_layer, _, _ = toy_layer(seed=17)
     tokens = rng.normal(size=(9, 8))
-    restricted = layer.forward_search_queries(Tensor(tokens)).data
-    full = layer(Tensor(tokens)).data[layout.segment_slice("search")]
+    restricted = layer(Tensor(tokens)).data
+    full = full_layer(Tensor(tokens)).data[layout.segment_slice("search")]
     assert not np.allclose(restricted, full)
 
 
 def test_search_query_all_keys_mode_differs_from_templates_mode():
-    layer, _, rng = toy_layer(seed=18)
+    templates, _, rng = toy_layer(seed=18, keys="templates")
+    everything, _, _ = toy_layer(seed=18, keys="all")
+    # the key set draws nothing, so both layers hold the same weights
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(templates.state().values(), everything.state().values()))
     tokens = rng.normal(size=(9, 8))
-    a = layer.forward_search_queries(Tensor(tokens), keys="templates").data
-    b = layer.forward_search_queries(Tensor(tokens), keys="all").data
+    a = templates(Tensor(tokens)).data
+    b = everything(Tensor(tokens)).data
     assert not np.allclose(a, b)
 
 
 def test_search_query_gradcheck():
-    layer, _, rng = toy_layer(seed=19)
+    layer, _, rng = toy_layer(seed=19, keys="templates")
     tokens = Tensor(rng.normal(size=(9, 8)), requires_grad=True)
     weight = rng.normal(size=(4, 8))
     loss = (layer.forward_search_queries(tokens) * weight).sum()
@@ -421,8 +435,8 @@ def test_attention_blocks_rows_sum_to_one():
 
 
 def test_attention_blocks_restricted_drops_search_keys():
-    layer, _, rng = toy_layer(seed=22)
-    blocks = attention_blocks(layer, Tensor(rng.normal(size=(9, 8))), keys="templates")
+    layer, _, rng = toy_layer(seed=22, keys="templates")
+    blocks = attention_blocks(layer, Tensor(rng.normal(size=(9, 8))))
     assert set(blocks) == {("search", "target"), ("search", "previous")}
     row = np.concatenate([blocks[("search", "target")],
                           blocks[("search", "previous")]], axis=2)
@@ -431,9 +445,10 @@ def test_attention_blocks_restricted_drops_search_keys():
 
 def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
     layer, layout, rng = toy_layer(seed=24)
+    search_layer, _, _ = toy_layer(seed=24, keys="all")
     tokens = Tensor(rng.normal(size=(9, 8)))
     full = attention_blocks(layer, tokens)
-    restricted = attention_blocks(layer, tokens, keys="all")
+    restricted = attention_blocks(search_layer, tokens)
     assert set(restricted) == {("search", kn) for kn in layout.names()}
     for key, block in restricted.items():
         assert np.max(np.abs(block - full[key])) <= 1e-12
@@ -445,10 +460,11 @@ def test_attention_blocks_restricted_all_keys_equal_full_search_rows():
 
 def test_layer_given_its_terms_builds_none(monkeypatch):
     layer, _, rng = toy_layer(seed=25)
+    last, _, _ = toy_layer(seed=25, keys="templates")
     tokens = Tensor(rng.normal(size=(9, 8)))
     with no_grad():
-        terms = {keys: layer.bias_terms(keys) for keys in (None, "templates")}
-        own = [layer(tokens), layer.forward_search_queries(tokens)]
+        terms = {each: each.bias_terms() for each in (layer, last)}
+        own = [layer(tokens), last.forward_search_queries(tokens)]
     calls = []
     original = UntiedPositionBias.bias
 
@@ -458,14 +474,14 @@ def test_layer_given_its_terms_builds_none(monkeypatch):
 
     monkeypatch.setattr(UntiedPositionBias, "bias", counting)
     with no_grad():
-        given = [layer(tokens, terms[None]),
-                 layer.forward_search_queries(tokens, "templates", terms["templates"])]
+        given = [layer(tokens, terms[layer]),
+                 last.forward_search_queries(tokens, terms[last])]
     assert calls == []
     for out, want in zip(given, own):
         assert out.data.tobytes() == want.data.tobytes()
     # a layer given no terms builds its own, taped or not
-    taped = layer.bias_terms(None)
+    taped = layer.bias_terms()
     assert taped[0].requires_grad and len(calls) == 1
     with no_grad():
-        layer.forward_search_queries(tokens)
+        last.forward_search_queries(tokens)
     assert len(calls) == 2

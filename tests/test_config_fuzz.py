@@ -95,6 +95,9 @@ def _configs(draw):
 # a loss weight of 1e300 trained to an overflowing loss with exit 0
 @example(data={"model": {"preset": "toy"}, "train": {"steps": 2, "lambda_cls": 1e300},
                "track": {}, "sequence": {"num_frames": 2}})
+# an int too large for a float overflowed in SequenceConfig's own checks
+@example(data={"model": {"preset": "toy"}, "train": {"steps": 2}, "track": {},
+               "sequence": {"num_frames": 2, "frame_size": 10 ** 400}})
 def test_any_config_runs_or_fails_with_a_documented_error(data):
     # an overflow or invalid value on the way counts as an escape too
     with warnings.catch_warnings():

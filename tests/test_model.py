@@ -288,12 +288,13 @@ def test_forward_with_trace_is_byte_identical():
     assert plain.reg.data.tobytes() == traced.reg.data.tobytes()
 
 
-def test_last_traced_layer_feeds_the_search_query_layer():
-    net, spec = toy_net(seed=16)
+@pytest.mark.parametrize("final_keys", ["templates", "all"])
+def test_last_traced_layer_feeds_the_search_query_layer(final_keys):
+    net, spec = toy_net(seed=16, final_keys=final_keys)
     trace = []
     out = net.forward(*with_box(net, toy_images(np.random.default_rng(16))),
                       trace=trace)
-    features = net.neck_last.forward_search_queries(trace[-1], keys=spec.final_keys)
+    features = net.neck_last(trace[-1])
     h, w = net.layout.grid("search")
     again = net.head(features.reshape(h, w, spec.dim))
     assert again.cls.data.tobytes() == out.cls.data.tobytes()

@@ -352,15 +352,16 @@ class TestReusedBiasTerms:
                          np.random.default_rng(0))
         terms = net.bias_terms()
         layers = _joint_layers(net)
-        assert len(terms) == len(layers) == 7
-        for i, (layer, shared) in enumerate(zip(layers, terms)):
-            own = layer.bias_terms(final_keys if layer is net.neck_last else None)
+        assert list(terms) == layers and len(layers) == 7
+        for i, layer in enumerate(layers):
+            shared, own = terms[layer], layer.bias_terms()
             assert not any(t.requires_grad for t in shared), i
             assert [t.shape for t in shared] == [t.shape for t in own], i
             assert [t.data.tobytes() for t in shared] == \
                 [t.data.tobytes() for t in own], i
         # the last layer's search rows are a copy, not a view of its full term
-        assert all(t.data.flags.c_contiguous and t.data.base is None for t in terms[-1])
+        assert all(t.data.flags.c_contiguous and t.data.base is None
+                   for t in terms[net.neck_last])
 
 
 class TestComputeMetrics:
