@@ -73,7 +73,12 @@ def _check_outputs(*paths, out_dir=None, inputs=()) -> None:
 
 
 def _build_net(cfg: ExperimentConfig, params_path=None) -> TrackerNet:
-    net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
+    try:
+        net = TrackerNet(cfg.spec, np.random.default_rng(cfg.train.seed))
+    except (ValueError, MemoryError) as exc:
+        # a size that passes every config check can still be one numpy
+        # cannot shape or allocate
+        raise ConfigError(f"cannot build the model: {exc}") from exc
     if params_path is not None:
         state = load_params(params_path)
         try:

@@ -3,7 +3,8 @@
 The classification head scores each grid position as foreground; the
 regression head predicts per-position distances to the four box sides in
 grid units. Training combines an IoU-aware focal classification term with
-a generalized-IoU term over positive positions.
+a generalized-IoU term and a smoothed per-side L1 term over positive
+positions.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import Linear
+from .backbone import ltrb_map
 from .imageops import STRIDE, Box, cell_grid, validate_box
 from .tensor import (Module, Tensor, as_tensor, concat, gelu, maximum, minimum,
                      no_grad)
@@ -175,27 +177,39 @@ def build_targets(gt_box: Box, boxes: Tensor) -> TrainingTarget:
     return TrainingTarget(q=q, positives=positives, box=(x1, y1, x2, y2))
 
 
-def total_loss(cls_term, giou_term, lambda_cls: float = 1.5,
-               lambda_giou: float = 1.5):
-    """Weighted sum of the classification and regression terms."""
-    return cls_term * lambda_cls + giou_term * lambda_giou
+def total_loss(cls_term, giou_term, l1_term=0.0, lambda_cls: float = 1.5,
+               lambda_giou: float = 1.5, lambda_l1: float = 1.0):
+    """Weighted sum of the classification and the two regression terms."""
+    return cls_term * lambda_cls + giou_term * lambda_giou + l1_term * lambda_l1
 
 
 def tracking_loss(outputs: HeadOutputs, gt_box: Box,
                   alpha: float = 0.75, gamma: float = 2.0,
-                  lambda_cls: float = 1.5, lambda_giou: float = 1.5
+                  lambda_cls: float = 1.5, lambda_giou: float = 1.5,
+                  lambda_l1: float = 1.0
                   ) -> tuple[Tensor, dict[str, float], TrainingTarget]:
-    """Full objective for one frame: weighted cls + giou over positives."""
+    """Full objective for one frame: weighted cls + giou + l1 over positives.
+
+    The l1 term sums, over the four sides, sqrt(d^2 + 1e-12) of the gap d
+    between the predicted distance and `ltrb_map` of the ground truth, a
+    smoothed |d| with a gradient everywhere. Unlike GIoU, which equals IoU
+    while a predicted box contains the ground truth, it pulls each side
+    toward its own target.
+    """
     boxes = _ltrb_to_boxes_tensor(outputs.reg)
     target = build_targets(gt_box, boxes)
     cls_term = varifocal_loss(outputs.cls, target.q, alpha, gamma)
     if target.positives.any():
         gt_grid = tuple(v / STRIDE for v in target.box)
-        per_pos = giou_loss(boxes, gt_grid)
         mask = target.positives.astype(np.float64)
-        giou_term = (per_pos * mask).sum() / float(mask.sum())
+        count = float(mask.sum())
+        giou_term = (giou_loss(boxes, gt_grid) * mask).sum() / count
+        gap = outputs.reg - ltrb_map(target.box, mask.shape)
+        per_side = (gap * gap + 1e-12) ** 0.5
+        l1_term = (per_side.sum(axis=-1) * mask).sum() / count
     else:
-        giou_term = as_tensor(0.0)
-    total = total_loss(cls_term, giou_term, lambda_cls, lambda_giou)
-    parts = {"cls": float(cls_term.data), "giou": float(giou_term.data)}
+        giou_term = l1_term = as_tensor(0.0)
+    total = total_loss(cls_term, giou_term, l1_term, lambda_cls, lambda_giou, lambda_l1)
+    parts = {"cls": float(cls_term.data), "giou": float(giou_term.data),
+             "l1": float(l1_term.data)}
     return total, parts, target

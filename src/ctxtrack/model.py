@@ -4,13 +4,16 @@ Three images flow through shared-weight early stages (patch embedding,
 windowed local attention, two downsamplings to stride 16). The final
 backbone stage holds the three token sets as one sequence and alternates
 window attention, local to each image, with joint layers that mix all
-three. Everything before the first joint layer is per image, so `encode`
-can compute it once for a template that stays fixed, with its box
-embedding, and `bias_terms` the joint layers' weight-only terms.
-The neck stacks more joint layers, injecting the previous-frame box into
-the previous-template tokens once at entry, and ends with a layer where
-only search tokens act as queries. The heads turn the resulting search
-features into per-position scores and box distances.
+three; each window block there runs once over the windows of all three
+images, with or without a tape. Everything before the first joint layer
+is per image, so `encode` can compute it once for a template that stays
+fixed, with its box embedding, and `bias_terms` the joint layers'
+weight-only terms. The neck stacks more joint layers, injecting the
+previous-frame box into the previous-template tokens once at entry, and
+ends with a layer where only search tokens act as queries. A fixed sine
+embedding of each cell's position is added to the resulting search
+features, and the heads turn them into per-position scores and box
+distances.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .backbone import BoxEmbedding, Downsample, PatchEmbed
 from .errors import ConfigError
 from .heads import HeadOutputs, Heads
 from .imageops import STRIDE, Box
-from .positional import segment_layout
+from .positional import segment_layout, sine_embedding
 from .tensor import Module, Tensor, concat, grad_enabled, no_grad
 
 
@@ -182,29 +185,19 @@ class TrackerNet(Module):
         return tokens
 
     def _local_pair(self, blocks: list[WindowAttentionBlock], tokens: Tensor) -> Tensor:
-        """Two window blocks over the (L, d) sequence of all three images.
-
-        A tape-free pass attends over the windows of all three images in
-        one call per block. A taped pass keeps one call per image: a joint
-        call would sum each weight gradient over the rows of all three
-        images at once, which changes its last bits. The forward values are
-        the same either way.
-        """
-        if not grad_enabled():
-            for blk in blocks:
-                tokens = blk(tokens, self.windows)
-            return tokens
-        grids = self._split(tokens)
+        """Two window blocks over the (L, d) sequence of all three images,
+        each one call over the windows of every image, taped or not."""
         for blk in blocks:
-            grids = [blk(t) for t in grids]
-        return self._flatten(grids)
+            tokens = blk(tokens, self.windows)
+        return tokens
 
     # ------------------------------------------------------------------
     # neck and heads
     # ------------------------------------------------------------------
     def neck_forward(self, tokens: Tensor, box: Tensor | None = None,
                      trace: list | None = None, bias_terms=None) -> Tensor:
-        """Search feature map (H, W, d) after the joint refinement stack.
+        """Search feature map (H, W, d) for the heads: the output of the
+        joint refinement stack plus `sine_embedding` of the search grid.
 
         box, when given, is the previous template's box embedding; it enters
         the previous-template tokens once, here at neck entry. A list passed
@@ -221,8 +214,8 @@ class TrackerNet(Module):
             if trace is not None:
                 trace.append(tokens)
         out = self.neck_last(tokens, terms.get(self.neck_last))
-        h, w = self.layout.grid("search")
-        return out.reshape(h, w, self.spec.dim)
+        grid = self.layout.grid("search")
+        return out.reshape(*grid, self.spec.dim) + sine_embedding(grid, self.spec.dim)
 
     def forward(self, target, previous, search, trace: list | None = None,
                 bias_terms=None) -> HeadOutputs:

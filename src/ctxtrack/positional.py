@@ -10,6 +10,9 @@ added to the attention logits:
 * a pairwise relative term with one independent displacement table per
   ordered segment pair, indexed by the 2-D offset between the query and
   key token inside their own grids.
+
+A fixed sine/cosine embedding of the search grid's cells is added to the
+features that reach the prediction heads.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .imageops import cell_grid
 from .tensor import Module, Tensor, concat, grad_enabled, matmul, normal_parameter
 
 SEGMENTS = ("target", "previous", "search")
@@ -64,6 +68,25 @@ def segment_layout(target: tuple[int, int], previous: tuple[int, int],
         if h < 1 or w < 1:
             raise ValueError(f"{name} grid must be at least 1x1, got {h}x{w}")
     return SegmentLayout(tuple((name, h, w) for name, (h, w) in grids.items()))
+
+
+@lru_cache(maxsize=16)
+def sine_embedding(grid: tuple[int, int], dim: int) -> np.ndarray:
+    """Parameter-free (H, W, dim) embedding of each cell's position.
+
+    dim / 4 channels each hold sin x, cos x, sin y and cos y of the cell's
+    column x and row y, as `cell_grid` gives them, at the frequencies
+    4^-i for i = 0 to dim / 4 - 1. Built once per grid and width; the array
+    is read-only, since every caller shares it.
+    """
+    if dim % 4:
+        raise ValueError(f"embedding width {dim} is not a multiple of 4")
+    ky, kx = cell_grid(grid)
+    freqs = 4.0 ** -np.arange(dim // 4)
+    x, y = kx[..., None] * freqs, ky[..., None] * freqs
+    out = np.concatenate([np.sin(x), np.cos(x), np.sin(y), np.cos(y)], axis=-1)
+    out.flags.writeable = False
+    return out
 
 
 class UntiedPositionBias(Module):

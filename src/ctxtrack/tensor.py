@@ -324,11 +324,15 @@ def _acc(t: Tensor):
 def _matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray, a_acc, b_acc) -> None:
     """Gradients of a @ b for the output gradient g: a's, then b's, each
     summed over broadcast axes and handed to its accumulator (None skips
-    it)."""
+    it). A 2-D b shared by every index of a's leading axes takes its
+    gradient as one product over all rows of a and g at once."""
     if a_acc is not None:
         a_acc(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
     if b_acc is not None:
-        b_acc(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+        if b.ndim == 2 and a.ndim > 2:
+            b_acc(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            b_acc(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
 
 def matmul(a, b) -> Tensor:
@@ -405,8 +409,8 @@ def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -
 def _linear_backward(g: np.ndarray, x: np.ndarray, weight: Tensor,
                      bias: Tensor | None, x_acc) -> None:
     """Gradients of x @ weight (+ bias) in the order of `matmul` followed by
-    `+ bias`: the bias, then x through `x_acc`, then the weight, both
-    products on the batched shapes."""
+    `+ bias`: the bias, then x through `x_acc`, then the weight, each
+    through `_matmul_backward`."""
     if bias is not None and bias.requires_grad:
         bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
     _matmul_backward(g, x, weight.data, x_acc, _acc(weight))

@@ -14,8 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from ctxtrack.imageops import STRIDE
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
-from ctxtrack.tensor import Tensor, _exp_normalize, as_tensor, gelu, matmul, no_grad
+from ctxtrack.tensor import (Tensor, _exp_normalize, _unbroadcast, as_tensor, gelu, matmul,
+                             no_grad)
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4) -> np.ndarray:
@@ -36,6 +38,19 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-4)
     return grad.reshape(x.data.shape)
 
 
+def smoothed_l1(reg: np.ndarray, gt_box, positives: np.ndarray) -> float:
+    """The tracking loss's per-side L1 term, cell by cell: the mean over the
+    positive cells of sum_sides sqrt(d^2 + 1e-12), where d is the gap
+    between the predicted (H, W, 4) ltrb distance and the cell's distance
+    to that side of the pixel box `gt_box`, both in grid units."""
+    x1, y1, x2, y2 = (v / STRIDE for v in gt_box)
+    total = 0.0
+    for ky, kx in zip(*np.nonzero(positives)):
+        sides = (kx - x1, ky - y1, x2 - kx, y2 - ky)
+        total += sum(np.sqrt((p - t) ** 2 + 1e-12) for p, t in zip(reg[ky, kx], sides))
+    return float(total / positives.sum())
+
+
 def tanh(t: Tensor) -> Tensor:
     out = np.tanh(t.data)
     return Tensor._make(out, (t,), (lambda g: g * (1.0 - out * out),))
@@ -49,6 +64,13 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     out = _exp_normalize(t.data - t.data.max(axis=-1, keepdims=True))
     return Tensor._make(out, (t,),
                  (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),))
+
+
+def batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-D b in a @ b, for a with leading axes and the
+    output gradient g, as one batched product aᵀ @ g per index of those
+    axes, summed over them by `_unbroadcast`."""
+    return _unbroadcast(a.swapaxes(-1, -2) @ g, (a.shape[-1], g.shape[-1]))
 
 
 def seeded_root(out: Tensor, seed) -> Tensor:

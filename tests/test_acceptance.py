@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reference_attention import reference_block
-from reference_ops import coords, single_layout, zero_tables
+from reference_ops import coords, single_layout, smoothed_l1, zero_tables
 
 from ctxtrack.attention import CrossFrameAttention
 from ctxtrack.backbone import ltrb_map
@@ -91,7 +91,8 @@ def test_02_full_model_gradients_match_finite_differences():
         cls_term = varifocal_loss(o.cls, q)
         boxes = _ltrb_to_boxes_tensor(o.reg)
         giou_term = (giou_loss(boxes, gt_grid) * mask).sum() / mask.sum()
-        return float((cls_term * 1.5 + giou_term * 1.5).data)
+        l1_term = smoothed_l1(o.reg.data, gt, tgt.positives)
+        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term * 1.0
 
     params = net.parameters()
     entries = [(name, i) for name, p in sorted(params.items())

@@ -151,6 +151,16 @@ class TestExitCodes:
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "error: train.lr is too large" in capsys.readouterr().err
 
+    def test_model_numpy_cannot_build_is_config_error(self, tmp_path, capsys):
+        # 10**30 channels pass every config check; numpy's generator then
+        # raised "Maximum allowed dimension exceeded" as a traceback, before
+        # it allocated anything
+        config = _write_config(tmp_path, model={"channels": 10 ** 30})
+        assert main(["track", "--config", config,
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert "error: cannot build the model" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("command,section,value", [
         ("track", "track", 1e300), ("respmap", "track", 1e300),
         ("train", "train", 1e300), ("track", "track", 1e-300)])
@@ -182,7 +192,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field,value", [
         ("lambda_cls", 1e300), ("lambda_giou", 1e300), ("lambda_cls", 100.5),
-        ("lambda_giou", -1.0)])
+        ("lambda_giou", -1.0), ("lambda_l1", 1e300), ("lambda_l1", -1.0)])
     def test_loss_weight_out_of_range_is_config_error(self, tmp_path, capsys,
                                                       field, value):
         # lambda_cls 1e300 overflowed Adam's moments with a RuntimeWarning,

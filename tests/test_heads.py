@@ -17,7 +17,7 @@ from ctxtrack.heads import (
 )
 from ctxtrack.tensor import Tensor
 
-from reference_ops import finite_diff_grad
+from reference_ops import finite_diff_grad, smoothed_l1
 
 
 def rel_err(a, b, floor=1e-6):
@@ -291,7 +291,8 @@ def test_tracking_loss_end_to_end_gradcheck():
         boxes = _ltrb_to_boxes_tensor(o.reg)
         gt_grid = tuple(v / 16.0 for v in gt)
         giou_term = (gl(boxes, gt_grid) * mask).sum() / mask.sum()
-        return float((cls_term * 1.5 + giou_term * 1.5).data)
+        l1_term = smoothed_l1(o.reg.data, gt, target.positives)
+        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term * 1.0
 
     params = heads.parameters()
     for name in ("cls_out.bias", "reg_out.bias", "cls_fc1.bias", "reg_fc2.bias"):
@@ -306,5 +307,8 @@ def test_tracking_loss_reports_parts():
     heads = Heads(8, rng)
     out = heads(Tensor(rng.normal(size=(4, 4, 8))))
     total, parts, target = tracking_loss(out, (12, 10, 52, 46))
-    assert total.item() == pytest.approx(1.5 * parts["cls"] + 1.5 * parts["giou"])
-    assert parts["giou"] > 0.0 and parts["cls"] > 0.0
+    assert total.item() == pytest.approx(
+        1.5 * parts["cls"] + 1.5 * parts["giou"] + 1.0 * parts["l1"])
+    assert parts["giou"] > 0.0 and parts["cls"] > 0.0 and parts["l1"] > 0.0
+    assert parts["l1"] == pytest.approx(smoothed_l1(out.reg.data, (12, 10, 52, 46),
+                                                    target.positives))

@@ -10,7 +10,8 @@ from ctxtrack.tensor import (
 )
 from ctxtrack.optim import Adam
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
-from reference_ops import finite_diff_grad, seeded_root, softmax_lastdim, tanh
+from reference_ops import (batched_weight_grad, finite_diff_grad, seeded_root,
+                           softmax_lastdim, tanh)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -380,13 +381,39 @@ def test_concat_grad_splits():
     assert np.array_equal(b.grad, np.full((3, 2), 2.0))
 
 
-def test_batched_matmul_weight_grad_unbroadcasts():
+def test_batched_matmul_weight_grad_sums_over_leading_axes():
+    # a 2-D weight shared by every index of x's leading axes takes the sum
+    # of their gradients
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(5, 3, 4)))
     w = parameter(rng.normal(size=(4, 2)))
     matmul(x, w).sum().backward()
     fd = finite_diff_grad(lambda _: matmul(x, w).sum().item(), w)
     assert rel_err(w.grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "negative-zero"])
+@pytest.mark.parametrize("shape", [(5, 3, 4), (2, 3, 5, 4)], ids=["3d", "4d"])
+def test_matmul_weight_grad_flat_product_matches_batched_sum(shape, layout):
+    # the weight gradient is one product over all rows of x; it may sum in
+    # another order than the batched products summed over the leading axes,
+    # so the two agree within float64 rounding: 1e-12 of sum |x| |g|, far
+    # above the n * 2^-53 bound for the n <= 30 terms of each entry
+    rng = np.random.default_rng(sum(shape))
+    *lead, rows, k = shape
+    if layout == "transposed":   # a non-contiguous view
+        x = rng.normal(size=(*lead, k, rows)).swapaxes(-1, -2)
+    else:
+        x = rng.normal(size=shape)
+    g = rng.normal(size=(*lead, rows, 2))
+    if layout == "negative-zero":
+        x[..., 0, :] = -0.0
+        g[..., 1, :] = -0.0
+    w = parameter(rng.normal(size=(k, 2)))
+    (matmul(Tensor(x), w) * Tensor(g)).sum().backward()
+    want = batched_weight_grad(x, g)
+    scale = np.abs(x).reshape(-1, k).T @ np.abs(g).reshape(-1, 2)
+    assert np.all(np.abs(w.grad - want) <= 1e-12 * scale)
 
 
 # ----------------------------------------------------------------------

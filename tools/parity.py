@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree computes the same bits as an earlier revision.
 
-    python tools/parity.py REV [--expect-change NAME ...]
+    python tools/parity.py REV [--long] [--expect-change NAME ...]
     python tools/parity.py --ulp-sweep N
 
 Copies `src/` as committed at REV into a temporary directory, then runs
@@ -34,6 +34,11 @@ The battery (about half a minute per tree; the two trees run at once):
   cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
                    then `ctxtrack track` and `ctxtrack respmap --frame 3`
                    with those parameters: the metrics CSV and every PGM
+
+`--long` adds the run of `test_07` (tests/test_acceptance.py), with the
+config read from the test module's OVERFIT_* constants, about 20 s more:
+  overfit.*        its 500 per-step losses, the final `state()`, and the
+                   `run_tracker` records of the trained net
 
 The battery calls the package's public API as this tree has it, so REV
 must be recent enough to share it. Hashes depend on the numpy and BLAS
@@ -94,8 +99,29 @@ def _records_digest(runs) -> str:
                               dtype=np.float64).tobytes() for records in runs))
 
 
-def battery() -> dict[str, str]:
-    """sha256 of every artifact, computed by the `ctxtrack` on sys.path."""
+def _overfit_run(k: int | None = None):
+    """`test_07`'s net, per-step losses and track records, after moving one
+    initial weight up by one ulp when `k` is given (see `ulp_run`)."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_acceptance import OVERFIT_SEQUENCE, OVERFIT_TRAIN
+    from ctxtrack.model import TrackerNet, toy_spec
+    from ctxtrack.synthetic import gen_sequence
+    from ctxtrack.tracker import TrackConfig, run_tracker
+    from ctxtrack.train import toy_train
+
+    net = TrackerNet(toy_spec(), np.random.default_rng(0))
+    name = None
+    if k is not None:
+        name, p = list(net.parameters().items())[(37 * k) % len(net.parameters())]
+        p.data.flat[0] = np.nextafter(p.data.flat[0], np.inf)
+    sequence = gen_sequence(OVERFIT_SEQUENCE)
+    losses = toy_train(net, sequence, OVERFIT_TRAIN)
+    return net, name, losses, run_tracker(net, sequence, TrackConfig())
+
+
+def battery(overfit: bool = False) -> dict[str, str]:
+    """sha256 of every artifact, computed by the `ctxtrack` on sys.path;
+    `overfit` adds the `overfit.*` artifacts."""
     from ctxtrack.cli import main as ctxtrack_main
     from ctxtrack.heads import tracking_loss
     from ctxtrack.model import TrackerNet, small_spec, toy_spec
@@ -180,26 +206,21 @@ def battery() -> dict[str, str]:
         maps = sorted((tmp / "maps").iterdir())
         out["cli.respmap_pgms"] = _digest(*(c for m in maps
                                             for c in (m.name, m.read_bytes())))
+    if overfit:
+        net, _, losses, records = _overfit_run()
+        out["overfit.losses"] = _arrays_digest([("losses", np.array(losses))])
+        out["overfit.state"] = _arrays_digest(net.state().items())
+        out["overfit.records"] = _records_digest([records])
     return out
 
 
 def ulp_run(k: int) -> dict:
     """`test_07`'s final loss ratio and AO, after moving one initial weight
     of its net up by one ulp."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_acceptance import (OVERFIT_MAX_RATIO, OVERFIT_MIN_AO,
-                                 OVERFIT_SEQUENCE, OVERFIT_TRAIN)
-    from ctxtrack.model import TrackerNet, toy_spec
-    from ctxtrack.synthetic import gen_sequence
-    from ctxtrack.tracker import TrackConfig, compute_metrics, run_tracker
-    from ctxtrack.train import toy_train
+    _, name, losses, records = _overfit_run(k)
+    from test_acceptance import OVERFIT_MAX_RATIO, OVERFIT_MIN_AO
+    from ctxtrack.tracker import compute_metrics
 
-    net = TrackerNet(toy_spec(), np.random.default_rng(0))
-    name, p = list(net.parameters().items())[(37 * k) % len(net.parameters())]
-    p.data.flat[0] = np.nextafter(p.data.flat[0], np.inf)
-    sequence = gen_sequence(OVERFIT_SEQUENCE)
-    losses = toy_train(net, sequence, OVERFIT_TRAIN)
-    records = run_tracker(net, sequence, TrackConfig())
     ratio = float(np.mean(losses[-10:])) / losses[0]
     ao = compute_metrics([r.iou for r in records]).ao
     return {"k": k, "parameter": name, "ratio": ratio, "ao": ao,
@@ -247,8 +268,9 @@ def _single_thread_env(src: Path, hash_seed: str) -> dict:
                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def _start_battery(src: Path, cwd: Path, hash_seed: str) -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, __file__, "--battery", str(src)],
+def _start_battery(src: Path, cwd: Path, hash_seed: str, long: bool) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, __file__, "--battery", str(src)]
+                            + (["--long"] if long else []),
                             cwd=cwd, env=_single_thread_env(src, hash_seed),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -258,6 +280,8 @@ def main(argv=None) -> int:
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
     parser.add_argument("--expect-change", action="append", default=[],
                         metavar="NAME", help="artifact allowed to differ")
+    parser.add_argument("--long", action="store_true",
+                        help="add test_07's losses, final state and track records")
     parser.add_argument("--ulp-sweep", type=int, metavar="N",
                         help="run test_07 with one initial weight one ulp up, "
                              "for N choices of the weight")
@@ -269,11 +293,11 @@ def main(argv=None) -> int:
         src = Path(args.battery or ROOT / "src")
         if not Path(ctxtrack.__file__).resolve().is_relative_to(src.resolve()):
             sys.exit(f"imported {ctxtrack.__file__}, not the package under {src}")
-        print(json.dumps(battery() if args.battery else ulp_run(args.ulp_run)))
+        print(json.dumps(battery(args.long) if args.battery else ulp_run(args.ulp_run)))
         return 0
     if args.ulp_sweep is not None:
-        if args.rev is not None or args.expect_change:
-            parser.error("--ulp-sweep takes no REV or --expect-change")
+        if args.rev is not None or args.expect_change or args.long:
+            parser.error("--ulp-sweep takes no REV, --long or --expect-change")
         if args.ulp_sweep < 1:
             parser.error("--ulp-sweep N needs N >= 1")
         return ulp_sweep(args.ulp_sweep)
@@ -287,8 +311,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         _export_src(sha, tmp / "rev")
-        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp, "0"),
-                 "working tree": _start_battery(ROOT / "src", tmp, "1")}
+        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp, "0", args.long),
+                 "working tree": _start_battery(ROOT / "src", tmp, "1", args.long)}
         outputs = {name: proc.communicate() for name, proc in procs.items()}
     for name, proc in procs.items():
         if proc.returncode != 0:
