@@ -17,7 +17,9 @@ import numpy as np
 from .errors import ConfigError
 
 PARAMS_MAGIC = b"CTXTRACK"
-PARAMS_VERSION = 1
+# version 2: the heads read a sine embedding of the search grid, so
+# weights trained without it (version 1) must be trained again
+PARAMS_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +62,8 @@ def load_params(path) -> dict[str, np.ndarray]:
     version, count = struct.unpack("<II", take(8))
     if version != PARAMS_VERSION:
         raise ConfigError(
-            f"unsupported parameter file version {version} (expected {PARAMS_VERSION})")
+            f"unsupported parameter file version {version} (expected {PARAMS_VERSION}); "
+            f"train the model again to write one")
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))

@@ -177,18 +177,18 @@ def build_targets(gt_box: Box, boxes: Tensor) -> TrainingTarget:
     return TrainingTarget(q=q, positives=positives, box=(x1, y1, x2, y2))
 
 
-def total_loss(cls_term, giou_term, l1_term=0.0, lambda_cls: float = 1.5,
-               lambda_giou: float = 1.5, lambda_l1: float = 1.0):
-    """Weighted sum of the classification and the two regression terms."""
-    return cls_term * lambda_cls + giou_term * lambda_giou + l1_term * lambda_l1
+def total_loss(cls_term, giou_term, lambda_cls: float = 1.5,
+               lambda_giou: float = 1.5):
+    """Weighted sum of the classification and GIoU terms."""
+    return cls_term * lambda_cls + giou_term * lambda_giou
 
 
 def tracking_loss(outputs: HeadOutputs, gt_box: Box,
                   alpha: float = 0.75, gamma: float = 2.0,
-                  lambda_cls: float = 1.5, lambda_giou: float = 1.5,
-                  lambda_l1: float = 1.0
+                  lambda_cls: float = 1.5, lambda_giou: float = 1.5
                   ) -> tuple[Tensor, dict[str, float], TrainingTarget]:
-    """Full objective for one frame: weighted cls + giou + l1 over positives.
+    """Full objective for one frame: weighted cls + giou, plus l1 at weight
+    1, over positives.
 
     The l1 term sums, over the four sides, sqrt(d^2 + 1e-12) of the gap d
     between the predicted distance and `ltrb_map` of the ground truth, a
@@ -209,7 +209,7 @@ def tracking_loss(outputs: HeadOutputs, gt_box: Box,
         l1_term = (per_side.sum(axis=-1) * mask).sum() / count
     else:
         giou_term = l1_term = as_tensor(0.0)
-    total = total_loss(cls_term, giou_term, l1_term, lambda_cls, lambda_giou, lambda_l1)
+    total = total_loss(cls_term, giou_term, lambda_cls, lambda_giou) + l1_term
     parts = {"cls": float(cls_term.data), "giou": float(giou_term.data),
              "l1": float(l1_term.data)}
     return total, parts, target

@@ -178,17 +178,11 @@ class TrackerNet(Module):
         terms = bias_terms or {}
         for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
-                tokens = self._local_pair(self.stage3_local[2 * g: 2 * g + 2], tokens)
+                for blk in self.stage3_local[2 * g: 2 * g + 2]:
+                    tokens = blk(tokens, self.windows)
             tokens = layer(tokens, terms.get(layer))
             if trace is not None:
                 trace.append(tokens)
-        return tokens
-
-    def _local_pair(self, blocks: list[WindowAttentionBlock], tokens: Tensor) -> Tensor:
-        """Two window blocks over the (L, d) sequence of all three images,
-        each one call over the windows of every image, taped or not."""
-        for blk in blocks:
-            tokens = blk(tokens, self.windows)
         return tokens
 
     # ------------------------------------------------------------------

@@ -76,11 +76,10 @@ def sine_embedding(grid: tuple[int, int], dim: int) -> np.ndarray:
 
     dim / 4 channels each hold sin x, cos x, sin y and cos y of the cell's
     column x and row y, as `cell_grid` gives them, at the frequencies
-    4^-i for i = 0 to dim / 4 - 1. Built once per grid and width; the array
-    is read-only, since every caller shares it.
+    4^-i for i = 0 to dim / 4 - 1, so dim must be a multiple of 4. Built
+    once per grid and width; the array is read-only, since every caller
+    shares it.
     """
-    if dim % 4:
-        raise ValueError(f"embedding width {dim} is not a multiple of 4")
     ky, kx = cell_grid(grid)
     freqs = 4.0 ** -np.arange(dim // 4)
     x, y = kx[..., None] * freqs, ky[..., None] * freqs

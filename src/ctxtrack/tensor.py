@@ -324,12 +324,12 @@ def _acc(t: Tensor):
 def _matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray, a_acc, b_acc) -> None:
     """Gradients of a @ b for the output gradient g: a's, then b's, each
     summed over broadcast axes and handed to its accumulator (None skips
-    it). A 2-D b shared by every index of a's leading axes takes its
-    gradient as one product over all rows of a and g at once."""
+    it). A 2-D b takes its gradient as one product over all rows of a and
+    g at once, whatever a's leading axes."""
     if a_acc is not None:
         a_acc(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
     if b_acc is not None:
-        if b.ndim == 2 and a.ndim > 2:
+        if b.ndim == 2:
             b_acc(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         else:
             b_acc(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))

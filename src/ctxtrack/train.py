@@ -41,7 +41,6 @@ class TrainConfig:
     final_lr_scale: float = 0.1   # cosine-decay endpoint, as a fraction of lr
     lambda_cls: float = 1.5
     lambda_giou: float = 1.5
-    lambda_l1: float = 1.0
     alpha: float = 0.75
     gamma: float = 2.0
     context_scale: float = 2.0
@@ -67,7 +66,7 @@ class TrainConfig:
         if not 0.0 < self.final_lr_scale <= 1.0:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
         # a weight far above the default 1.5 overflows Adam's moments
-        for name in ("lambda_cls", "lambda_giou", "lambda_l1"):
+        for name in ("lambda_cls", "lambda_giou"):
             if not 0.0 <= getattr(self, name) <= 100.0:
                 raise ConfigError(f"{name} must lie in [0, 100]")
         # alpha scales the varifocal loss's negative term and gamma is its
@@ -168,8 +167,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
             raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(
             outputs, gt_box, alpha=cfg.alpha, gamma=cfg.gamma,
-            lambda_cls=cfg.lambda_cls, lambda_giou=cfg.lambda_giou,
-            lambda_l1=cfg.lambda_l1)
+            lambda_cls=cfg.lambda_cls, lambda_giou=cfg.lambda_giou)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {step}")

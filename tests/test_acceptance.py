@@ -92,7 +92,7 @@ def test_02_full_model_gradients_match_finite_differences():
         boxes = _ltrb_to_boxes_tensor(o.reg)
         giou_term = (giou_loss(boxes, gt_grid) * mask).sum() / mask.sum()
         l1_term = smoothed_l1(o.reg.data, gt, tgt.positives)
-        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term * 1.0
+        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term
 
     params = net.parameters()
     entries = [(name, i) for name, p in sorted(params.items())

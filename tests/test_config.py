@@ -239,7 +239,7 @@ def test_repeated_key_rejected(tmp_path, text, key):
 # dataclass must reject non-finite values itself when built; range checks
 # like `x < 0` let NaN through
 _FLOAT_FIELDS = [(TrainConfig, name) for name in
-                 ("lr", "eps", "lambda_cls", "lambda_giou", "lambda_l1", "context_scale",
+                 ("lr", "eps", "lambda_cls", "lambda_giou", "context_scale",
                   "alpha", "gamma")] + \
                 [(TrackConfig, "context_scale"),
                  (SequenceConfig, "step_sigma"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxtrack.errors import ConfigError
-from ctxtrack.fileio import (PARAMS_MAGIC, format_float, load_params,
+from ctxtrack.fileio import (PARAMS_MAGIC, PARAMS_VERSION, format_float, load_params,
                              read_csv, read_pgm, read_ppm, save_params,
                              to_uint8, write_csv, write_pgm, write_ppm)
 
@@ -70,10 +70,13 @@ class TestParamsFile:
         save_params(path, {"w": np.arange(4.0)})
         data = bytearray(path.read_bytes())
         assert data[:8] == PARAMS_MAGIC
-        data[8] = 99
-        path.write_bytes(bytes(data))
-        with pytest.raises(ConfigError, match="version"):
-            load_params(path)
+        # version-1 weights fit every parameter name and shape, but their
+        # heads never read the sine embedding of the search grid
+        for version in (1, 99):
+            data[8] = version
+            path.write_bytes(bytes(data))
+            with pytest.raises(ConfigError, match=f"version {version} .* train the model again"):
+                load_params(path)
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -81,7 +84,7 @@ class TestParamsFile:
 
     def test_rejects_name_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "name.params"
-        path.write_bytes(PARAMS_MAGIC + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+        path.write_bytes(PARAMS_MAGIC + struct.pack("<III", PARAMS_VERSION, 1, 2) + b"\xff\xfe"
                          + struct.pack("<I", 0) + struct.pack("<d", 1.0))
         with pytest.raises(ConfigError, match="UTF-8"):
             load_params(path)

@@ -292,7 +292,7 @@ def test_tracking_loss_end_to_end_gradcheck():
         gt_grid = tuple(v / 16.0 for v in gt)
         giou_term = (gl(boxes, gt_grid) * mask).sum() / mask.sum()
         l1_term = smoothed_l1(o.reg.data, gt, target.positives)
-        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term * 1.0
+        return float((cls_term * 1.5 + giou_term * 1.5).data) + l1_term
 
     params = heads.parameters()
     for name in ("cls_out.bias", "reg_out.bias", "cls_fc1.bias", "reg_fc2.bias"):
@@ -308,7 +308,7 @@ def test_tracking_loss_reports_parts():
     out = heads(Tensor(rng.normal(size=(4, 4, 8))))
     total, parts, target = tracking_loss(out, (12, 10, 52, 46))
     assert total.item() == pytest.approx(
-        1.5 * parts["cls"] + 1.5 * parts["giou"] + 1.0 * parts["l1"])
+        1.5 * parts["cls"] + 1.5 * parts["giou"] + parts["l1"])
     assert parts["giou"] > 0.0 and parts["cls"] > 0.0 and parts["l1"] > 0.0
     assert parts["l1"] == pytest.approx(smoothed_l1(out.reg.data, (12, 10, 52, 46),
                                                     target.positives))

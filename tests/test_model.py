@@ -133,11 +133,17 @@ def test_taped_and_tape_free_stage3_give_the_same_bytes(name):
     box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
     taped = net.forward(*with_box(net, images, box))
     tokens = net.backbone_forward(*images)
-    local = net._local_pair(net.stage3_local[2:4], tokens)
+
+    def local_pair(tokens):
+        for blk in net.stage3_local[2:4]:
+            tokens = blk(tokens, net.windows)
+        return tokens
+
+    local = local_pair(tokens)
     assert taped.cls.requires_grad and local.requires_grad
     with no_grad():
         free = net.forward(*with_box(net, images, box))
-        free_local = net._local_pair(net.stage3_local[2:4], tokens)
+        free_local = local_pair(tokens)
     assert taped.cls.data.tobytes() == free.cls.data.tobytes()
     assert taped.reg.data.tobytes() == free.reg.data.tobytes()
     assert local.data.tobytes() == free_local.data.tobytes()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree computes the same bits as an earlier revision.
 
-    python tools/parity.py REV [--long] [--expect-change NAME ...]
+    python tools/parity.py REV [--expect-change NAME ...]
     python tools/parity.py --ulp-sweep N
 
 Copies `src/` as committed at REV into a temporary directory, then runs
@@ -12,7 +12,7 @@ depends on the hash seed shows as a difference. It prints one `same` or
 differs that no `--expect-change NAME` names (a deliberate change, to be
 explained where the change is described).
 
-The battery (about half a minute per tree; the two trees run at once):
+The battery (about 50 s per tree; the two trees run at once):
   state.*          `state()` names, shapes and bytes in key order, for toy
                    seeds 0-2 and small seed 0
   taped.*          one taped toy forward with `tracking_loss` and its
@@ -34,11 +34,10 @@ The battery (about half a minute per tree; the two trees run at once):
   cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
                    then `ctxtrack track` and `ctxtrack respmap --frame 3`
                    with those parameters: the metrics CSV and every PGM
-
-`--long` adds the run of `test_07` (tests/test_acceptance.py), with the
-config read from the test module's OVERFIT_* constants, about 20 s more:
-  overfit.*        its 500 per-step losses, the final `state()`, and the
-                   `run_tracker` records of the trained net
+  overfit.*        the run of `test_07` (tests/test_acceptance.py), with
+                   the config read from the test module's OVERFIT_*
+                   constants: its 500 per-step losses, the final `state()`,
+                   and the `run_tracker` records of the trained net
 
 The battery calls the package's public API as this tree has it, so REV
 must be recent enough to share it. Hashes depend on the numpy and BLAS
@@ -119,9 +118,8 @@ def _overfit_run(k: int | None = None):
     return net, name, losses, run_tracker(net, sequence, TrackConfig())
 
 
-def battery(overfit: bool = False) -> dict[str, str]:
-    """sha256 of every artifact, computed by the `ctxtrack` on sys.path;
-    `overfit` adds the `overfit.*` artifacts."""
+def battery() -> dict[str, str]:
+    """sha256 of every artifact, computed by the `ctxtrack` on sys.path."""
     from ctxtrack.cli import main as ctxtrack_main
     from ctxtrack.heads import tracking_loss
     from ctxtrack.model import TrackerNet, small_spec, toy_spec
@@ -206,11 +204,10 @@ def battery(overfit: bool = False) -> dict[str, str]:
         maps = sorted((tmp / "maps").iterdir())
         out["cli.respmap_pgms"] = _digest(*(c for m in maps
                                             for c in (m.name, m.read_bytes())))
-    if overfit:
-        net, _, losses, records = _overfit_run()
-        out["overfit.losses"] = _arrays_digest([("losses", np.array(losses))])
-        out["overfit.state"] = _arrays_digest(net.state().items())
-        out["overfit.records"] = _records_digest([records])
+    net, _, losses, records = _overfit_run()
+    out["overfit.losses"] = _arrays_digest([("losses", np.array(losses))])
+    out["overfit.state"] = _arrays_digest(net.state().items())
+    out["overfit.records"] = _records_digest([records])
     return out
 
 
@@ -268,9 +265,8 @@ def _single_thread_env(src: Path, hash_seed: str) -> dict:
                 OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def _start_battery(src: Path, cwd: Path, hash_seed: str, long: bool) -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, __file__, "--battery", str(src)]
-                            + (["--long"] if long else []),
+def _start_battery(src: Path, cwd: Path, hash_seed: str) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, __file__, "--battery", str(src)],
                             cwd=cwd, env=_single_thread_env(src, hash_seed),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -280,8 +276,6 @@ def main(argv=None) -> int:
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
     parser.add_argument("--expect-change", action="append", default=[],
                         metavar="NAME", help="artifact allowed to differ")
-    parser.add_argument("--long", action="store_true",
-                        help="add test_07's losses, final state and track records")
     parser.add_argument("--ulp-sweep", type=int, metavar="N",
                         help="run test_07 with one initial weight one ulp up, "
                              "for N choices of the weight")
@@ -293,11 +287,11 @@ def main(argv=None) -> int:
         src = Path(args.battery or ROOT / "src")
         if not Path(ctxtrack.__file__).resolve().is_relative_to(src.resolve()):
             sys.exit(f"imported {ctxtrack.__file__}, not the package under {src}")
-        print(json.dumps(battery(args.long) if args.battery else ulp_run(args.ulp_run)))
+        print(json.dumps(battery() if args.battery else ulp_run(args.ulp_run)))
         return 0
     if args.ulp_sweep is not None:
-        if args.rev is not None or args.expect_change or args.long:
-            parser.error("--ulp-sweep takes no REV, --long or --expect-change")
+        if args.rev is not None or args.expect_change:
+            parser.error("--ulp-sweep takes no REV or --expect-change")
         if args.ulp_sweep < 1:
             parser.error("--ulp-sweep N needs N >= 1")
         return ulp_sweep(args.ulp_sweep)
@@ -311,8 +305,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         _export_src(sha, tmp / "rev")
-        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp, "0", args.long),
-                 "working tree": _start_battery(ROOT / "src", tmp, "1", args.long)}
+        procs = {"REV": _start_battery(tmp / "rev" / "src", tmp, "0"),
+                 "working tree": _start_battery(ROOT / "src", tmp, "1")}
         outputs = {name: proc.communicate() for name, proc in procs.items()}
     for name, proc in procs.items():
         if proc.returncode != 0:
