@@ -8,6 +8,7 @@ whose logits add absolute-position and relative-displacement terms.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,31 +107,33 @@ class Windows(NamedTuple):
     inverse: np.ndarray
 
 
-def window_partition(layout: SegmentLayout, window: int) -> Windows:
-    """Windows of every segment grid of `layout`, segment by segment, each
-    grid's windows in row-major order as `WindowAttentionBlock` visits them."""
-    parts = []
-    for name in layout.names():
-        h, w = layout.grid(name)
+@lru_cache(maxsize=64)
+def window_partition(grids: tuple[tuple[int, int], ...], window: int) -> Windows:
+    """Windows of a flat sequence of the row-major tokens of each (H, W)
+    grid in turn: grid by grid, windows and their tokens in row-major
+    order. Built once per tuple of grid shapes; the arrays are read-only,
+    since every caller shares them."""
+    parts, offset = [], 0
+    for h, w in grids:
         if h % window or w % window:
-            raise ValueError(f"{name} grid {h}x{w} not divisible by window {window}")
-        idx = np.arange(layout.offset(name), layout.offset(name) + h * w)
-        idx = idx.reshape(h // window, window, w // window, window)
+            raise ValueError(f"grid {h}x{w} not divisible by window {window}")
+        idx = np.arange(offset, offset + h * w).reshape(h // window, window, w // window, window)
         parts.append(idx.transpose(0, 2, 1, 3).reshape(-1))
+        offset += h * w
     order = np.concatenate(parts)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
+    order.flags.writeable = inverse.flags.writeable = False
     return Windows(window, order, inverse)
 
 
 class WindowAttentionBlock(_PreNormAttention):
     """Pre-norm self-attention over non-overlapping square windows.
 
-    Operates on one image's token grid (H, W, C), or on a flat (L, C)
-    sequence of several grids split by a `Windows` partition; tokens only
-    attend to others inside the same window, so all mixing is local to the
-    image. Both forms run the same norm, attention and residual on the same
-    windows; only the gather into windows differs.
+    Operates on a flat (L, C) sequence of one or more token grids split by
+    a `Windows` partition; tokens only attend to others inside the same
+    window, so all mixing is local to each grid. The gather into windows
+    and the scatter back are row permutations.
     """
 
     logit_terms = 1
@@ -142,26 +145,16 @@ class WindowAttentionBlock(_PreNormAttention):
         self.window = window
         super().__init__(dim, heads, rng)
 
-    def __call__(self, tokens: Tensor, windows: Windows | None = None) -> Tensor:
+    def __call__(self, tokens: Tensor, windows: Windows) -> Tensor:
         win, dim = self.window, self.dim
-        if windows is not None:
-            if windows.window != win:
-                raise ValueError(f"partition window {windows.window} != block window {win}")
-            if tokens.shape != (windows.order.size, dim):
-                raise ValueError(f"expected ({windows.order.size}, {dim}) tokens, "
-                                 f"got {tokens.shape}")
-            x = self.norm1(tokens)[windows.order].reshape(-1, win * win, dim)
-            attn = self.attend(x, x).reshape(-1, dim)[windows.inverse]
-            return self._residual(tokens, attn)
-        if tokens.ndim != 3 or tokens.shape[2] != dim:
-            raise ValueError(f"expected (H, W, {dim}) tokens, got {tokens.shape}")
-        h, w, _ = tokens.shape
-        if h % win or w % win:
-            raise ValueError(f"grid {h}x{w} not divisible by window {win}")
-        x = self.norm1(tokens).rearrange((h // win, win, w // win, win, dim), (0, 2, 1, 3, 4),
-                                         (-1, win * win, dim))
-        attn = self.attend(x, x).rearrange((h // win, w // win, win, win, dim), (0, 2, 1, 3, 4),
-                                           (h, w, dim))
+        if windows.window != win:
+            raise ValueError(f"partition window {windows.window} != block window {win}")
+        if tokens.shape != (windows.order.size, dim):
+            raise ValueError(f"expected ({windows.order.size}, {dim}) tokens, "
+                             f"got {tokens.shape}")
+        order, inverse = windows.order, windows.inverse
+        x = self.norm1(tokens).permute_rows(order, inverse, (-1, win * win, dim))
+        attn = self.attend(x, x).permute_rows(inverse, order, (-1, dim))
         return self._residual(tokens, attn)
 
 

@@ -1,19 +1,18 @@
 """Full tracking network: staged backbone, neck, and prediction heads.
 
 Three images flow through shared-weight early stages (patch embedding,
-windowed local attention, two downsamplings to stride 16). The final
+windowed local attention, two downsamplings to stride 16) in one pass:
+each window block runs once over the windows of every image. The final
 backbone stage holds the three token sets as one sequence and alternates
 window attention, local to each image, with joint layers that mix all
-three; each window block there runs once over the windows of all three
-images, with or without a tape. Everything before the first joint layer
-is per image, so `encode` can compute it once for a template that stays
-fixed, with its box embedding, and `bias_terms` the joint layers'
-weight-only terms. The neck stacks more joint layers, injecting the
-previous-frame box into the previous-template tokens once at entry, and
-ends with a layer where only search tokens act as queries. A fixed sine
-embedding of each cell's position is added to the resulting search
-features, and the heads turn them into per-position scores and box
-distances.
+three. Everything before the first joint layer is per image, so `encode`
+can compute it once for a template that stays fixed, with its box
+embedding, and `bias_terms` the joint layers' weight-only terms. The neck
+stacks more joint layers, injecting the previous-frame box into the
+previous-template tokens once at entry, and ends with a layer where only
+search tokens act as queries. A fixed sine embedding of each cell's
+position is added to the resulting search features, and the heads turn
+them into per-position scores and box distances.
 """
 
 from __future__ import annotations
@@ -99,7 +98,8 @@ class TrackerNet(Module):
         t16 = spec.target_size // STRIDE
         s16 = spec.search_size // STRIDE
         self.layout = segment_layout((t16, t16), (s16, s16), (s16, s16))
-        self.windows = window_partition(self.layout, spec.window)
+        self.grids = tuple((h, w) for _, h, w in self.layout.segments)
+        self.windows = window_partition(self.grids, spec.window)
 
         self.patch = PatchEmbed(c, rng)
         pairs1 = (spec.n2 + 1) // 2
@@ -131,28 +131,44 @@ class TrackerNet(Module):
         A template that does not change between frames can be encoded once
         and passed to `forward` in place of its image.
         """
-        if not isinstance(image, Tensor):
-            image = Tensor(np.asarray(image))
-        t = self.patch(image)
-        for blk in self.stage1:
-            t = blk(t)
-        t = self.down1(t)
-        for blk in self.stage2:
-            t = blk(t)
-        t = self.down2(t)
-        for blk in self.stage3_local[0:2]:
-            t = blk(t)
-        return Encoded(t, None if box is None else self.box_embed(box))
+        return self.encode_all([image], [box])[0]
 
-    def _flatten(self, grids: list[Tensor]) -> Tensor:
-        return concat([g.reshape(-1, self.spec.dim) for g in grids], axis=0)
+    def encode_all(self, images, boxes=None) -> list[Encoded]:
+        """`encode` of each image, with the matching entry of `boxes` (None,
+        or None entries, for no box), in one pass: each window block runs
+        once over the windows of every image."""
+        grids = [self.patch(x if isinstance(x, Tensor) else Tensor(np.asarray(x)))
+                 for x in images]
+        grids = [self.down1(g) for g in self._local(self.stage1, grids)]
+        grids = [self.down2(g) for g in self._local(self.stage2, grids)]
+        grids = self._local(self.stage3_local[0:2], grids)
+        boxes = boxes or [None] * len(grids)
+        return [Encoded(g, None if b is None else self.box_embed(b))
+                for g, b in zip(grids, boxes)]
 
-    def _split(self, tokens: Tensor) -> list[Tensor]:
-        out = []
-        for name in self.layout.names():
-            h, w = self.layout.grid(name)
-            out.append(tokens[self.layout.segment_slice(name)].reshape(h, w, self.spec.dim))
-        return out
+    def _local(self, blocks: list[WindowAttentionBlock], grids: list[Tensor]) -> list[Tensor]:
+        """The (H, W, C) grids after `blocks`, each run once over the
+        windows of all of them."""
+        if not (blocks and grids):
+            return grids
+        shapes = tuple(g.shape[:2] for g in grids)
+        tokens, windows = self._flatten(grids), window_partition(shapes, self.spec.window)
+        for blk in blocks:
+            tokens = blk(tokens, windows)
+        return self._split(tokens, shapes)
+
+    @staticmethod
+    def _flatten(grids: list[Tensor]) -> Tensor:
+        flat = [g.reshape(-1, g.shape[-1]) for g in grids]
+        return concat(flat, axis=0) if len(flat) > 1 else flat[0]
+
+    @staticmethod
+    def _split(tokens: Tensor, shapes) -> list[Tensor]:
+        if len(shapes) == 1:
+            return [tokens.reshape(*shapes[0], tokens.shape[-1])]
+        ends = np.cumsum([h * w for h, w in shapes])
+        return [tokens[end - h * w:end].reshape(h, w, tokens.shape[-1])
+                for (h, w), end in zip(shapes, ends)]
 
     @no_grad()
     def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
@@ -173,8 +189,10 @@ class TrackerNet(Module):
         `trace` receives the output tokens of each joint layer; `bias_terms`
         is as in `forward`.
         """
-        tokens = self._flatten([(x if isinstance(x, Encoded) else self.encode(x)).grid
-                                for x in (target, previous, search)])
+        inputs = (target, previous, search)
+        fresh = iter(self.encode_all([x for x in inputs if not isinstance(x, Encoded)]))
+        tokens = self._flatten([(x if isinstance(x, Encoded) else next(fresh)).grid
+                                for x in inputs])
         terms = bias_terms or {}
         for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
@@ -199,7 +217,7 @@ class TrackerNet(Module):
         `bias_terms` is as in `forward`.
         """
         if box is not None:
-            parts = self._split(tokens)
+            parts = self._split(tokens, self.grids)
             parts[1] = parts[1] + box
             tokens = self._flatten(parts)
         terms = bias_terms or {}

@@ -6,10 +6,10 @@ requiring gradients records its parents and how to reach them, so calling
 order and accumulates gradients additively over fan-out. `Tensor._make`
 builds every node. Most ops record one local derivative per parent, which
 the sweep applies itself; `matmul` and the fused ops record a backward
-callable. The fused ops, up to a transformer block's attention and
-feed-forward sublayers, share array-level forward and backward kernels and
-match, bit for bit, the primitive-op composites in the tests. An op run while no tape is
-recorded builds neither. The tape is rebuilt on every forward pass and
+callable. The fused ops share array-level kernels and match, bit for bit,
+the primitive-op composites in the tests, but for the gradients of a
+transformer block's two sublayers, which sum in their own order. An op
+run while no tape is recorded builds neither. The tape is rebuilt on every forward pass and
 freed by the sweep that walks it; there is no graph reuse.
 """
 from __future__ import annotations
@@ -71,11 +71,10 @@ def _scatter(g: np.ndarray, shape: tuple[int, ...], idx) -> np.ndarray:
     """Zeros of `shape` with `g` added at `idx`, the gradient of x[idx]."""
     full = np.zeros(shape)
     items = idx if isinstance(idx, tuple) else (idx,)
-    # ints and slices pick each element at most once; the trailing
-    # Ellipsis keeps an all-int index a 0-d view rather than a scalar
+    # ints and slices pick each element at most once
     if all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
                                     and not isinstance(i, bool)) for i in items):
-        np.add(g, 0.0, out=full[items + (Ellipsis,)])
+        full[idx] = g
     else:
         np.add.at(full, idx, g)
     return full
@@ -117,9 +116,8 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # `+ 0.0` turns -0.0 into +0.0, as summing onto zeros did, so a
-            # stored gradient never holds -0.0
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
         else:
             self.grad += g
 
@@ -252,8 +250,8 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         x = self.data
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return Tensor._make(out, (self,), (lambda g: g * out * (1.0 - out),))
 
     def relu(self) -> "Tensor":
@@ -296,6 +294,16 @@ class Tensor:
         return Tensor._make(self.data.swapaxes(ax1, ax2), (self,),
                             (lambda g: g.swapaxes(ax1, ax2),))
 
+    def permute_rows(self, order: np.ndarray, inverse: np.ndarray,
+                     shape: tuple[int, ...]) -> "Tensor":
+        """The rows of x (its last axis) taken in `order`, reshaped to
+        `shape`. `order` is a permutation of the rows and `inverse` undoes
+        it, so the backward gathers the gradient's rows by `inverse`."""
+        in_shape, width = self.data.shape, self.data.shape[-1]
+        out = self.data.reshape(-1, width).take(order, axis=0).reshape(shape)
+        return Tensor._make(out, (self,), (
+            lambda g: g.reshape(-1, width).take(inverse, axis=0).reshape(in_shape),))
+
     def __getitem__(self, idx) -> "Tensor":
         in_shape = self.data.shape
         return Tensor._make(self.data[idx], (self,), (lambda g: _scatter(g, in_shape, idx),))
@@ -316,23 +324,10 @@ def _requires_grad(x) -> bool:
 _F64 = np.dtype(np.float64)
 
 
-def _acc(t: Tensor):
-    """`t.accumulate_grad`, or None when `t` takes no gradient."""
-    return t.accumulate_grad if t.requires_grad else None
-
-
-def _matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray, a_acc, b_acc) -> None:
-    """Gradients of a @ b for the output gradient g: a's, then b's, each
-    summed over broadcast axes and handed to its accumulator (None skips
-    it). A 2-D b takes its gradient as one product over all rows of a and
-    g at once, whatever a's leading axes."""
-    if a_acc is not None:
-        a_acc(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
-    if b_acc is not None:
-        if b.ndim == 2:
-            b_acc(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            b_acc(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+def _rows_product(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """aᵀ @ g summed over every leading axis, as one 2-D product over the
+    rows of a and g: the gradient of a 2-D b in a @ b."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a, b) -> Tensor:
@@ -355,8 +350,15 @@ def matmul(a, b) -> Tensor:
     if not taped:
         return Tensor._wrap(ad @ bd)
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor._make(ad @ bd, (a, b),
-                        lambda g: _matmul_backward(g, a.data, b.data, _acc(a), _acc(b)))
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_rows_product(ad, g) if bd.ndim == 2
+                              else _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
+
+    return Tensor._make(ad @ bd, (a, b), bwd)
 
 
 def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
@@ -407,13 +409,15 @@ def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -
 
 
 def _linear_backward(g: np.ndarray, x: np.ndarray, weight: Tensor,
-                     bias: Tensor | None, x_acc) -> None:
-    """Gradients of x @ weight (+ bias) in the order of `matmul` followed by
-    `+ bias`: the bias, then x through `x_acc`, then the weight, each
-    through `_matmul_backward`."""
+                     bias: Tensor | None, x_grad: bool = True) -> np.ndarray | None:
+    """Gradients of x @ weight (+ bias) as `matmul` followed by `+ bias`
+    takes them: the bias and the weight receive theirs, and x's is
+    returned when `x_grad` holds."""
     if bias is not None and bias.requires_grad:
         bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
-    _matmul_backward(g, x, weight.data, x_acc, _acc(weight))
+    if weight.requires_grad:
+        weight.accumulate_grad(_rows_product(x, g))
+    return g @ weight.data.T if x_grad else None
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -430,8 +434,13 @@ def linear(x, weight, bias=None) -> Tensor:
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out, parents,
-                        lambda g: _linear_backward(g, x.data, weight, bias, _acc(x)))
+
+    def bwd(g):
+        gx = _linear_backward(g, x.data, weight, bias, x.requires_grad)
+        if gx is not None:
+            x.accumulate_grad(gx)
+
+    return Tensor._make(out, parents, bwd)
 
 
 def _attention_softmax(q: np.ndarray, k: np.ndarray, scale: float,
@@ -448,21 +457,17 @@ def _attention_softmax(q: np.ndarray, k: np.ndarray, scale: float,
 
 
 def _attention_softmax_backward(g: np.ndarray, out: np.ndarray, q: np.ndarray,
-                                k: np.ndarray, scale: float, biases: Sequence[Tensor],
-                                q_acc, k_acc) -> None:
-    """Gradients of `_attention_softmax`'s output `out`: each bias tensor's,
-    last to first, then q's and k's through their accumulators."""
+                                k: np.ndarray, scale: float,
+                                biases: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of `_attention_softmax`'s output `out`: each bias tensor
+    receives its own, and q's and k's are returned."""
     gl = g - (g * out).sum(axis=-1, keepdims=True)
     gl *= out
-    for b in reversed(biases):
+    for b in biases:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(gl, b.data.shape))
     gl *= scale
-    if q_acc is not None:
-        q_acc(_unbroadcast(gl @ k, q.shape))
-    if k_acc is not None:
-        kt_shape = k.shape[:-2] + (k.shape[-1], k.shape[-2])
-        k_acc(_unbroadcast(q.swapaxes(-1, -2) @ gl, kt_shape).swapaxes(-1, -2))
+    return gl @ k, gl.swapaxes(-1, -2) @ q
 
 
 def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
@@ -487,7 +492,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     if not _GRAD_ENABLED:
-        return Tensor(out)
+        return Tensor._wrap(out)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
@@ -608,50 +613,41 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
     return Tensor._make(out, (x, gamma, beta), lambda g: _layer_norm_backward(
-        g, c, ve, gamma, beta, _acc(x)))
+        g, c, ve, gamma, beta, x.accumulate_grad if x.requires_grad else None))
 
 
 # ----------------------------------------------------------------------
 # transformer sublayers
 # ----------------------------------------------------------------------
 
-class _GradSum:
-    """The gradient of an intermediate a fused op keeps off the tape, summed
-    as `Tensor.accumulate_grad` sums a node's: the first term + 0.0 in a
-    fresh C-ordered array, later terms added in place."""
-
-    __slots__ = ("grad",)
-
-    def __init__(self):
-        self.grad = None
-
-    def __call__(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty(g.shape))
-        else:
-            self.grad += g
-
-
-@lru_cache(maxsize=8)
-def _head_axes(n: int) -> tuple[int, ...]:
-    """The transpose that swaps the token and head axes behind n leading
-    axes; it is its own inverse."""
-    return (*range(n), n + 1, n, n + 2)
-
-
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     """(..., L, dim) -> (..., heads, L, dim // heads), as a view."""
     shape = a.shape
-    return a.reshape(shape[:-1] + (heads, shape[-1] // heads)).transpose(
-        _head_axes(len(shape) - 2))
+    return a.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(..., heads, L, head_dim) -> (..., L, heads * head_dim), the inverse
-    of `_split_heads`."""
-    shape = a.shape
-    return a.transpose(_head_axes(len(shape) - 3)).reshape(
-        shape[:-3] + (shape[-2], shape[-3] * shape[-1]))
+def _merge_heads(*parts: np.ndarray) -> np.ndarray:
+    """(..., L, n * dim) from n arrays (..., heads, L, head_dim), side by
+    side on the last axis, each the inverse of `_split_heads`."""
+    *lead, heads, length, head_dim = parts[0].shape
+    out = np.empty((*lead, length, len(parts), heads, head_dim))
+    for i, part in enumerate(parts):
+        out[..., i, :, :] = part.swapaxes(-3, -2)
+    return out.reshape(*lead, length, len(parts) * heads * head_dim)
+
+
+def _projections_backward(x: Tensor, weights: Sequence[Tensor],
+                          head_grads: Sequence[np.ndarray]) -> None:
+    """Gradients of the projections x @ w from their split-head gradients:
+    the weights' from one product, and x's from one more."""
+    g = _merge_heads(*head_grads)
+    g_w, dim = _rows_product(x.data, g), x.data.shape[-1]
+    for i, w in enumerate(weights):
+        if w.requires_grad:
+            w.accumulate_grad(g_w[:, i * dim:(i + 1) * dim])
+    if x.requires_grad:
+        w_all = np.concatenate([w.data for w in weights], axis=1)
+        x.accumulate_grad((g.reshape(-1, g.shape[-1]) @ w_all.T).reshape(x.data.shape))
 
 
 def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
@@ -660,16 +656,16 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
     """Multi-head attention of the tokens xq over xk, (..., Lq, dim), as one
     tape node.
 
-    The value, query and key projections of xk, xq and xk are split into
+    The query, key and value projections of xq, xk and xk are split into
     `heads` heads over the last axis; each head's weights are
     softmax(q @ kᵀ * scale + Σ biases) over the keys; the weighted values
     are merged and projected by `w_out`. Leading axes batch, one per
-    window. Forward and backward repeat, in order, the float operations of
-    that formula built from `linear`, `rearrange`, `matmul`, `*`, `+` and a
+    window. The forward repeats, in order, the float operations of that
+    formula built from `linear`, `rearrange`, `matmul`, `*`, `+` and a
     last-axis softmax node (`composite_attend` in tests/reference_ops.py),
-    so values and gradients match it bit for bit; that includes the order
-    in which xk receives its key and value gradients, after xq's query
-    gradient when xq is xk.
+    so its values match it bit for bit. The backward hands each input one
+    gradient: the projection weights of each input take theirs from one
+    product, and so does the input.
     """
     xq, xk = as_tensor(xq), as_tensor(xk)
     biases = tuple(as_tensor(b) for b in biases)
@@ -689,23 +685,16 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
     merged = _merge_heads(matmul(weights, v).data)
 
     def bwd(g):
-        # the composite's nodes run in this order: the output projection,
-        # the value product, the weights, then the query, key and value
-        # heads and projections; each of its intermediates sums here
-        g_merged, g_av, g_weights, g_v, g_q, g_k = (_GradSum() for _ in range(6))
-        _linear_backward(g, merged, w_out, None, g_merged)
-        g_av(_split_heads(g_merged.grad, heads))
-        _matmul_backward(g_av.grad, weights, v, g_weights, g_v)
-        _attention_softmax_backward(g_weights.grad, weights, q, k, scale, biases, g_q, g_k)
-        for g_heads, x, x_acc, w in ((g_q, xqd, _acc(xq), w_query),
-                                     (g_k, xkd, _acc(xk), w_key),
-                                     (g_v, xkd, _acc(xk), w_value)):
-            g_proj = _GradSum()
-            g_proj(_merge_heads(g_heads.grad))
-            _linear_backward(g_proj.grad, x, w, None, x_acc)
+        g_av = _split_heads(_linear_backward(g, merged, w_out, None), heads)
+        g_v = weights.swapaxes(-1, -2) @ g_av
+        g_q, g_k = _attention_softmax_backward(g_av @ v.swapaxes(-1, -2), weights, q, k,
+                                               scale, biases)
+        if xq is xk:
+            _projections_backward(xq, (w_query, w_key, w_value), (g_q, g_k, g_v))
+        else:
+            _projections_backward(xq, (w_query,), (g_q,))
+            _projections_backward(xk, (w_key, w_value), (g_k, g_v))
 
-    # parents in the order that has the depth-first tape walk reach them as
-    # it did through the composite, so every other node runs in its order
     return Tensor._make(_linear_forward(merged, w_out.data),
                         (xq, w_query, w_key, *biases, xk, w_value, w_out), bwd)
 
@@ -715,9 +704,10 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
     """res + fc2(gelu(fc1(layer_norm(res)))) with res = tokens + attn, the
     pre-norm feed-forward sublayer with both residual adds, as one tape node.
 
-    Forward and backward repeat, in order, the float operations of that
-    formula built from `+`, `layer_norm`, `linear` and `gelu`, so values and
-    gradients match it bit for bit.
+    The forward repeats, in order, the float operations of that formula
+    built from `+`, `layer_norm`, `linear` and `gelu`, so its values match
+    it bit for bit. The backward hands tokens and attn one gradient, the
+    gradient of res.
     """
     tokens, attn = as_tensor(tokens), as_tensor(attn)
     res = tokens.data + attn.data
@@ -733,18 +723,15 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
     out = _linear_forward(act, w2.data, b2.data)
 
     def bwd(g):
-        # the second add hands g to res and to the feed-forward output;
-        # res then gains the norm's two terms and hands its sum on
-        g_res, g_out, g_act, g_hidden, g_normed = (_GradSum() for _ in range(5))
-        g_res(g)
-        g_out(g)
-        _linear_backward(g_out.grad, act, w2, b2, g_act)
-        _gelu_backward(g_act.grad, hidden, g_hidden)
-        _linear_backward(g_hidden.grad, normed, w1, b1, g_normed)
-        _layer_norm_backward(g_normed.grad, c, ve, gamma, beta, g_res)
+        # the terms of each gradient sum in place, through `__iadd__`
+        g_hidden = np.zeros_like(hidden)
+        _gelu_backward(_linear_backward(g, act, w2, b2), hidden, g_hidden.__iadd__)
+        g_res = g.copy()
+        _layer_norm_backward(_linear_backward(g_hidden, normed, w1, b1), c, ve,
+                             gamma, beta, g_res.__iadd__)
         for t in (tokens, attn):
             if t.requires_grad:
-                t.accumulate_grad(g_res.grad)
+                t.accumulate_grad(g_res)
 
     return Tensor._make(np.add(res, out, out=out),
                         (tokens, attn, gamma, beta, w1, b1, w2, b2), bwd)

@@ -162,7 +162,8 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
             gt_box = search_window.to_crop(sequence.boxes[cur])
         search_crop = crop_resize(sequence.frames[cur], search_window)
 
-        outputs = net.forward(target_crop, net.encode(prev_crop, prev_box), search_crop)
+        outputs = net.forward(*net.encode_all((target_crop, prev_crop, search_crop),
+                                              (None, prev_box, None)))
         if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
             raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(

@@ -74,11 +74,8 @@ def batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def seeded_root(out: Tensor, seed) -> Tensor:
-    """A scalar whose backward hands `out` exactly `seed` as its gradient.
-
-    `accumulate_grad` turns -0.0 into +0.0; this bypasses it so the op under
-    test sees -0.0 in its incoming gradient.
-    """
+    """A scalar whose backward hands `out` exactly `seed` as its gradient,
+    -0.0 entries included."""
     def bwd(_):
         out.grad = np.array(seed, dtype=np.float64)
 

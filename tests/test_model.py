@@ -1,5 +1,7 @@
 """Tests for the staged network assembly and the neck."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -192,9 +194,10 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
     # 6 to encode the search image, then one per block of pairs g >= 1
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
     calls.clear()
-    # a taped forward encodes all three images, then makes the same calls
-    net.forward(*with_box(net, (target, previous, search), box))
-    assert len(calls) == 3 * 6 + 2 * (spec.n1 - 1) == 22
+    # a taped forward over the three images encoded in one pass, as
+    # training runs it, makes the same calls
+    net.forward(*net.encode_all((target, previous, search), (None, box, None)))
+    assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +346,50 @@ def test_forward_gradients_match_finite_differences():
         fd = finite_diff_grad(scalar, p)
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
         assert rel_err(got, fd, floor=1e-5) < 1e-3, name
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
+@pytest.mark.parametrize("name", sorted(_STAGE3_SPECS))
+def test_joint_encode_equals_single_image_encodes(name, taped):
+    spec = _STAGE3_SPECS[name]()
+    net = TrackerNet(spec, np.random.default_rng(19))
+    images = _spec_images(spec, 19)
+    box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
+    boxes = (None, box, None)
+    with nullcontext() if taped else no_grad():
+        joint = net.encode_all(images, boxes)
+        single = [net.encode(image, b) for image, b in zip(images, boxes)]
+        outputs = [net.forward(*encoded) for encoded in (joint, single)]
+    for a, b in zip(joint, single):
+        assert a.grid.requires_grad == taped
+        assert a.grid.data.tobytes() == b.grid.data.tobytes()
+    assert joint[1].box.data.tobytes() == single[1].box.data.tobytes()
+    assert outputs[0].cls.data.tobytes() == outputs[1].cls.data.tobytes()
+    assert outputs[0].reg.data.tobytes() == outputs[1].reg.data.tobytes()
+
+
+def test_joint_encode_gradients_match_finite_differences():
+    spec = toy_spec(target_size=32, search_size=32, channels=4,
+                    n1=1, n2=1, n3=1)
+    net = TrackerNet(spec, np.random.default_rng(20))
+    rng = np.random.default_rng(20)
+    images = (rng.random((32, 32, 3)), rng.random((32, 32, 3)),
+              rng.random((32, 32, 3)))
+    boxes = (None, (8.0, 8.0, 24.0, 24.0), None)
+    w_cls = rng.normal(size=(2, 2, 1))
+    w_reg = rng.normal(size=(2, 2, 4))
+
+    def scalar(_=None):
+        out = net(*net.encode_all(images, boxes))
+        return float((out.cls.data * w_cls).sum() + (out.reg.data * w_reg).sum())
+
+    out = net(*net.encode_all(images, boxes))
+    ((out.cls * w_cls).sum() + (out.reg * w_reg).sum()).backward()
+    params = net.parameters()
+    for name in ("stage1.0.w_query.weight", "stage1.0.w_value.weight",
+                 "stage1.0.w_out.weight", "neck_last.w_key.weight"):
+        fd = finite_diff_grad(scalar, params[name])
+        assert rel_err(params[name].grad, fd, floor=1e-5) < 1e-3, name
 
 
 # ----------------------------------------------------------------------
