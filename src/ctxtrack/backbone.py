@@ -1,60 +1,68 @@
 """Backbone building blocks and box-derived feature maps.
 
-Covers the patch embedding that tokenizes an image, the stage transition
-that halves the grid while doubling channels, the two maps derived from the
-previous-frame box (a normalized Gaussian prior and per-position ltrb
+Covers the patch embedding that tokenizes images, the stage transition
+that halves each grid while doubling channels, the two maps derived from
+the previous-frame box (a normalized Gaussian prior and per-position ltrb
 distances), and the learnable embedding that injects both into the
-previous-template tokens.
+previous-template tokens. All of them work on flat (L, C) rows: the
+row-major cells of each grid, one image's grid after another.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import LayerNorm, Linear
+from .attention import LayerNorm, Linear, window_partition
 from .imageops import STRIDE, Box, cell_grid, validate_box
-from .tensor import Module, Tensor, gelu, normal_parameter
+from .tensor import Module, Tensor, as_tensor, concat, gelu, normal_parameter
+
+
+def _merge(x: Tensor, grids: tuple[tuple[int, int], ...], size: int) -> Tensor:
+    """Each size x size neighbourhood of the rows of `x`, the row-major
+    cells of `grids` one grid after another, as one row of size * size * C
+    values in (row, col, channel) order: one row permutation, by
+    `window_partition`."""
+    windows = window_partition(grids, size)
+    return x.permute_rows(windows.order, windows.inverse, (-1, size * size * x.shape[-1]))
 
 
 class PatchEmbed(Module):
-    """Tokenize an (H, W, 3) image into (H/4, W/4, C) via 4x4 patches."""
+    """Tokenize a sequence of (H, W, 3) images via 4x4 patches into one flat
+    (L, C) sequence: each image's (H/4, W/4) grid in turn, row-major."""
 
     patch = 4
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        in_dim = self.patch * self.patch * 3
-        self.proj = Linear(in_dim, channels, rng)
-        self.channels = channels
+        self.proj = Linear(self.patch * self.patch * 3, channels, rng)
 
-    def __call__(self, image: Tensor) -> Tensor:
-        if image.ndim != 3 or image.shape[2] != 3:
-            raise ValueError(f"expected (H, W, 3) image, got {image.shape}")
-        h, w, _ = image.shape
+    def __call__(self, images) -> Tensor:
+        images = [as_tensor(x) for x in images]
         p = self.patch
-        if h % p or w % p:
-            raise ValueError(f"image size {h}x{w} not divisible by {p}")
-        return self.proj(image.rearrange((h // p, p, w // p, p, 3), (0, 2, 1, 3, 4),
-                                         (h // p, w // p, p * p * 3)))
+        for x in images:
+            if x.ndim != 3 or x.shape[2] != 3 or x.shape[0] % p or x.shape[1] % p:
+                raise ValueError(f"expected an (H, W, 3) image with H and W divisible "
+                                 f"by {p}, got {x.shape}")
+        pixels = concat([x.reshape(-1, 3) for x in images])
+        return self.proj(_merge(pixels, tuple(x.shape[:2] for x in images), p))
 
 
 class Downsample(Module):
-    """Merge 2x2 token neighborhoods: (H, W, C) -> (H/2, W/2, 2C)."""
+    """Merge 2x2 token neighbourhoods of a flat sequence of (H, W) grids:
+    (L, C) -> (L/4, 2C), each grid's (H/2, W/2) cells in turn."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
         self.norm = LayerNorm(4 * channels)
         self.reduce = Linear(4 * channels, 2 * channels, rng, bias=False)
         self.channels = channels
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        if tokens.ndim != 3 or tokens.shape[2] != self.channels:
-            raise ValueError(
-                f"expected (H, W, {self.channels}) tokens, got {tokens.shape}")
-        h, w, c = tokens.shape
-        if h % 2 or w % 2:
-            raise ValueError(f"grid {h}x{w} must have even sides")
-        x = tokens.rearrange((h // 2, 2, w // 2, 2, c), (0, 2, 1, 3, 4),
-                             (h // 2, w // 2, 4 * c))
-        return self.reduce(self.norm(x))
+    def __call__(self, tokens: Tensor, grids: tuple[tuple[int, int], ...]) -> Tensor:
+        rows = sum(h * w for h, w in grids)
+        if tokens.shape != (rows, self.channels):
+            raise ValueError(f"expected {rows} token rows of width {self.channels} for "
+                             f"grids {grids}, got {tokens.shape}")
+        if any(h % 2 or w % 2 for h, w in grids):
+            raise ValueError(f"grids {grids} must have even sides")
+        return self.reduce(self.norm(_merge(tokens, grids, 2)))
 
 
 def ltrb_map(box: Box, grid: tuple[int, int]) -> np.ndarray:
@@ -94,8 +102,9 @@ class BoxEmbedding(Module):
     """Learnable injection of the previous-frame box into template tokens.
 
     Produces w * gaussian_map + mlp(ltrb_map) of a box, in pixels, over the
-    `grid` fixed at construction; w is a per-channel weight broadcast over
-    positions and the mlp lifts the four distance channels to the token width.
+    `grid` fixed at construction, as one (H * W, dim) row per cell in
+    row-major order; w is a per-channel weight broadcast over positions and
+    the mlp lifts the four distance channels to the token width.
     """
 
     def __init__(self, dim: int, grid: tuple[int, int], rng: np.random.Generator):
@@ -106,5 +115,6 @@ class BoxEmbedding(Module):
         self.fc2 = Linear(dim, dim, rng)
 
     def __call__(self, box: Box) -> Tensor:
-        lifted = self.fc2(gelu(self.fc1(Tensor(ltrb_map(box, self.grid)))))
-        return self.weight * Tensor(gaussian_map(box, self.grid)) + lifted
+        lifted = self.fc2(gelu(self.fc1(Tensor(ltrb_map(box, self.grid).reshape(-1, 4)))))
+        prior = Tensor(gaussian_map(box, self.grid).reshape(-1, 1))
+        return self.weight.reshape(1, self.dim) * prior + lifted

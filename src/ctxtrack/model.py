@@ -1,18 +1,18 @@
 """Full tracking network: staged backbone, neck, and prediction heads.
 
-Three images flow through shared-weight early stages (patch embedding,
-windowed local attention, two downsamplings to stride 16) in one pass:
-each window block runs once over the windows of every image. The final
-backbone stage holds the three token sets as one sequence and alternates
-window attention, local to each image, with joint layers that mix all
-three. Everything before the first joint layer is per image, so `encode`
-can compute it once for a template that stays fixed, with its box
-embedding, and `bias_terms` the joint layers' weight-only terms. The neck
-stacks more joint layers, injecting the previous-frame box into the
-previous-template tokens once at entry, and ends with a layer where only
-search tokens act as queries. A fixed sine embedding of each cell's
-position is added to the resulting search features, and the heads turn
-them into per-position scores and box distances.
+Tokens are one flat sequence from the pixels to the neck: the row-major
+cells of each image's grid, one image after another. Three images flow
+through shared-weight early stages (patch embedding, windowed local
+attention, two downsamplings to stride 16), each layer run once over all
+of them, into a final backbone stage that alternates window attention,
+local to each image, with joint layers that mix all three. Everything
+before the first joint layer is per image, so `encode` can compute it once
+for a template that stays fixed, with its box embedding, and `bias_terms`
+the joint layers' weight-only terms. The neck stacks more joint layers,
+adding the box embedding to the previous-template rows once at entry, and
+ends with a layer where only search tokens act as queries. Its rows, shaped
+into the search grid plus a fixed sine embedding of each cell's position,
+go to the heads, which give per-position scores and box distances.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .tensor import Module, Tensor, concat, grad_enabled, no_grad
 
 
 class Encoded(NamedTuple):
-    """One image's (H, W, d) token grid at stride 16, after the early
-    stages and the first local block pair of the last backbone stage, and
-    for a previous template encoded with its box, that box's embedding."""
+    """One image's flat (H * W, d) tokens, its stride-16 grid in row-major
+    order, after the early stages and the first local block pair of the
+    last backbone stage; and for a previous template encoded with its box,
+    that box's embedding, in the same rows."""
 
-    grid: Tensor
+    tokens: Tensor
     box: Tensor | None = None
 
 
@@ -98,8 +99,8 @@ class TrackerNet(Module):
         t16 = spec.target_size // STRIDE
         s16 = spec.search_size // STRIDE
         self.layout = segment_layout((t16, t16), (s16, s16), (s16, s16))
-        self.grids = tuple((h, w) for _, h, w in self.layout.segments)
-        self.windows = window_partition(self.grids, spec.window)
+        self.windows = window_partition(tuple((h, w) for _, h, w in self.layout.segments),
+                                        spec.window)
 
         self.patch = PatchEmbed(c, rng)
         pairs1 = (spec.n2 + 1) // 2
@@ -135,40 +136,24 @@ class TrackerNet(Module):
 
     def encode_all(self, images, boxes=None) -> list[Encoded]:
         """`encode` of each image, with the matching entry of `boxes` (None,
-        or None entries, for no box), in one pass: each window block runs
-        once over the windows of every image."""
-        grids = [self.patch(x if isinstance(x, Tensor) else Tensor(np.asarray(x)))
-                 for x in images]
-        grids = [self.down1(g) for g in self._local(self.stage1, grids)]
-        grids = [self.down2(g) for g in self._local(self.stage2, grids)]
-        grids = self._local(self.stage3_local[0:2], grids)
+        or None entries, for no box), in one pass: the patch embedding, each
+        window block and each downsampling run once over the flat tokens of
+        every image."""
+        tokens = self.patch(images)
+        p = PatchEmbed.patch
+        grids = tuple((h // p, w // p) for h, w, _ in map(np.shape, images))
+        for blocks, down in ((self.stage1, self.down1), (self.stage2, self.down2),
+                             (self.stage3_local[0:2], None)):
+            windows = window_partition(grids, self.spec.window)
+            for blk in blocks:
+                tokens = blk(tokens, windows)
+            if down is not None:
+                tokens = down(tokens, grids)
+                grids = tuple((h // 2, w // 2) for h, w in grids)
+        ends = np.cumsum([h * w for h, w in grids])
         boxes = boxes or [None] * len(grids)
-        return [Encoded(g, None if b is None else self.box_embed(b))
-                for g, b in zip(grids, boxes)]
-
-    def _local(self, blocks: list[WindowAttentionBlock], grids: list[Tensor]) -> list[Tensor]:
-        """The (H, W, C) grids after `blocks`, each run once over the
-        windows of all of them."""
-        if not (blocks and grids):
-            return grids
-        shapes = tuple(g.shape[:2] for g in grids)
-        tokens, windows = self._flatten(grids), window_partition(shapes, self.spec.window)
-        for blk in blocks:
-            tokens = blk(tokens, windows)
-        return self._split(tokens, shapes)
-
-    @staticmethod
-    def _flatten(grids: list[Tensor]) -> Tensor:
-        flat = [g.reshape(-1, g.shape[-1]) for g in grids]
-        return concat(flat, axis=0) if len(flat) > 1 else flat[0]
-
-    @staticmethod
-    def _split(tokens: Tensor, shapes) -> list[Tensor]:
-        if len(shapes) == 1:
-            return [tokens.reshape(*shapes[0], tokens.shape[-1])]
-        ends = np.cumsum([h * w for h, w in shapes])
-        return [tokens[end - h * w:end].reshape(h, w, tokens.shape[-1])
-                for (h, w), end in zip(shapes, ends)]
+        return [Encoded(tokens[e - h * w:e], None if b is None else self.box_embed(b))
+                for (h, w), e, b in zip(grids, ends, boxes)]
 
     @no_grad()
     def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
@@ -190,9 +175,10 @@ class TrackerNet(Module):
         is as in `forward`.
         """
         inputs = (target, previous, search)
-        fresh = iter(self.encode_all([x for x in inputs if not isinstance(x, Encoded)]))
-        tokens = self._flatten([(x if isinstance(x, Encoded) else next(fresh)).grid
-                                for x in inputs])
+        images = [x for x in inputs if not isinstance(x, Encoded)]
+        fresh = iter(self.encode_all(images) if images else ())
+        tokens = concat([(x if isinstance(x, Encoded) else next(fresh)).tokens
+                         for x in inputs])
         terms = bias_terms or {}
         for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
@@ -211,15 +197,16 @@ class TrackerNet(Module):
         """Search feature map (H, W, d) for the heads: the output of the
         joint refinement stack plus `sine_embedding` of the search grid.
 
-        box, when given, is the previous template's box embedding; it enters
-        the previous-template tokens once, here at neck entry. A list passed
-        as `trace` receives the output tokens of each full layer;
-        `bias_terms` is as in `forward`.
+        box, when given, is the previous template's box embedding; it is
+        added to the previous-template rows once, here at neck entry, as one
+        sum with the box padded by zero rows. A list passed as `trace`
+        receives the output tokens of each full layer; `bias_terms` is as in
+        `forward`.
         """
         if box is not None:
-            parts = self._split(tokens, self.grids)
-            parts[1] = parts[1] + box
-            tokens = self._flatten(parts)
+            rows, d = self.layout.segment_slice("previous"), self.spec.dim
+            tokens = tokens + concat([Tensor(np.zeros((rows.start, d))), box,
+                                      Tensor(np.zeros((self.layout.length - rows.stop, d)))])
         terms = bias_terms or {}
         for layer in self.neck_full:
             tokens = layer(tokens, terms.get(layer))

@@ -1,6 +1,7 @@
 """Reference code that only tests use: the gradient oracle, the primitive-op
-composites that the library's fused ops must match bit for bit, and the
-layout and attention-weight views that no library run reads.
+composites that the library's fused ops must match bit for bit, the
+per-grid patch embedding and downsampling that the flat forms must match,
+and the layout and attention-weight views that no library run reads.
 
 The composites record `Tensor._make` nodes, so their gradients run through
 the same sweep as the library's. `composite_attend` and
@@ -146,6 +147,24 @@ def attention_blocks(layer, tokens: Tensor) -> dict[tuple[str, str], np.ndarray]
     rows = split(layer_weights(layer, xq, xk, biases).data, query_names, 1)
     return {(qn, kn): block for qn, row in zip(query_names, rows)
             for kn, block in zip(key_names, split(row, key_names, 2))}
+
+
+def grid_merge(grid: Tensor, size: int) -> Tensor:
+    """Each size x size neighbourhood of one (H, W, C) grid as a token of
+    an (H/size, W/size, size * size * C) grid, one `rearrange` node."""
+    h, w, c = grid.shape
+    return grid.rearrange((h // size, size, w // size, size, c), (0, 2, 1, 3, 4),
+                          (h // size, w // size, size * size * c))
+
+
+def grid_patch_embed(embed, image: Tensor) -> Tensor:
+    """A `PatchEmbed`'s (H/4, W/4, C) tokens of one (H, W, 3) image."""
+    return embed.proj(grid_merge(image, embed.patch))
+
+
+def grid_downsample(down, grid: Tensor) -> Tensor:
+    """A `Downsample`'s (H/2, W/2, 2C) tokens of one (H, W, C) grid."""
+    return down.reduce(down.norm(grid_merge(grid, 2)))
 
 
 def single_layout(name: str, h: int, w: int) -> SegmentLayout:

@@ -7,7 +7,7 @@ import pytest
 
 from ctxtrack import tensor
 from ctxtrack.attention import WindowAttentionBlock
-from ctxtrack.backbone import BoxEmbedding
+from ctxtrack.backbone import BoxEmbedding, Downsample, PatchEmbed
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
 from ctxtrack.positional import sine_embedding
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
@@ -170,15 +170,15 @@ def test_window_partition_lists_each_window_of_each_image(name):
     assert len(seen) == layout.length // (win * win)
 
 
-def _count_window_calls(monkeypatch):
+def _count_calls(monkeypatch, cls):
     calls = []
-    original = WindowAttentionBlock.__call__
+    original = cls.__call__
 
     def counting(self, *args, **kwargs):
         calls.append(self)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(WindowAttentionBlock, "__call__", counting)
+    monkeypatch.setattr(cls, "__call__", counting)
     return calls
 
 
@@ -188,16 +188,21 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
     box = (16, 16, 48, 48)
     with no_grad():
         encoded = net.encode(target), net.encode(previous, box)
-    calls = _count_window_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, WindowAttentionBlock)
+    patches = _count_calls(monkeypatch, PatchEmbed)
+    merges = _count_calls(monkeypatch, Downsample)
     with no_grad():
         net.forward(*encoded, search)
     # 6 to encode the search image, then one per block of pairs g >= 1
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
-    calls.clear()
+    assert patches == [net.patch] and merges == [net.down1, net.down2]
+    for seen in (calls, patches, merges):
+        seen.clear()
     # a taped forward over the three images encoded in one pass, as
     # training runs it, makes the same calls
     net.forward(*net.encode_all((target, previous, search), (None, box, None)))
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
+    assert patches == [net.patch] and merges == [net.down1, net.down2]
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +238,17 @@ def test_neck_zeroed_box_embedding_matches_no_injection():
     with_box = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48))).data
     without = net.neck_forward(tokens, None).data
     assert np.array_equal(with_box, without)
+
+
+def test_neck_adds_the_box_to_the_previous_template_rows():
+    net, _ = toy_net(seed=9)
+    rng = np.random.default_rng(9)
+    tokens = net.backbone_forward(*toy_images(rng))
+    box = net.box_embed((16, 16, 48, 48))
+    moved = tokens.data.copy()
+    moved[net.layout.segment_slice("previous")] += box.data
+    got = net.neck_forward(tokens, box).data
+    assert got.tobytes() == net.neck_forward(Tensor(moved), None).data.tobytes()
 
 
 def test_neck_box_injection_changes_output():
@@ -361,8 +377,8 @@ def test_joint_encode_equals_single_image_encodes(name, taped):
         single = [net.encode(image, b) for image, b in zip(images, boxes)]
         outputs = [net.forward(*encoded) for encoded in (joint, single)]
     for a, b in zip(joint, single):
-        assert a.grid.requires_grad == taped
-        assert a.grid.data.tobytes() == b.grid.data.tobytes()
+        assert a.tokens.requires_grad == taped
+        assert a.tokens.data.tobytes() == b.tokens.data.tobytes()
     assert joint[1].box.data.tobytes() == single[1].box.data.tobytes()
     assert outputs[0].cls.data.tobytes() == outputs[1].cls.data.tobytes()
     assert outputs[0].reg.data.tobytes() == outputs[1].reg.data.tobytes()

@@ -119,9 +119,9 @@ class TestInference:
         calls = []
         original = PatchEmbed.__call__
 
-        def counting(self, image):
-            calls.append(image.shape)
-            return original(self, image)
+        def counting(self, images):
+            calls.append(len(images))
+            return original(self, images)
 
         monkeypatch.setattr(PatchEmbed, "__call__", counting)
         seq = _sequence(num_frames=5)
@@ -130,7 +130,7 @@ class TestInference:
         # that a later frame uses
         frames = len(seq)
         assert all(r.updated == (mode == "always-last") for r in records)
-        assert len(calls) == (frames + 1 if mode == "never" else 2 * frames - 1)
+        assert sum(calls) == (frames + 1 if mode == "never" else 2 * frames - 1)
 
     def test_previous_features_follow_the_last_accepted_frame(self, monkeypatch):
         pattern = iter([True, False, False, True, True, False, True])
@@ -141,7 +141,7 @@ class TestInference:
         original = net.forward
 
         def recording(target, previous, search, bias_terms=None):
-            seen.append((previous.grid.data.copy(), previous.box.data.copy()))
+            seen.append((previous.tokens.data.copy(), previous.box.data.copy()))
             return original(target, previous, search, bias_terms=bias_terms)
 
         monkeypatch.setattr(net, "forward", recording)
@@ -157,7 +157,7 @@ class TestInference:
             with no_grad():
                 encoded = net.encode(template.crop, template.box)
             assert box.tobytes() == encoded.box.data.tobytes()
-            assert features.tobytes() == encoded.grid.data.tobytes()
+            assert features.tobytes() == encoded.tokens.data.tobytes()
             if record.updated:
                 template = make_template(seq.frames[record.frame], record.box,
                                          cfg.context_scale,
