@@ -195,11 +195,11 @@ class CrossFrameAttention(_PreNormAttention):
 
     def bias_terms(self) -> tuple[Tensor, Tensor]:
         """Absolute and relative logit terms of the layer's query and key
-        rows. A search-query layer gathers only the relative-bias blocks its
-        rows use. The terms depend only on the weights."""
+        segments: a search-query layer builds only its search rows against
+        its key segments. The terms depend only on the weights."""
         if self.keys is None:
             return self.abs_bias.bias(), self.rel_bias.bias()
-        return (self.abs_bias.bias()[:, self.rows, self.key_rows],
+        return (self.abs_bias.bias(("search",), self.key_names),
                 self.rel_bias.block("search", *self.key_names))
 
     def _select(self, tokens: Tensor, terms=None):

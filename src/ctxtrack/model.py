@@ -159,12 +159,9 @@ class TrackerNet(Module):
     def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
         """Every joint layer's weight-only position-bias terms, tape-free, by
         layer: one map serves every tape-free forward until the weights
-        change. The last layer's search rows are copied, freeing its full term."""
-        terms = {layer: layer.bias_terms()
-                 for layer in [*self.stage3_joint, *self.neck_full, self.neck_last]}
-        last = self.neck_last
-        terms[last] = tuple(Tensor(np.ascontiguousarray(t.data)) for t in terms[last])
-        return terms
+        change."""
+        return {layer: layer.bias_terms()
+                for layer in [*self.stage3_joint, *self.neck_full, self.neck_last]}
 
     def backbone_forward(self, target, previous, search,
                          trace: list | None = None, bias_terms=None) -> Tensor:

@@ -92,8 +92,9 @@ class UntiedPositionBias(Module):
     """Absolute positional logits decoupled from content.
 
     Keeps one learnable table per segment plus square query/key projections.
-    The bias for the full sequence is (pU_q)(pU_k)^T split per head and
-    scaled by 1/sqrt(2 * head_dim), mirroring how the content term is scaled.
+    The bias of query rows p_q against key rows p_k is (p_q U_q)(p_k U_k)^T
+    split per head and scaled by 1/sqrt(2 * head_dim), mirroring how the
+    content term is scaled.
     """
 
     def __init__(self, layout: SegmentLayout, dim: int, heads: int,
@@ -107,19 +108,29 @@ class UntiedPositionBias(Module):
         self.u_query = normal_parameter(rng, dim, dim)
         self.u_key = normal_parameter(rng, dim, dim)
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        length = self.layout.length
-        head_dim = self.dim // self.heads
-        return t.rearrange((length, self.heads, head_dim), (1, 0, 2),
-                           (self.heads, length, head_dim))
+    def _table(self, names: tuple[str, ...]) -> Tensor:
+        """The position rows of the named segments, in the order given."""
+        tables = [self.tables[self.layout.names().index(n)] for n in names]
+        return tables[0] if len(tables) == 1 else concat(tables, axis=0)
 
-    def bias(self) -> Tensor:
-        """Full (heads, L, L) absolute-position logits."""
-        table = concat(self.tables, axis=0)
-        head_dim = self.dim // self.heads
-        pq = self._split_heads(matmul(table, self.u_query))
-        pk = self._split_heads(matmul(table, self.u_key))
-        return matmul(pq, pk.swapaxes(1, 2)) * (1.0 / np.sqrt(2.0 * head_dim))
+    def _project(self, table: Tensor, weight: Tensor) -> Tensor:
+        """(heads, rows, head_dim) heads of table @ weight."""
+        rows, head_dim = table.shape[0], self.dim // self.heads
+        return matmul(table, weight).rearrange((rows, self.heads, head_dim), (1, 0, 2),
+                                               (self.heads, rows, head_dim))
+
+    def bias(self, queries: tuple[str, ...] | None = None,
+             keys: tuple[str, ...] | None = None) -> Tensor:
+        """(heads, L_q, L_k) absolute-position logits of the tokens of the
+        `queries` segments against those of the `keys` segments, each a
+        tuple of segment names, in the order given; None means every
+        segment. Only those segments' tables are projected."""
+        names = self.layout.names()
+        queries, keys = queries or names, keys or names
+        q_table = self._table(queries)
+        k_table = q_table if keys == queries else self._table(keys)
+        pq, pk = self._project(q_table, self.u_query), self._project(k_table, self.u_key)
+        return matmul(pq, pk.swapaxes(1, 2)) * (1.0 / np.sqrt(2.0 * (self.dim // self.heads)))
 
 
 @lru_cache(maxsize=16)

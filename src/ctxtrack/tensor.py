@@ -369,40 +369,12 @@ def _exp_normalize(shifted: np.ndarray) -> np.ndarray:
     return shifted
 
 
-# A flat product pays once each per-index product of the batched one holds
-# this many multiply-adds: on one BLAS thread, (14, 14, 384) @ (384, 1536)
-# takes 10.1 ms batched and 3.7 ms flat, while at toy sizes, or with 48
-# input features, the flat product is no faster and the reshapes cost more.
-_FLAT_MIN_MACS = 2 ** 19
-
-
-@lru_cache(maxsize=256)
-def _flat_exact(x_shape: tuple[int, ...], w_shape: tuple[int, ...]) -> bool:
-    """Whether the flat product gives the batched product's bits for these
-    shapes. BLAS picks its kernel, and so its summation order, from the
-    shapes alone, so one product of random operands settles it."""
-    rng = np.random.default_rng(0)
-    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-    return (x.reshape(-1, x_shape[-1]) @ w).tobytes() == (x @ w).tobytes()
-
-
-def _runs_flat(x: np.ndarray, w: np.ndarray) -> bool:
-    """Whether `linear` computes x @ w as one 2-D product over all leading
-    axes of x, where numpy's batched product makes one BLAS call per index:
-    only where that is faster and gives the batched product's bits."""
-    return (x.ndim > 2 and w.ndim == 2 and x.shape[-1] == w.shape[0]
-            and x.shape[-2] * w.size >= _FLAT_MIN_MACS
-            and x.flags.c_contiguous and _flat_exact(x.shape, w.shape))
-
-
 def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x @ w (+ b) on arrays: one 2-D product over all leading axes of x
-    where `_runs_flat` allows, else the batched product; then the bias,
-    added in place."""
-    if _runs_flat(x, w):
-        out = matmul(x.reshape(-1, x.shape[-1]), w).data.reshape(x.shape[:-1] + w.shape[1:])
-    else:
-        out = matmul(x, w).data
+    """x @ w (+ b) on arrays: one 2-D product over the rows of x, then the
+    bias, added in place."""
+    if x.ndim < 2:
+        raise ValueError(f"linear needs at least 2-D x: {x.shape} @ {w.shape}")
+    out = matmul(x.reshape(-1, x.shape[-1]), w).data.reshape(x.shape[:-1] + w.shape[1:])
     if b is not None:
         out += b
     return out
@@ -423,10 +395,11 @@ def _linear_backward(g: np.ndarray, x: np.ndarray, weight: Tensor,
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map on the last axis, x @ weight (+ bias), as one tape node.
 
-    The forward may run one 2-D product over all leading axes of x (see
-    `_runs_flat`), then adds the bias in place. The backward repeats, in
-    order, the float operations of `matmul` followed by `+ bias`, so values
-    and gradients match that composite bit for bit.
+    The forward runs one 2-D product over the rows of x, then adds the bias
+    in place; it agrees with the batched `matmul(x, weight)` (+ bias) to
+    rounding, as BLAS may sum a row in another order. The backward repeats,
+    in order, the float operations of `matmul` followed by `+ bias`, so for
+    one incoming gradient the gradients match that composite's bit for bit.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = None if bias is None else as_tensor(bias)

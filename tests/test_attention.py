@@ -479,9 +479,9 @@ def test_layer_given_its_terms_builds_none(monkeypatch):
     calls = []
     original = UntiedPositionBias.bias
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(id(self))
-        return original(self)
+        return original(self, *args)
 
     monkeypatch.setattr(UntiedPositionBias, "bias", counting)
     with no_grad():

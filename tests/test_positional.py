@@ -108,6 +108,28 @@ def test_untied_bias_not_symmetric():
     assert not np.allclose(a, a.transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize("keys", [("target", "previous"), ("target", "previous", "search")])
+def test_untied_bias_search_rows_match_full_term(keys):
+    # the search-query layer's term: search rows against the key segments,
+    # on grids of three different non-square shapes
+    lay = segment_layout((2, 3), (3, 4), (4, 2))
+    rows = lay.segment_slice("search")
+    cols = slice(0, lay.segment_slice(keys[-1]).stop)
+
+    def run(build):
+        bias = UntiedPositionBias(lay, dim=6, heads=3, rng=np.random.default_rng(12))
+        out = build(bias)
+        c = np.random.default_rng(13).normal(size=out.shape)
+        (out * Tensor(c)).sum().backward()
+        return out.data, [p.grad for p in (*bias.tables, bias.u_query, bias.u_key)]
+
+    got, got_grads = run(lambda b: b.bias(("search",), keys))
+    want, want_grads = run(lambda b: b.bias()[:, rows, cols])
+    assert got.shape == want.shape == (3, 8, cols.stop)
+    for g, w in zip([got, *got_grads], [want, *want_grads]):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
 def test_untied_bias_rejects_bad_head_split():
     lay = segment_layout((1, 1), (2, 2), (2, 2))
     with pytest.raises(ValueError, match="divisible"):

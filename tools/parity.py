@@ -30,7 +30,11 @@ The battery (about 50 s per tree; the two trees run at once):
   train.*          the per-step losses and final `state()` of that training
                    (30 steps of `toy_train` per seed)
   track.small      `run_tracker` records of the untrained small preset on
-                   a 3-frame sequence
+                   a 3-frame sequence, whose forwards share `bias_terms()`
+  track.small.two_frame
+                   the same on a 2-frame sequence, the benchmark's
+                   track_small shape, whose one forward builds each layer's
+                   own terms
   cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
                    then `ctxtrack track` and `ctxtrack respmap --frame 3`
                    with those parameters: the metrics CSV and every PGM
@@ -134,9 +138,10 @@ def battery() -> dict[str, str]:
         out[f"state.toy.seed{seed}"] = _arrays_digest(net.state().items())
     small = TrackerNet(small_spec(), np.random.default_rng(0))
     out["state.small.seed0"] = _arrays_digest(small.state().items())
-    out["track.small"] = _records_digest([run_tracker(
-        small, gen_sequence(SequenceConfig(num_frames=3)),
-        TrackConfig(update_mode="always-last"))])
+    for name, frames in (("track.small", 3), ("track.small.two_frame", 2)):
+        out[name] = _records_digest([run_tracker(
+            small, gen_sequence(SequenceConfig(num_frames=frames)),
+            TrackConfig(update_mode="always-last"))])
     del small
 
     net = TrackerNet(toy_spec(), np.random.default_rng(0))
