@@ -6,11 +6,13 @@ requiring gradients records its parents and how to reach them, so calling
 order and accumulates gradients additively over fan-out. `Tensor._make`
 builds every node. Most ops record one local derivative per parent, which
 the sweep applies itself; `matmul` and the fused ops record a backward
-callable. The fused ops share array-level kernels and match, bit for bit,
-the primitive-op composites in the tests, but for the gradients of a
-transformer block's two sublayers, which sum in their own order. An op
-run while no tape is recorded builds neither. The tape is rebuilt on every forward pass and
-freed by the sweep that walks it; there is no graph reuse.
+callable. The fused ops share array-level kernels, and their forward
+values match, bit for bit, the primitive-op composites in the tests; so do
+`linear`'s gradients. `gelu` and `layer_norm` take x's gradient in closed
+form, and a transformer block's two sublayers sum theirs in their own
+order, all within 1e-12 relative of the composite. An op run while no
+tape is recorded builds neither. The tape is rebuilt on every forward
+pass and freed by the sweep that walks it; there is no graph reuse.
 """
 from __future__ import annotations
 
@@ -498,95 +500,83 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_backward(g: np.ndarray, x: np.ndarray, x_acc) -> None:
-    """x's gradient of `_gelu`, handed to `x_acc` one term at a time:
-    g8*(th + 1), g4, g2*x*x, g1*x and g1*x, where g8 = g*0.5,
-    g4 = g8*x*(1 - th*th)*c, g2 = g4*0.044715 and g1 = g2*x."""
+def _gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x's gradient of `_gelu` in closed form, with th its tanh, recomputed:
+    g*(0.5*(1 + th) + 0.5*x*(1 - th*th)*c*(1 + 3*0.044715*x*x)), taken as
+    g*(1 + th)*(1 + (1 - th)*x*(1 + 3*0.044715*x*x)*c)*0.5."""
     th = _gelu_tanh(x)
-    g8 = g * 0.5
-    x_acc(g8 * (th + 1.0))
-    th *= th
-    g4 = g8 * x
-    g4 *= np.subtract(1.0, th, out=th)
-    g4 *= _GELU_C
-    x_acc(g4)
-    g2 = g4 * 0.044715
-    x_acc(g2 * (x * x))
-    g1x = g2 * x
-    g1x *= x
-    x_acc(g1x)
-    x_acc(g1x)
+    # one expression, so numpy reuses each temporary in place
+    return (((x * x * (3.0 * 0.044715) + 1.0) * x * _GELU_C * (1.0 - th) + 1.0)
+            * (th + 1.0) * g * 0.5)
 
 
 def gelu(t: Tensor) -> Tensor:
     """Smooth gelu (tanh form), x * (tanh(...) + 1) * 0.5, as one tape node.
 
-    Forward and backward repeat, in order, the float operations of the
-    same formula built from primitive ops, so both match it bit for bit.
+    The forward repeats, in order, the float operations of the same formula
+    built from primitive ops, so its values match it bit for bit. The
+    backward is the closed-form derivative, within 1e-12 relative of the
+    composite's gradient.
     """
     t = as_tensor(t)
     x = t.data
     out = _gelu(x)
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
-    return Tensor._make(out, (t,), lambda g: _gelu_backward(g, x, t.accumulate_grad))
+    return Tensor._make(out, (t,), lambda g: t.accumulate_grad(_gelu_backward(g, x)))
 
 
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its last axis: the output, and the
-    centred input and (..., 1) variance term that the backward reads."""
+    centred input and (..., 1) inverse standard deviation that the backward
+    reads."""
     k = 1.0 / x.shape[-1]
     c = x - x.sum(axis=-1, keepdims=True) * k
-    ve = (c * c).sum(axis=-1, keepdims=True) * k + eps
-    out = c * np.power(ve, -0.5)
+    inv = np.power((c * c).sum(axis=-1, keepdims=True) * k + eps, -0.5)
+    out = c * inv
     out *= gamma
     out += beta
-    return out, c, ve
+    return out, c, inv
 
 
-def _layer_norm_backward(g: np.ndarray, c: np.ndarray, ve: np.ndarray,
-                         gamma: Tensor, beta: Tensor, x_acc) -> None:
-    """Gradients of `_layer_norm_forward`: beta's, gamma's, then x's two
-    terms through `x_acc` (None skips them)."""
-    k = 1.0 / c.shape[-1]
-    inv = np.power(ve, -0.5)
+def _layer_norm_backward(g: np.ndarray, c: np.ndarray, inv: np.ndarray,
+                         gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Gradients of `_layer_norm_forward`: beta's and gamma's, then x's,
+    returned in closed form, inv*(gn - mean(gn) - n*mean(gn*n)) with
+    gn = g*gamma and n = c*inv, all means over the last axis."""
     if beta.requires_grad:
         beta.accumulate_grad(_unbroadcast(g, beta.data.shape))
+    normed = c * inv
     if gamma.requires_grad:
-        normed = c * inv
-        normed *= g
-        gamma.accumulate_grad(_unbroadcast(normed, gamma.data.shape))
-    if x_acc is None:
-        return
-    # x receives gci*inv + gcc + gcc (the gradient of c), then the
-    # broadcast of (-sum(gc)) * k through the mean
-    gci = g * gamma.data
-    ginv = _unbroadcast(gci * c, ve.shape)
-    gvar = (ginv * -0.5) * np.power(ve, -1.5)
-    gcc = (gvar * k) * c
-    gc = gci
-    gc *= inv
-    gc += gcc
-    gc += gcc
-    x_acc(gc)
-    x_acc(-_unbroadcast(gc, ve.shape) * k)
+        gamma.accumulate_grad(_unbroadcast(normed * g, gamma.data.shape))
+    k = 1.0 / c.shape[-1]
+    gn = g * gamma.data
+    normed *= (gn * normed).sum(axis=-1, keepdims=True) * k
+    return (gn - gn.sum(axis=-1, keepdims=True) * k - normed) * inv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis, then scale by gamma and shift by beta.
 
     One tape node. The forward keeps the centred input and the (..., 1)
-    variance term; the backward repeats, in order, the float operations of
-    the mean / centre / variance / scale formula built from primitive ops,
-    so values and gradients match it bit for bit.
+    inverse standard deviation, and repeats, in order, the float operations
+    of the mean / centre / variance / scale formula built from primitive
+    ops, so its values match it bit for bit, and so do gamma's and beta's
+    gradients. x's gradient is the closed form, within 1e-12 relative of
+    the composite's.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    out, c, ve = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
+    out, c, inv = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
-    return Tensor._make(out, (x, gamma, beta), lambda g: _layer_norm_backward(
-        g, c, ve, gamma, beta, x.accumulate_grad if x.requires_grad else None))
+
+    def bwd(g):
+        gx = _layer_norm_backward(g, c, inv, gamma, beta)
+        if x.requires_grad:
+            x.accumulate_grad(gx)
+
+    return Tensor._make(out, (x, gamma, beta), bwd)
 
 
 # ----------------------------------------------------------------------
@@ -690,18 +680,15 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
             _layer_norm_forward(res, gamma.data, beta.data, eps)[0], w1.data, b1.data)),
             w2.data, b2.data)
         return Tensor._wrap(np.add(res, out, out=out))
-    normed, c, ve = _layer_norm_forward(res, gamma.data, beta.data, eps)
+    normed, c, inv = _layer_norm_forward(res, gamma.data, beta.data, eps)
     hidden = _linear_forward(normed, w1.data, b1.data)
     act = _gelu(hidden)
     out = _linear_forward(act, w2.data, b2.data)
 
     def bwd(g):
-        # the terms of each gradient sum in place, through `__iadd__`
-        g_hidden = np.zeros_like(hidden)
-        _gelu_backward(_linear_backward(g, act, w2, b2), hidden, g_hidden.__iadd__)
-        g_res = g.copy()
-        _layer_norm_backward(_linear_backward(g_hidden, normed, w1, b1), c, ve,
-                             gamma, beta, g_res.__iadd__)
+        g_hidden = _gelu_backward(_linear_backward(g, act, w2, b2), hidden)
+        g_res = g + _layer_norm_backward(_linear_backward(g_hidden, normed, w1, b1), c, inv,
+                                         gamma, beta)
         for t in (tokens, attn):
             if t.requires_grad:
                 t.accumulate_grad(g_res)
