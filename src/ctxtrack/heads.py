@@ -154,27 +154,28 @@ class TrainingTarget:
     """IoU-aware classification targets for one search frame."""
 
     q: np.ndarray          # (H, W, 1), zero off the positives
-    positives: np.ndarray  # (H, W) bool, centers strictly inside the gt box
+    positives: np.ndarray  # (H, W) bool, the cell's anchor strictly inside the gt box
     box: Box               # ground truth in pixels
+    sides: np.ndarray      # (H, W, 4) `ltrb_map` of the gt box
 
 
 def build_targets(gt_box: Box, boxes: Tensor) -> TrainingTarget:
-    """Positives are cells whose centers fall strictly inside the gt box;
-    their target is the IoU of the predicted box at that cell, given as
-    decoded (H, W, 4) grid-unit `boxes`, taken as a constant (no gradient
-    flows through it)."""
-    x1, y1, x2, y2 = validate_box(gt_box)
+    """Positives are cells whose own `cell_grid` anchor lies strictly inside
+    the gt box, so all four of their `ltrb_map` sides are positive; their
+    target is the IoU of the predicted box at that cell, given as decoded
+    (H, W, 4) grid-unit `boxes`, taken as a constant (no gradient flows
+    through it)."""
+    x1, y1, x2, y2 = box = validate_box(gt_box)
     h, w = grid = boxes.shape[:2]
     if x1 < 0 or y1 < 0 or x2 > w * STRIDE or y2 > h * STRIDE:
         raise ValueError(f"gt box {gt_box} outside the {w * STRIDE}x{h * STRIDE} image")
-    ky, kx = cell_grid(grid)
-    cy, cx = (ky + 0.5) * STRIDE, (kx + 0.5) * STRIDE
-    positives = (x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)
+    sides = ltrb_map(box, grid)
+    positives = (sides > 0.0).all(axis=-1)
     with no_grad():
-        _, inter, union = _overlap(boxes, tuple(v / STRIDE for v in (x1, y1, x2, y2)))
+        _, inter, union = _overlap(boxes, tuple(v / STRIDE for v in box))
         iou = (inter / union).data
     q = np.where(positives, np.clip(iou, 0.0, 1.0), 0.0)[..., None]
-    return TrainingTarget(q=q, positives=positives, box=(x1, y1, x2, y2))
+    return TrainingTarget(q=q, positives=positives, box=box, sides=sides)
 
 
 def total_loss(cls_term, giou_term, lambda_cls: float = 1.5,
@@ -204,7 +205,7 @@ def tracking_loss(outputs: HeadOutputs, gt_box: Box,
         mask = target.positives.astype(np.float64)
         count = float(mask.sum())
         giou_term = (giou_loss(boxes, gt_grid) * mask).sum() / count
-        gap = outputs.reg - ltrb_map(target.box, mask.shape)
+        gap = outputs.reg - target.sides
         per_side = (gap * gap + 1e-12) ** 0.5
         l1_term = (per_side.sum(axis=-1) * mask).sum() / count
     else:

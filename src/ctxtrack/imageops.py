@@ -70,9 +70,8 @@ def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
     This is the anchor convention of every map on the grid: cell (k_y, k_x)
     sits at pixel (k_x STRIDE, k_y STRIDE), so its anchor in grid units is
-    the index itself. `heads.build_targets` alone tests cell centres,
-    (k + 0.5) STRIDE, against the box, so a positive cell's anchor lies half
-    a cell up and left of the point that made it positive.
+    the index itself. A cell is a training positive when its own anchor
+    lies strictly inside the box (`heads.build_targets`).
 
     Built once per grid shape; the arrays are read-only, since every
     caller shares them.

@@ -98,8 +98,6 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     """Linear warmup, then cosine decay to lr * final_lr_scale."""
     if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
         return cfg.lr * (step + 1) / cfg.warmup_steps
-    if cfg.final_lr_scale >= 1.0:
-        return cfg.lr
     span = max(1, cfg.steps - 1 - cfg.warmup_steps)
     t = (step - cfg.warmup_steps) / span
     floor = cfg.final_lr_scale
@@ -155,11 +153,13 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
             cfg.search_center_jitter, cfg.search_scale_jitter)
         gt_box = search_window.to_crop(sequence.boxes[cur])
         if not _contained(gt_box, spec.search_size):
-            # Extreme aspect ratios can defeat the square-box jitter bound;
-            # fall back to the centered window so loss targets stay valid.
+            # The jitter bound holds for square boxes; the centered window, of side
+            # context_scale * sqrt(w * h), holds aspect ratios up to context_scale ** 2.
             search_window = box_window(sequence.boxes[cur],
                                        cfg.context_scale, spec.search_size)
             gt_box = search_window.to_crop(sequence.boxes[cur])
+            if not _contained(gt_box, spec.search_size):
+                raise ConfigError(f"frame {cur}: box aspect ratio above context_scale**2")
         search_crop = crop_resize(sequence.frames[cur], search_window)
 
         outputs = net.forward(*net.encode_all((target_crop, prev_crop, search_crop),

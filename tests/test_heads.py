@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctxtrack.backbone import ltrb_map
 from ctxtrack.heads import (
     HeadOutputs,
     Heads,
@@ -15,6 +17,7 @@ from ctxtrack.heads import (
     tracking_loss,
     varifocal_loss,
 )
+from ctxtrack.imageops import STRIDE
 from ctxtrack.tensor import Tensor
 
 from reference_ops import finite_diff_grad, smoothed_l1
@@ -93,7 +96,6 @@ def test_decode_tie_breaks_to_lowest_flat_index():
 
 
 def test_encode_decode_roundtrip():
-    from ctxtrack.backbone import ltrb_map
     box = (32.0, 16.0, 96.0, 80.0)
     reg = ltrb_map(box, (8, 8))
     cls = np.zeros((8, 8))
@@ -225,17 +227,46 @@ def test_varifocal_gradcheck():
 # targets
 # ----------------------------------------------------------------------
 
-def test_targets_single_center_inside():
-    # cell centers at 8, 24, 40, 56; this box contains only (24, 24)
+@pytest.mark.parametrize("gt, cell, side", [
+    # anchors sit at pixels 0, 16, 32, 48: only 16 lies strictly inside
+    # (9, 23), and cell (1, 1) is 7 px from each side
+    ((9, 9, 23, 23), (1, 1), 7 / 16),
+    # 16 and 48 lie on the edges, so their cells have a zero side; the
+    # four central cells are covered but only (2, 2) is positive, 16 px
+    # from each side
+    ((16, 16, 48, 48), (2, 2), 1.0),
+], ids=["one_anchor_inside", "anchors_on_edges"])
+def test_targets_worked_examples(gt, cell, side):
     boxes = _ltrb_to_boxes_tensor(Tensor(np.ones((4, 4, 4))))
-    target = build_targets((17, 17, 31, 31), boxes)
-    assert target.positives.sum() == 1
-    assert target.positives[1, 1]
+    target = build_targets(gt, boxes)
+    expected = np.zeros((4, 4), dtype=bool)
+    expected[cell] = True
+    assert np.array_equal(target.positives, expected)
+    assert np.array_equal(target.sides[cell], [side] * 4)
     assert np.all(target.q[~target.positives] == 0.0)
 
 
+def _grid_coordinate(cells):
+    """A pixel coordinate in [0, cells * STRIDE], often a multiple of STRIDE."""
+    return st.one_of(st.integers(0, cells).map(lambda k: float(k * STRIDE)),
+                     st.floats(0.0, cells * STRIDE))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), h=st.integers(1, 6), w=st.integers(1, 6))
+def test_targets_positive_exactly_where_all_sides_positive(data, h, w):
+    x1, x2 = sorted(data.draw(st.lists(_grid_coordinate(w), min_size=2, max_size=2,
+                                       unique=True)))
+    y1, y2 = sorted(data.draw(st.lists(_grid_coordinate(h), min_size=2, max_size=2,
+                                       unique=True)))
+    gt = (x1, y1, x2, y2)
+    target = build_targets(gt, _ltrb_to_boxes_tensor(Tensor(np.ones((h, w, 4)))))
+    assert np.array_equal(target.positives, (ltrb_map(gt, (h, w)) > 0).all(-1))
+    if x2 - x1 > STRIDE and y2 - y1 > STRIDE:
+        assert target.positives.any()
+
+
 def test_targets_perfect_predictions_give_q_one():
-    from ctxtrack.backbone import ltrb_map
     box = (16.0, 16.0, 48.0, 48.0)
     boxes = _ltrb_to_boxes_tensor(Tensor(ltrb_map(box, (4, 4))))
     target = build_targets(box, boxes)

@@ -6,7 +6,7 @@ import pytest
 from ctxtrack.errors import ConfigError, NumericError
 from ctxtrack.model import TrackerNet, toy_spec
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
-from ctxtrack.train import TrainConfig, toy_train
+from ctxtrack.train import TrainConfig, _lr_at, toy_train
 
 
 def _static_sequence(num_frames=2, seed=0):
@@ -100,6 +100,18 @@ class TestToyTrain:
             TrainConfig(steps=5, warmup_steps=5)
         with pytest.raises(ConfigError, match="final_lr_scale"):
             TrainConfig(final_lr_scale=0.0)
+
+    def test_final_lr_scale_one_holds_lr_after_warmup(self):
+        cfg = TrainConfig(steps=9, lr=3e-3, warmup_steps=3, final_lr_scale=1.0)
+        assert [_lr_at(cfg, step) for step in range(3, 9)] == [cfg.lr] * 6
+
+    def test_box_too_elongated_for_the_window_is_a_config_error(self):
+        # A 48x10 box has aspect ratio 4.8; the centered window at context 2
+        # has side 2 * sqrt(480) = 43.8 < 48, so no crop can hold it.
+        seq = _static_sequence()
+        seq.boxes = [(8.0, 20.0, 56.0, 30.0)] * len(seq)
+        with pytest.raises(ConfigError, match="aspect ratio"):
+            toy_train(_net(), seq, TrainConfig(steps=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self):

@@ -16,7 +16,9 @@ The battery (about 50 s per tree; the two trees run at once):
   state.*          `state()` names, shapes and bytes in key order, for toy
                    seeds 0-2 and small seed 0
   taped.*          one taped toy forward with `tracking_loss` and its
-                   backward: head outputs and loss, then every gradient
+                   backward: the head outputs (`taped.outputs`), the loss
+                   (`taped.loss`) and every gradient (`taped.grads`), so a
+                   change to the loss alone leaves `taped.outputs` same
   records.*        `run_tracker` records for the four update modes x toy
                    seeds 0-2, before and after training, per `final_keys`
   records.long.*   the same for seeds 0-1 on the benchmark's track_toy
@@ -152,7 +154,8 @@ def battery() -> dict[str, str]:
     loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0))
     loss.backward()
     out["taped.outputs"] = _arrays_digest(
-        [("cls", outputs.cls.data), ("reg", outputs.reg.data), ("loss", loss.data)])
+        [("cls", outputs.cls.data), ("reg", outputs.reg.data)])
+    out["taped.loss"] = _arrays_digest([("loss", loss.data)])
     out["taped.grads"] = _arrays_digest(
         (name, p.grad) for name, p in net.parameters().items())
 
