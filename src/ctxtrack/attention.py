@@ -35,14 +35,12 @@ class Linear(Module):
 class LayerNorm(Module):
     """Normalization over the last axis with learnable scale and shift."""
 
-    eps = 1e-5
-
     def __init__(self, dim: int):
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class FeedForward(Module):
@@ -93,8 +91,7 @@ class _PreNormAttention(Module):
         """tokens + attn, plus the feed-forward of its norm."""
         ff = self.ff
         return feed_forward_sublayer(tokens, attn, self.norm2.gamma, self.norm2.beta,
-                                     self.norm2.eps, ff.fc1.weight, ff.fc1.bias,
-                                     ff.fc2.weight, ff.fc2.bias)
+                                     ff.fc1.weight, ff.fc1.bias, ff.fc2.weight, ff.fc2.bias)
 
 
 class Windows(NamedTuple):
@@ -138,17 +135,8 @@ class WindowAttentionBlock(_PreNormAttention):
 
     logit_terms = 1
 
-    def __init__(self, dim: int, heads: int, window: int,
-                 rng: np.random.Generator):
-        if window < 1:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-        super().__init__(dim, heads, rng)
-
     def __call__(self, tokens: Tensor, windows: Windows) -> Tensor:
-        win, dim = self.window, self.dim
-        if windows.window != win:
-            raise ValueError(f"partition window {windows.window} != block window {win}")
+        win, dim = windows.window, self.dim
         if tokens.shape != (windows.order.size, dim):
             raise ValueError(f"expected ({windows.order.size}, {dim}) tokens, "
                              f"got {tokens.shape}")

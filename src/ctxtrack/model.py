@@ -6,13 +6,17 @@ through shared-weight early stages (patch embedding, windowed local
 attention, two downsamplings to stride 16), each layer run once over all
 of them, into a final backbone stage that alternates window attention,
 local to each image, with joint layers that mix all three. Everything
-before the first joint layer is per image, so `encode` can compute it once
-for a template that stays fixed, with its box embedding, and `bias_terms`
-the joint layers' weight-only terms. The neck stacks more joint layers,
-adding the box embedding to the previous-template rows once at entry, and
-ends with a layer where only search tokens act as queries. Its rows, shaped
-into the search grid plus a fixed sine embedding of each cell's position,
-go to the heads, which give per-position scores and box distances.
+before the first joint layer is per image: `encode(images, box)` computes
+it in one pass over a list of images, with the embedding of the previous
+template's box when given, and `forward(*encoded)` runs the rest on
+encodings whose rows hold the target, previous and search images in that
+order. A template that stays fixed is thus encoded once, and `bias_terms`
+gives the joint layers' weight-only terms once. The neck stacks more joint
+layers, adding the box embedding to the previous-template rows once at
+entry, and ends with a layer where only search tokens act as queries. Its
+rows, shaped into the search grid plus a fixed sine embedding of each
+cell's position, go to the heads, which give per-position scores and box
+distances.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from .tensor import Module, Tensor, concat, grad_enabled, no_grad
 
 
 class Encoded(NamedTuple):
-    """One image's flat (H * W, d) tokens, its stride-16 grid in row-major
-    order, after the early stages and the first local block pair of the
-    last backbone stage; and for a previous template encoded with its box,
-    that box's embedding, in the same rows."""
+    """The flat (L, d) tokens of one or more images, each image's stride-16
+    grid in row-major order, one after another, after the early stages and
+    the first local block pair of the last backbone stage; and, when the
+    previous template was encoded with its box, that box's embedding, one
+    row per previous-template cell."""
 
     tokens: Tensor
     box: Tensor | None = None
@@ -105,14 +110,11 @@ class TrackerNet(Module):
         self.patch = PatchEmbed(c, rng)
         pairs1 = (spec.n2 + 1) // 2
         pairs2 = spec.n2 // 2
-        self.stage1 = [WindowAttentionBlock(c, h, spec.window, rng)
-                       for _ in range(2 * pairs1)]
+        self.stage1 = [WindowAttentionBlock(c, h, rng) for _ in range(2 * pairs1)]
         self.down1 = Downsample(c, rng)
-        self.stage2 = [WindowAttentionBlock(2 * c, h, spec.window, rng)
-                       for _ in range(2 * pairs2)]
+        self.stage2 = [WindowAttentionBlock(2 * c, h, rng) for _ in range(2 * pairs2)]
         self.down2 = Downsample(2 * c, rng)
-        self.stage3_local = [WindowAttentionBlock(d, h, spec.window, rng)
-                             for _ in range(2 * spec.n1)]
+        self.stage3_local = [WindowAttentionBlock(d, h, rng) for _ in range(2 * spec.n1)]
         self.stage3_joint = [CrossFrameAttention(self.layout, d, h, rng)
                              for _ in range(spec.n1)]
 
@@ -125,20 +127,16 @@ class TrackerNet(Module):
     # ------------------------------------------------------------------
     # backbone
     # ------------------------------------------------------------------
-    def encode(self, image, box: Box | None = None) -> Encoded:
-        """Features of one image up to the first joint layer, and the
-        embedding of `box`, when given, for a previous-template image.
+    def encode(self, images, box: Box | None = None) -> Encoded:
+        """Features of a list of images up to the first joint layer, from
+        one pass: the patch embedding, each window block and each
+        downsampling run once over the flat tokens of every image. `box`,
+        when given, is the previous template's box, and its embedding rides
+        along.
 
         A template that does not change between frames can be encoded once
-        and passed to `forward` in place of its image.
+        and passed to `forward` again and again.
         """
-        return self.encode_all([image], [box])[0]
-
-    def encode_all(self, images, boxes=None) -> list[Encoded]:
-        """`encode` of each image, with the matching entry of `boxes` (None,
-        or None entries, for no box), in one pass: the patch embedding, each
-        window block and each downsampling run once over the flat tokens of
-        every image."""
         tokens = self.patch(images)
         p = PatchEmbed.patch
         grids = tuple((h // p, w // p) for h, w, _ in map(np.shape, images))
@@ -150,10 +148,7 @@ class TrackerNet(Module):
             if down is not None:
                 tokens = down(tokens, grids)
                 grids = tuple((h // 2, w // 2) for h, w in grids)
-        ends = np.cumsum([h * w for h, w in grids])
-        boxes = boxes or [None] * len(grids)
-        return [Encoded(tokens[e - h * w:e], None if b is None else self.box_embed(b))
-                for (h, w), e, b in zip(grids, ends, boxes)]
+        return Encoded(tokens, None if box is None else self.box_embed(box))
 
     @no_grad()
     def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
@@ -163,19 +158,15 @@ class TrackerNet(Module):
         return {layer: layer.bias_terms()
                 for layer in [*self.stage3_joint, *self.neck_full, self.neck_last]}
 
-    def backbone_forward(self, target, previous, search,
-                         trace: list | None = None, bias_terms=None) -> Tensor:
-        """Token sequence (L, d) at stride 16 for the three input images.
+    def backbone_forward(self, *inputs: Encoded, trace: list | None = None,
+                         bias_terms=None) -> Tensor:
+        """Token sequence (L, d) at stride 16 of `encode` outputs whose rows
+        hold the target, previous and search images, in that order.
 
-        Each input is an image or its `encode` output. A list passed as
-        `trace` receives the output tokens of each joint layer; `bias_terms`
-        is as in `forward`.
+        A list passed as `trace` receives the output tokens of each joint
+        layer; `bias_terms` is as in `forward`.
         """
-        inputs = (target, previous, search)
-        images = [x for x in inputs if not isinstance(x, Encoded)]
-        fresh = iter(self.encode_all(images) if images else ())
-        tokens = concat([(x if isinstance(x, Encoded) else next(fresh)).tokens
-                         for x in inputs])
+        tokens = concat([x.tokens for x in inputs])
         terms = bias_terms or {}
         for g, layer in enumerate(self.stage3_joint):
             if g:   # `encode` ran the first local pair
@@ -213,22 +204,26 @@ class TrackerNet(Module):
         grid = self.layout.grid("search")
         return out.reshape(*grid, self.spec.dim) + sine_embedding(grid, self.spec.dim)
 
-    def forward(self, target, previous, search, trace: list | None = None,
+    def forward(self, *inputs: Encoded, trace: list | None = None,
                 bias_terms=None) -> HeadOutputs:
-        """Head outputs for the three inputs, each an image or its `encode`
-        output; the previous-frame box enters only as the embedding that
-        `encode(previous, box)` carries. `bias_terms`, when given, is the
-        output of `bias_terms()`, which a tape-free forward uses in place of
-        building its own; a taped forward builds its own, so that the bias
-        tables get gradients. A list passed as `trace` receives the output
-        tokens of every full cross-frame layer: the joint backbone layers,
-        then the full neck layers.
+        """Head outputs for `encode` outputs whose rows hold the target,
+        previous and search images, in that order; the previous-frame box
+        enters only as the embedding that the previous template was encoded
+        with. `bias_terms`, when given, is the output of `bias_terms()`,
+        which a tape-free forward uses in place of building its own; a taped
+        forward builds its own, so that the bias tables get gradients. A
+        list passed as `trace` receives the output tokens of every full
+        cross-frame layer: the joint backbone layers, then the full neck
+        layers.
         """
         if bias_terms is not None and grad_enabled():
             raise ValueError("a taped forward builds its own bias terms")
-        tokens = self.backbone_forward(target, previous, search, trace, bias_terms)
-        box = previous.box if isinstance(previous, Encoded) else None
-        features = self.neck_forward(tokens, box, trace, bias_terms)
+        boxes = [x.box for x in inputs if x.box is not None]
+        if len(boxes) > 1:
+            raise ValueError(f"{len(boxes)} inputs carry a box embedding; only the "
+                             "previous template's may")
+        tokens = self.backbone_forward(*inputs, trace=trace, bias_terms=bias_terms)
+        features = self.neck_forward(tokens, boxes[0] if boxes else None, trace, bias_terms)
         return self.head(features)
 
     def __call__(self, *args, **kwargs) -> HeadOutputs:

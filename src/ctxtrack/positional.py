@@ -110,8 +110,7 @@ class UntiedPositionBias(Module):
 
     def _table(self, names: tuple[str, ...]) -> Tensor:
         """The position rows of the named segments, in the order given."""
-        tables = [self.tables[self.layout.names().index(n)] for n in names]
-        return tables[0] if len(tables) == 1 else concat(tables, axis=0)
+        return concat([self.tables[self.layout.names().index(n)] for n in names])
 
     def _project(self, table: Tensor, weight: Tensor) -> Tensor:
         """(heads, rows, head_dim) heads of table @ weight."""

@@ -54,7 +54,7 @@ def response_maps(net: TrackerNet, target: np.ndarray, previous: np.ndarray,
 
     trace: list[Tensor] = []
     with no_grad():
-        net.forward(target, net.encode(previous, prev_box), search, trace=trace)
+        net.forward(net.encode([target, previous, search], prev_box), trace=trace)
     if len(trace) != total:
         raise RuntimeError(
             f"expected {total} traced layers, got {len(trace)}")

@@ -464,7 +464,10 @@ def minimum(a, b) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """The tensors joined along `axis`; a lone tensor comes back as it is."""
     tensors = [as_tensor(t) for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
@@ -526,14 +529,17 @@ def gelu(t: Tensor) -> Tensor:
     return Tensor._make(out, (t,), lambda g: t.accumulate_grad(_gelu_backward(g, x)))
 
 
-def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_LAYER_NORM_EPS = 1e-5   # added to the variance
+
+
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray,
+                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its last axis: the output, and the
     centred input and (..., 1) inverse standard deviation that the backward
     reads."""
     k = 1.0 / x.shape[-1]
     c = x - x.sum(axis=-1, keepdims=True) * k
-    inv = np.power((c * c).sum(axis=-1, keepdims=True) * k + eps, -0.5)
+    inv = np.power((c * c).sum(axis=-1, keepdims=True) * k + _LAYER_NORM_EPS, -0.5)
     out = c * inv
     out *= gamma
     out += beta
@@ -556,7 +562,7 @@ def _layer_norm_backward(g: np.ndarray, c: np.ndarray, inv: np.ndarray,
     return (gn - gn.sum(axis=-1, keepdims=True) * k - normed) * inv
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale by gamma and shift by beta.
 
     One tape node. The forward keeps the centred input and the (..., 1)
@@ -567,7 +573,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     the composite's.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    out, c, inv = _layer_norm_forward(x.data, gamma.data, beta.data, eps)
+    out, c, inv = _layer_norm_forward(x.data, gamma.data, beta.data)
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
 
@@ -662,8 +668,8 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
                         (xq, w_query, w_key, *biases, xk, w_value, w_out), bwd)
 
 
-def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
-                          w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, w1: Tensor,
+                          b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """res + fc2(gelu(fc1(layer_norm(res)))) with res = tokens + attn, the
     pre-norm feed-forward sublayer with both residual adds, as one tape node.
 
@@ -677,10 +683,10 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, eps: float,
     if not _GRAD_ENABLED:
         # one expression, so each intermediate is freed once it is used
         out = _linear_forward(_gelu(_linear_forward(
-            _layer_norm_forward(res, gamma.data, beta.data, eps)[0], w1.data, b1.data)),
+            _layer_norm_forward(res, gamma.data, beta.data)[0], w1.data, b1.data)),
             w2.data, b2.data)
         return Tensor._wrap(np.add(res, out, out=out))
-    normed, c, inv = _layer_norm_forward(res, gamma.data, beta.data, eps)
+    normed, c, inv = _layer_norm_forward(res, gamma.data, beta.data)
     hidden = _linear_forward(normed, w1.data, b1.data)
     act = _gelu(hidden)
     out = _linear_forward(act, w2.data, b2.data)

@@ -87,7 +87,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     previous = make_template(sequence.frames[0], first_box, cfg.context_scale,
                              spec.search_size)
     state = TrackState(cfg.update_mode, cfg.seed_confidence)
-    target_features = net.encode(target)
+    target_features = net.encode([target])
     previous_features = None   # encoded at the first forward that uses it
     # shared terms pay off once two or more forwards use them; for a single
     # forward, building every layer's terms ahead would only hold memory
@@ -102,8 +102,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         except ValueError as exc:
             raise NumericError(f"cannot crop frame {t}: {exc}") from exc
         if previous_features is None:
-            previous_features = net.encode(previous.crop, previous.box)
-        outputs = net.forward(target_features, previous_features, search_crop,
+            previous_features = net.encode([previous.crop], previous.box)
+        outputs = net.forward(target_features, previous_features, net.encode([search_crop]),
                               bias_terms=bias_terms)
         if not (np.all(np.isfinite(outputs.cls.data))
                 and np.all(np.isfinite(outputs.reg.data))):

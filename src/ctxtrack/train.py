@@ -162,8 +162,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
                 raise ConfigError(f"frame {cur}: box aspect ratio above context_scale**2")
         search_crop = crop_resize(sequence.frames[cur], search_window)
 
-        outputs = net.forward(*net.encode_all((target_crop, prev_crop, search_crop),
-                                              (None, prev_box, None)))
+        outputs = net.forward(net.encode([target_crop, prev_crop, search_crop], prev_box))
         if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
             raise NumericError(f"saturated classification output at step {step}")
         loss, _, _ = tracking_loss(

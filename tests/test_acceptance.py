@@ -73,7 +73,7 @@ def test_02_full_model_gradients_match_finite_differences():
     prev_box = (18.0, 14.0, 46.0, 50.0)
     gt = (20.0, 12.0, 52.0, 44.0)
 
-    outputs = net.forward(target, net.encode(previous, prev_box), search)
+    outputs = net.forward(net.encode([target, previous, search], prev_box))
     total, _, tgt = tracking_loss(outputs, gt)
     for p in net.parameters().values():
         p.grad = None
@@ -87,7 +87,7 @@ def test_02_full_model_gradients_match_finite_differences():
     gt_grid = tuple(v / STRIDE for v in gt)
 
     def frozen_loss() -> float:
-        o = net.forward(target, net.encode(previous, prev_box), search)
+        o = net.forward(net.encode([target, previous, search], prev_box))
         cls_term = varifocal_loss(o.cls, q)
         boxes = _ltrb_to_boxes_tensor(o.reg)
         giou_term = (giou_loss(boxes, gt_grid) * mask).sum() / mask.sum()

@@ -86,30 +86,31 @@ def test_feedforward_expansion_shapes():
 # window attention
 # ----------------------------------------------------------------------
 
-def on_grid(blk, tokens):
+def on_grid(blk, tokens, window=2):
     """blk over one (H, W, C) grid of tokens, flattened and split by a
-    single-grid partition, returned as a grid."""
+    single-grid partition into windows of `window` cells a side, returned
+    as a grid."""
     h, w, c = tokens.shape
-    return blk(tokens.reshape(h * w, c), window_partition(((h, w),), blk.window)).reshape(h, w, c)
+    return blk(tokens.reshape(h * w, c), window_partition(((h, w),), window)).reshape(h, w, c)
 
 
 def test_window_block_preserves_shape():
     rng = np.random.default_rng(4)
-    blk = WindowAttentionBlock(32, 2, 2, rng)
+    blk = WindowAttentionBlock(32, 2, rng)
     out = blk(Tensor(rng.normal(size=(16, 32))), window_partition(((4, 4),), 2))
     assert out.shape == (16, 32)
 
 
 def test_window_block_rejects_indivisible_grid():
     rng = np.random.default_rng(5)
-    blk = WindowAttentionBlock(8, 2, 2, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     with pytest.raises(ValueError, match="window"):
         on_grid(blk, Tensor(np.zeros((3, 4, 8))))
 
 
 def test_window_block_no_cross_window_mixing():
     rng = np.random.default_rng(6)
-    blk = WindowAttentionBlock(8, 2, 2, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     base = rng.normal(size=(4, 4, 8))
     bumped = base.copy()
     bumped[0, 0, :] += 1.0  # inside the top-left window
@@ -124,9 +125,9 @@ def test_window_block_no_cross_window_mixing():
 
 def test_window_block_full_window_equals_plain_attention():
     rng = np.random.default_rng(7)
-    blk = WindowAttentionBlock(8, 2, 4, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     tokens = rng.normal(size=(4, 4, 8))
-    out = on_grid(blk, Tensor(tokens)).data.reshape(16, 8)
+    out = on_grid(blk, Tensor(tokens), 4).data.reshape(16, 8)
     params = {k: v.data for k, v in blk.parameters().items()}
     ref = reference_block(tokens.reshape(16, 8), params, heads=2,
                           scale=1.0 / np.sqrt(4.0))
@@ -135,7 +136,7 @@ def test_window_block_full_window_equals_plain_attention():
 
 def test_window_block_each_window_equals_plain_attention():
     rng = np.random.default_rng(23)
-    blk = WindowAttentionBlock(8, 2, 2, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     tokens = rng.normal(size=(4, 6, 8))
     out = on_grid(blk, Tensor(tokens)).data
     params = {k: v.data for k, v in blk.parameters().items()}
@@ -149,7 +150,7 @@ def test_window_block_each_window_equals_plain_attention():
 def test_window_block_over_partition_equals_per_grid_calls():
     rng = np.random.default_rng(24)
     shapes = ((2, 2), (4, 4), (4, 6))
-    blk = WindowAttentionBlock(8, 2, 2, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     grids = [rng.normal(size=(h, w, 8)) for h, w in shapes]
     flat = blk(Tensor(np.concatenate([g.reshape(-1, 8) for g in grids])),
                window_partition(shapes, 2)).data
@@ -160,9 +161,7 @@ def test_window_block_over_partition_equals_per_grid_calls():
 def test_window_block_rejects_mismatched_partition():
     rng = np.random.default_rng(25)
     shapes = ((2, 2), (4, 4), (4, 4))
-    blk = WindowAttentionBlock(8, 2, 2, rng)
-    with pytest.raises(ValueError, match="window"):
-        blk(Tensor(np.zeros((36, 8))), window_partition(shapes, 1))
+    blk = WindowAttentionBlock(8, 2, rng)
     with pytest.raises(ValueError, match="tokens"):
         blk(Tensor(np.zeros((35, 8))), window_partition(shapes, 2))
     with pytest.raises(ValueError, match="divisible"):
@@ -171,7 +170,7 @@ def test_window_block_rejects_mismatched_partition():
 
 def test_window_block_gradcheck():
     rng = np.random.default_rng(8)
-    blk = WindowAttentionBlock(4, 2, 2, rng)
+    blk = WindowAttentionBlock(4, 2, rng)
     x = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
     weight = rng.normal(size=(2, 2, 4))
     loss = (on_grid(blk, x) * weight).sum()
@@ -190,7 +189,7 @@ def _sublayer_case(name):
     search-query modes."""
     rng = np.random.default_rng(40)
     if name in ("window", "grid"):
-        blk = WindowAttentionBlock(8, 2, 2, rng)
+        blk = WindowAttentionBlock(8, 2, rng)
         shapes = ((4, 6),) if name == "grid" else ((2, 2), (4, 4), (4, 6))
         windows = window_partition(shapes, 2)
         return blk, rng.normal(size=(windows.order.size, 8)), lambda t: blk(t, windows)
@@ -242,7 +241,7 @@ def _tape_nodes(*outs):
 
 def test_taped_block_records_one_node_per_sublayer():
     rng = np.random.default_rng(42)
-    blk = WindowAttentionBlock(8, 2, 2, rng)
+    blk = WindowAttentionBlock(8, 2, rng)
     out = blk(parameter(rng.normal(size=(16, 8))), window_partition(((4, 4),), 2))
     # norm1, the gather into windows, attention, the scatter back, and
     # the feed-forward sublayer with both residual adds

@@ -34,9 +34,10 @@ def toy_images(rng):
 
 
 def with_box(net, images, box=(16, 16, 48, 48)):
-    """The three images, the previous one encoded with its box."""
+    """The three images, each encoded on its own, the previous one with its
+    box."""
     target, previous, search = images
-    return target, net.encode(previous, box), search
+    return net.encode([target]), net.encode([previous], box), net.encode([search])
 
 
 # ----------------------------------------------------------------------
@@ -78,16 +79,16 @@ def test_small_spec_layout_arithmetic():
 def test_backbone_token_shape():
     net, spec = toy_net()
     rng = np.random.default_rng(1)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     assert tokens.shape == (36, 32)
 
 
 def test_backbone_stride_bookkeeping_other_sizes():
     net, spec = toy_net(target_size=32, search_size=96)
     rng = np.random.default_rng(2)
-    tokens = net.backbone_forward(rng.random((32, 32, 3)),
-                                  rng.random((96, 96, 3)),
-                                  rng.random((96, 96, 3)))
+    tokens = net.backbone_forward(net.encode([rng.random((32, 32, 3)),
+                                              rng.random((96, 96, 3)),
+                                              rng.random((96, 96, 3))]))
     assert tokens.shape == (2 * 2 + 2 * 6 * 6, 32)
 
 
@@ -95,8 +96,8 @@ def test_backbone_joint_layers_mix_images():
     net, spec = toy_net(seed=4)
     rng = np.random.default_rng(4)
     target, previous, search = toy_images(rng)
-    base = net.backbone_forward(target, previous, search).data
-    bumped = net.backbone_forward(target, previous, search + 0.25).data
+    base = net.backbone_forward(net.encode([target, previous, search])).data
+    bumped = net.backbone_forward(net.encode([target, previous, search + 0.25])).data
     t = net.layout.segment_slice("target")
     assert not np.allclose(base[t], bumped[t])
 
@@ -134,7 +135,7 @@ def test_taped_and_tape_free_stage3_give_the_same_bytes(name):
     images = _spec_images(spec, 17)
     box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
     taped = net.forward(*with_box(net, images, box))
-    tokens = net.backbone_forward(*images)
+    tokens = net.backbone_forward(net.encode(images))
 
     def local_pair(tokens):
         for blk in net.stage3_local[2:4]:
@@ -187,12 +188,12 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
     target, previous, search = toy_images(np.random.default_rng(18))
     box = (16, 16, 48, 48)
     with no_grad():
-        encoded = net.encode(target), net.encode(previous, box)
+        encoded = net.encode([target]), net.encode([previous], box)
     calls = _count_calls(monkeypatch, WindowAttentionBlock)
     patches = _count_calls(monkeypatch, PatchEmbed)
     merges = _count_calls(monkeypatch, Downsample)
     with no_grad():
-        net.forward(*encoded, search)
+        net.forward(*encoded, net.encode([search]))
     # 6 to encode the search image, then one per block of pairs g >= 1
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
     assert patches == [net.patch] and merges == [net.down1, net.down2]
@@ -200,7 +201,7 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
         seen.clear()
     # a taped forward over the three images encoded in one pass, as
     # training runs it, makes the same calls
-    net.forward(*net.encode_all((target, previous, search), (None, box, None)))
+    net.forward(net.encode([target, previous, search], box))
     assert len(calls) == 6 + 2 * (spec.n1 - 1) == 10
     assert patches == [net.patch] and merges == [net.down1, net.down2]
 
@@ -212,7 +213,7 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
 def test_neck_output_shape_and_depth():
     net, spec = toy_net(seed=6)
     rng = np.random.default_rng(6)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     trace = []
     out = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48)), trace=trace)
     assert out.shape == (4, 4, 32)
@@ -222,7 +223,7 @@ def test_neck_output_shape_and_depth():
 def test_neck_single_layer_config():
     net, _ = toy_net(seed=7, n3=1)
     rng = np.random.default_rng(7)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     assert net.neck_full == []
     out = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48)))
     assert out.shape == (4, 4, 32)
@@ -234,7 +235,7 @@ def test_neck_zeroed_box_embedding_matches_no_injection():
     net.box_embed.fc2.weight.data[...] = 0.0
     net.box_embed.fc2.bias.data[...] = 0.0
     rng = np.random.default_rng(8)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     with_box = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48))).data
     without = net.neck_forward(tokens, None).data
     assert np.array_equal(with_box, without)
@@ -243,7 +244,7 @@ def test_neck_zeroed_box_embedding_matches_no_injection():
 def test_neck_adds_the_box_to_the_previous_template_rows():
     net, _ = toy_net(seed=9)
     rng = np.random.default_rng(9)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     box = net.box_embed((16, 16, 48, 48))
     moved = tokens.data.copy()
     moved[net.layout.segment_slice("previous")] += box.data
@@ -254,7 +255,7 @@ def test_neck_adds_the_box_to_the_previous_template_rows():
 def test_neck_box_injection_changes_output():
     net, _ = toy_net(seed=9)
     rng = np.random.default_rng(9)
-    tokens = net.backbone_forward(*toy_images(rng))
+    tokens = net.backbone_forward(net.encode(toy_images(rng)))
     a = net.neck_forward(tokens, net.box_embed((16, 16, 48, 48))).data
     b = net.neck_forward(tokens, net.box_embed((8, 8, 40, 40))).data
     assert not np.allclose(a, b)
@@ -268,7 +269,7 @@ def test_forward_head_outputs():
     net, _ = toy_net(seed=10)
     rng = np.random.default_rng(10)
     target, previous, search = toy_images(rng)
-    out = net(target, net.encode(previous, (16, 16, 48, 48)), search)
+    out = net(net.encode([target, previous, search], (16, 16, 48, 48)))
     assert out.cls.shape == (4, 4, 1)
     assert out.reg.shape == (4, 4, 4)
     assert np.all(out.cls.data > 0) and np.all(out.cls.data < 1)
@@ -288,14 +289,25 @@ def test_forward_is_deterministic():
 def test_forward_on_encoded_templates_is_byte_identical():
     net, _ = toy_net(seed=13)
     target, previous, search = toy_images(np.random.default_rng(13))
-    boxed = net.encode(previous, (16, 16, 48, 48))
+    box = (16, 16, 48, 48)
+    boxed = net.encode([previous], box)
     for direct, cached in (
-            (net.forward(target, previous, search),
-             net.forward(net.encode(target), net.encode(previous), search)),
-            (net.forward(target, boxed, search),
-             net.forward(net.encode(target), boxed, search))):
+            (net.forward(net.encode([target, previous, search])),
+             net.forward(net.encode([target]), net.encode([previous]), net.encode([search]))),
+            (net.forward(net.encode([target, previous, search], box)),
+             net.forward(net.encode([target]), boxed, net.encode([search])))):
         assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
         assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
+
+
+def test_forward_rejects_two_box_embeddings():
+    net, _ = toy_net(seed=13)
+    target, previous, search = toy_images(np.random.default_rng(13))
+    box = (16, 16, 48, 48)
+    with no_grad():
+        inputs = net.encode([target]), net.encode([previous], box), net.encode([search], box)
+        with pytest.raises(ValueError, match="2 inputs carry a box embedding"):
+            net.forward(*inputs)
 
 
 def test_forward_trace_holds_every_full_cross_frame_layer():
@@ -371,15 +383,15 @@ def test_joint_encode_equals_single_image_encodes(name, taped):
     net = TrackerNet(spec, np.random.default_rng(19))
     images = _spec_images(spec, 19)
     box = (8.0, 8.0, spec.search_size - 8.0, spec.search_size - 8.0)
-    boxes = (None, box, None)
+    target, previous, search = images
     with nullcontext() if taped else no_grad():
-        joint = net.encode_all(images, boxes)
-        single = [net.encode(image, b) for image, b in zip(images, boxes)]
-        outputs = [net.forward(*encoded) for encoded in (joint, single)]
-    for a, b in zip(joint, single):
-        assert a.tokens.requires_grad == taped
-        assert a.tokens.data.tobytes() == b.tokens.data.tobytes()
-    assert joint[1].box.data.tobytes() == single[1].box.data.tobytes()
+        joint = net.encode(images, box)
+        single = [net.encode([target]), net.encode([previous], box), net.encode([search])]
+        outputs = [net.forward(joint), net.forward(*single)]
+    for encoded in (joint, *single):
+        assert encoded.tokens.requires_grad == taped
+    assert joint.tokens.data.tobytes() == b"".join(e.tokens.data.tobytes() for e in single)
+    assert joint.box.data.tobytes() == single[1].box.data.tobytes()
     assert outputs[0].cls.data.tobytes() == outputs[1].cls.data.tobytes()
     assert outputs[0].reg.data.tobytes() == outputs[1].reg.data.tobytes()
 
@@ -391,15 +403,15 @@ def test_joint_encode_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     images = (rng.random((32, 32, 3)), rng.random((32, 32, 3)),
               rng.random((32, 32, 3)))
-    boxes = (None, (8.0, 8.0, 24.0, 24.0), None)
+    box = (8.0, 8.0, 24.0, 24.0)
     w_cls = rng.normal(size=(2, 2, 1))
     w_reg = rng.normal(size=(2, 2, 4))
 
     def scalar(_=None):
-        out = net(*net.encode_all(images, boxes))
+        out = net(net.encode(images, box))
         return float((out.cls.data * w_cls).sum() + (out.reg.data * w_reg).sum())
 
-    out = net(*net.encode_all(images, boxes))
+    out = net(net.encode(images, box))
     ((out.cls * w_cls).sum() + (out.reg * w_reg).sum()).backward()
     params = net.parameters()
     for name in ("stage1.0.w_query.weight", "stage1.0.w_value.weight",
@@ -487,12 +499,13 @@ def test_encode_embeds_the_box_once_per_template(monkeypatch):
     target, previous, search = toy_images(np.random.default_rng(1))
     a, b = (18.0, 22.0, 41.0, 37.0), (10.0, 12.0, 30.0, 44.0)
     with no_grad():
-        tokens = net.backbone_forward(target, previous, search)
+        tokens = net.backbone_forward(net.encode([target, previous, search]))
         own = {box: net.box_embed(box) for box in (a, b)}
         plain = {box: net.head(net.neck_forward(tokens, own[box])) for box in (a, b)}
         calls = _count_box_embeddings(monkeypatch)
-        encoded = {box: net.encode(previous, box) for box in (a, b)}
-        outputs = [(box, net.forward(target, encoded[box], search)) for box in (a, a, b, a)]
+        encoded = {box: net.encode([previous], box) for box in (a, b)}
+        outputs = [(box, net.forward(net.encode([target]), encoded[box], net.encode([search])))
+                   for box in (a, a, b, a)]
     # one embedding per encoded template, however many forwards read it
     assert calls == [a, b]
     for box, out in outputs:
@@ -512,9 +525,9 @@ def test_taped_forward_embeds_its_box_and_gives_it_a_gradient(monkeypatch):
             p.grad = None
         calls.clear()
         if encoded:
-            out = net.forward(target, net.encode(previous, box), search)
+            out = net.forward(net.encode([target, previous, search], box))
         else:   # the same graph built by hand, embedding the box after the backbone
-            tokens = net.backbone_forward(target, previous, search)
+            tokens = net.backbone_forward(net.encode([target, previous, search]))
             out = net.head(net.neck_forward(tokens, net.box_embed(box)))
         out.cls.sum().backward()
         grads.append({name: p.grad for name, p in net.box_embed.parameters().items()})

@@ -1,4 +1,5 @@
 import operator
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -381,6 +382,14 @@ def test_concat_grad_splits():
     assert np.array_equal(b.grad, np.full((3, 2), 2.0))
 
 
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
+def test_concat_of_one_tensor_returns_it(taped):
+    t = parameter(np.ones((2, 2))) * 3.0
+    with nullcontext() if taped else no_grad():
+        assert concat([t]) is t
+        assert concat([t], axis=1) is t
+
+
 def test_batched_matmul_weight_grad_sums_over_leading_axes():
     # a 2-D weight shared by every index of x's leading axes takes the sum
     # of their gradients
@@ -576,7 +585,7 @@ def composite_gelu(t):
     return t * (tanh(inner) + 1.0) * 0.5
 
 
-def composite_layer_norm(x, gamma, beta, eps):
+def composite_layer_norm(x, gamma, beta, eps=1e-5):
     """Layer norm as twelve primitive tape ops, centring by adding -mean."""
     k = 1.0 / x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) * k
@@ -655,7 +664,7 @@ def _ln_run(op, x0, g0, b0, upstream, residual, seed=None):
     p = parameter(x0.copy())
     gamma, beta = parameter(g0.copy()), parameter(b0.copy())
     x = p * 1.5
-    y = op(x, gamma, beta, 1e-5)
+    y = op(x, gamma, beta)
     if residual:
         y = y + x
     if seed is not None:
@@ -742,7 +751,7 @@ def test_closed_form_backwards_match_composites(case):
 def test_layer_norm_is_one_tape_node():
     x, gamma, beta = (parameter(np.ones((2, 3))), parameter(np.ones(3)),
                       parameter(np.zeros(3)))
-    out = layer_norm(x, gamma, beta, 1e-5)
+    out = layer_norm(x, gamma, beta)
     assert out._parents == (x, gamma, beta)
 
 
@@ -754,7 +763,7 @@ def test_layer_norm_gradients_match_finite_differences():
     weight = rng.normal(size=(2, 3, 5))
 
     def loss_fn(_=None):
-        return (layer_norm(x, gamma, beta, 1e-5) * weight).sum()
+        return (layer_norm(x, gamma, beta) * weight).sum()
 
     loss_fn().backward()
     for p in (x, gamma, beta):
@@ -890,13 +899,12 @@ def _fused_case(name, rng):
         "linear": lambda: linear(x, w, b),
         "linear_no_bias": lambda: linear(x, w),
         "matmul_raw_operand": lambda: matmul(x.data, w),
-        "layer_norm": lambda: layer_norm(x, g, b4, 1e-5),
+        "layer_norm": lambda: layer_norm(x, g, b4),
         "gelu": lambda: gelu(x),
         "concat": lambda: concat([x, y], axis=1),
         "attention_sublayer": lambda: attention_sublayer(x, y, wq, wk, wv, wo, 2, 0.5,
                                                          [bias]),
-        "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b4, 1e-5,
-                                                               w, b, w2, b4),
+        "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b4, w, b, w2, b4),
     }[name]
 
 

@@ -93,13 +93,13 @@ class TestRunTracker:
             def __init__(self):
                 self.spec = spec
 
-            def encode(self, image, box=None):
-                return image
+            def encode(self, images, box=None):
+                return images
 
             def bias_terms(self):
                 return None
 
-            def forward(self, target, previous, search, bias_terms=None):
+            def forward(self, *inputs, bias_terms=None):
                 cls = Tensor(np.full((grid, grid, 1), 0.9))
                 reg = Tensor(np.zeros((grid, grid, 4)))
                 return HeadOutputs(cls=cls, reg=reg)
@@ -155,7 +155,7 @@ class TestInference:
                                  cfg.context_scale, net.spec.search_size)
         for record, (features, box) in zip(records, seen):
             with no_grad():
-                encoded = net.encode(template.crop, template.box)
+                encoded = net.encode([template.crop], template.box)
             assert box.tobytes() == encoded.box.data.tobytes()
             assert features.tobytes() == encoded.tokens.data.tobytes()
             if record.updated:
@@ -188,8 +188,8 @@ class TestInference:
                 run_tracker(net, _sequence())
             # the failed run leaves tape recording switched back on
             rng = np.random.default_rng(0)
-            out = net.forward(rng.random((32, 32, 3)), rng.random((64, 64, 3)),
-                              rng.random((64, 64, 3)))
+            out = net.forward(net.encode([rng.random((32, 32, 3)), rng.random((64, 64, 3)),
+                                          rng.random((64, 64, 3))]))
         assert out.cls.requires_grad and out.cls._parents
 
 
@@ -214,9 +214,10 @@ def _images(seed=0):
 
 
 def _with_box(net, images, box=(20.0, 20.0, 40.0, 40.0)):
-    """The three images, the previous one encoded with its box."""
+    """The three images, each encoded on its own, the previous one with its
+    box."""
     target, previous, search = images
-    return target, net.encode(previous, box), search
+    return net.encode([target]), net.encode([previous], box), net.encode([search])
 
 
 class TestReusedBiasTerms:
@@ -318,7 +319,7 @@ class TestReusedBiasTerms:
             net.forward(*_with_box(net, _images()), bias_terms=terms)
         between = self._gradients(net)
         with pytest.raises(ValueError, match="builds its own bias terms"):
-            net.forward(*_images(), bias_terms=terms)
+            net.forward(net.encode(_images()), bias_terms=terms)
         tables = [name for name in expected
                   if ".abs_bias." in name or ".rel_bias." in name]
         # every table the layers read gets a gradient

@@ -15,10 +15,11 @@ explained where the change is described).
 The battery (about 50 s per tree; the two trees run at once):
   state.*          `state()` names, shapes and bytes in key order, for toy
                    seeds 0-2 and small seed 0
-  taped.*          one taped toy forward with `tracking_loss` and its
-                   backward: the head outputs (`taped.outputs`), the loss
-                   (`taped.loss`) and every gradient (`taped.grads`), so a
-                   change to the loss alone leaves `taped.outputs` same
+  taped.*          one taped toy forward of the three images encoded in one
+                   pass, with `tracking_loss` and its backward: the head
+                   outputs (`taped.outputs`), the loss (`taped.loss`) and
+                   every gradient (`taped.grads`), so a change to the loss
+                   alone leaves `taped.outputs` same
   records.*        `run_tracker` records for the four update modes x toy
                    seeds 0-2, before and after training, per `final_keys`
   records.long.*   the same for seeds 0-1 on the benchmark's track_toy
@@ -150,7 +151,7 @@ def battery() -> dict[str, str]:
     rng = np.random.default_rng(0)
     target, previous, search = (rng.random((32, 32, 3)), rng.random((64, 64, 3)),
                                 rng.random((64, 64, 3)))
-    outputs = net.forward(target, net.encode(previous, (16.0, 16.0, 48.0, 48.0)), search)
+    outputs = net.forward(net.encode([target, previous, search], (16.0, 16.0, 48.0, 48.0)))
     loss, _, _ = tracking_loss(outputs, (20.0, 18.0, 44.0, 46.0))
     loss.backward()
     out["taped.outputs"] = _arrays_digest(
