@@ -5,10 +5,16 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Standard first/second-moment update. Parameters with zero gradient
-    (and fresh state) are left untouched.
+    """Standard first/second-moment update with the decay rates `BETA1`
+    and `BETA2` and the denominator offset `EPS`, the defaults of Kingma &
+    Ba (ICLR 2015); only `lr` is the caller's. Parameters with zero
+    gradient (and fresh state) are left untouched.
 
     Adam owns one flat buffer of parameter values and one of gradients, both
     over all parameters in insertion order: every `p.data` becomes a view of
@@ -19,13 +25,9 @@ class Adam:
     zero) is copied into its slice first.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         total = sum(p.data.size for p in params.values())
         self._values = np.empty(total)
@@ -76,16 +78,16 @@ class Adam:
         # the per-element operations, in order, of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p = p - lr * m_hat / (sqrt(v_hat) + eps)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=work)
-        np.multiply(g, 1.0 - self.beta2, out=work)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=work)
+        np.multiply(g, 1.0 - BETA2, out=work)
         work *= g
-        v *= self.beta2
+        v *= BETA2
         v += work
-        update = np.divide(m, 1.0 - self.beta1 ** t, out=work)
+        update = np.divide(m, 1.0 - BETA1 ** t, out=work)
         update *= self.lr
-        denom = np.divide(v, 1.0 - self.beta2 ** t, out=self._denom)
+        denom = np.divide(v, 1.0 - BETA2 ** t, out=self._denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         update /= denom
         self._values -= update

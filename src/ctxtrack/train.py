@@ -33,11 +33,7 @@ class TrainConfig:
 
     steps: int = 500
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    warmup_steps: int = 0
     final_lr_scale: float = 0.1   # cosine-decay endpoint, as a fraction of lr
     lambda_cls: float = 1.5
     lambda_giou: float = 1.5
@@ -55,14 +51,10 @@ class TrainConfig:
             raise ConfigError("steps must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.lr < 0.0:
-            raise ConfigError("lr must be non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
-        if self.warmup_steps < 0 or self.warmup_steps >= self.steps:
-            raise ConfigError("warmup_steps must lie in [0, steps)")
+        # Adam moves a value by about lr per step, so an lr far above 1
+        # overflows the next forward
+        if not 0.0 <= self.lr <= 1.0:
+            raise ConfigError("lr must lie in [0, 1]")
         if not 0.0 < self.final_lr_scale <= 1.0:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
         # a weight far above the default 1.5 overflows Adam's moments
@@ -95,11 +87,8 @@ class TrainConfig:
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
-    """Linear warmup, then cosine decay to lr * final_lr_scale."""
-    if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
-        return cfg.lr * (step + 1) / cfg.warmup_steps
-    span = max(1, cfg.steps - 1 - cfg.warmup_steps)
-    t = (step - cfg.warmup_steps) / span
+    """Cosine decay from lr at step 0 to lr * final_lr_scale at the last step."""
+    t = step / max(1, cfg.steps - 1)
     floor = cfg.final_lr_scale
     return cfg.lr * (floor + (1.0 - floor) * 0.5 * (1.0 + np.cos(np.pi * t)))
 
@@ -130,8 +119,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
         raise ConfigError("training needs a sequence with at least 2 frames")
     spec = net.spec
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(net.parameters(), lr=cfg.lr, beta1=cfg.beta1,
-                     beta2=cfg.beta2, eps=cfg.eps)
+    optimizer = Adam(net.parameters(), lr=cfg.lr)
 
     template_window = box_window(sequence.boxes[0], cfg.context_scale,
                                  spec.target_size)

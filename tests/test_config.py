@@ -65,10 +65,7 @@ def _train_sections(draw):
                / (0.5 * (1.0 - jitters[f"{k}_scale_jitter"]))
                for k in ("prev", "search"))
     return {
-        "steps": steps, "warmup_steps": draw(st.integers(0, steps - 1)),
-        "lr": draw(st.floats(0.0, 1.0)), "beta1": draw(_unit(hi_open=True)),
-        "beta2": draw(_unit(hi_open=True)),
-        "eps": draw(st.floats(1e-12, 1.0)),
+        "steps": steps, "lr": draw(st.floats(0.0, 1.0)),
         "seed": draw(st.integers(0, 2**32)),
         "final_lr_scale": draw(_unit(lo_open=True)),
         "lambda_cls": draw(st.floats(0.0, 10.0)),
@@ -126,8 +123,7 @@ def test_every_knob_appears_in_dump():
     for key in ("target_size", "search_size", "channels", "n1", "n2", "n3",
                 "heads", "window", "final_keys"):
         assert key in dump["model"]
-    for key in ("steps", "lr", "beta1", "beta2", "eps", "seed",
-                "warmup_steps", "final_lr_scale", "lambda_cls",
+    for key in ("steps", "lr", "seed", "final_lr_scale", "lambda_cls",
                 "lambda_giou", "alpha", "gamma", "context_scale",
                 "prev_center_jitter", "prev_scale_jitter",
                 "search_center_jitter", "search_scale_jitter"):
@@ -174,6 +170,8 @@ def test_unknown_key_rejected():
         config_from_dict({"train": {"learning_rate": 0.1}})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"model": {"depth": 3}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"train": {"warmup_steps": 0}})
 
 
 def test_unknown_preset_rejected():
@@ -239,8 +237,8 @@ def test_repeated_key_rejected(tmp_path, text, key):
 # dataclass must reject non-finite values itself when built; range checks
 # like `x < 0` let NaN through
 _FLOAT_FIELDS = [(TrainConfig, name) for name in
-                 ("lr", "eps", "lambda_cls", "lambda_giou", "context_scale",
-                  "alpha", "gamma")] + \
+                 ("lr", "final_lr_scale", "lambda_cls", "lambda_giou",
+                  "context_scale", "alpha", "gamma")] + \
                 [(TrackConfig, "context_scale"),
                  (SequenceConfig, "step_sigma"),
                  (SequenceConfig, "appearance_drift")]
