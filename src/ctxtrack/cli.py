@@ -207,13 +207,11 @@ def _cmd_respmap(args) -> int:
             f"--frame must lie in [1, {len(sequence) - 1}], got {frame}")
     net = _build_net(cfg, args.params)
     spec = cfg.spec
-    context = cfg.track.context_scale
 
-    target = make_template(sequence.frames[0], sequence.boxes[0], context,
-                           spec.target_size)
+    target = make_template(sequence.frames[0], sequence.boxes[0], spec.target_size)
     previous = make_template(sequence.frames[frame - 1], sequence.boxes[frame - 1],
-                             context, spec.search_size)
-    search_window = box_window(sequence.boxes[frame - 1], context, spec.search_size)
+                             spec.search_size)
+    search_window = box_window(sequence.boxes[frame - 1], spec.search_size)
     search = crop_resize(sequence.frames[frame], search_window)
 
     maps = response_maps(net, target.crop, previous.crop, search,

@@ -71,7 +71,11 @@ def _build(cls, base, section: dict, name: str):
             coerced[key] = value
         else:
             coerced[key] = value
-    return replace(base, **coerced)
+    # the section's own checks name a field or a rule, not the section
+    try:
+        return replace(base, **coerced)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(data) -> ExperimentConfig:

@@ -63,6 +63,10 @@ class CropWindow:
 # the decoded box share: a 4x4 patch embedding, then two 2x2 merges.
 STRIDE = 16
 
+# Side of every crop window, templates and search region alike, as a
+# multiple of the box's geometric-mean side sqrt(w * h).
+CONTEXT = 2.0
+
 
 @lru_cache(maxsize=16)
 def cell_grid(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -92,12 +96,10 @@ def crop_window(center: tuple[float, float], size: float, out_size: int) -> Crop
                       size=float(size), out_size=int(out_size))
 
 
-def box_window(box: Box, context_scale: float, out_size: int) -> CropWindow:
-    """Window centered on a box with side = context_scale * sqrt(box area)."""
+def box_window(box: Box, out_size: int) -> CropWindow:
+    """Window centered on a box with side = CONTEXT * sqrt(box area)."""
     x1, y1, x2, y2 = validate_box(box)
-    if context_scale <= 0:
-        raise ValueError(f"context scale must be positive, got {context_scale}")
-    side = context_scale * np.sqrt((x2 - x1) * (y2 - y1))
+    side = CONTEXT * np.sqrt((x2 - x1) * (y2 - y1))
     return crop_window(((x1 + x2) / 2.0, (y1 + y2) / 2.0), side, out_size)
 
 

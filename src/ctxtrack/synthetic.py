@@ -68,17 +68,16 @@ class SyntheticSequence:
 
 
 def _checker(h: int, w: int, cell: int, colors: np.ndarray) -> np.ndarray:
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    parity = ((ys // cell) + (xs // cell)) % 2
+    parity = (np.arange(h)[:, None] // cell + np.arange(w) // cell) % 2
     return colors[parity]
 
 
 def _paint(frame: np.ndarray, box: Box, colors: np.ndarray, cell: int) -> None:
     h, w, _ = frame.shape
-    x1 = int(np.clip(round(box[0]), 0, w))
-    y1 = int(np.clip(round(box[1]), 0, h))
-    x2 = int(np.clip(round(box[2]), 0, w))
-    y2 = int(np.clip(round(box[3]), 0, h))
+    x1 = min(max(round(box[0]), 0), w)
+    y1 = min(max(round(box[1]), 0), h)
+    x2 = min(max(round(box[2]), 0), w)
+    y2 = min(max(round(box[3]), 0), h)
     if x2 > x1 and y2 > y1:
         frame[y1:y2, x1:x2] = _checker(y2 - y1, x2 - x1, cell, colors)
 
@@ -110,7 +109,9 @@ def gen_sequence(config: SequenceConfig) -> SyntheticSequence:
     margin = half + 2.0
 
     background = _checker(size, size, 16, rng.uniform(0.25, 0.45, size=(2, 3)))
-    background = background + rng.normal(scale=0.01, size=background.shape)
+    # painted colours lie in [0, 1] already, so only the noise needs a clip
+    background = np.clip(
+        background + rng.normal(scale=0.01, size=background.shape), 0.0, 1.0)
 
     target_colors = rng.uniform(0.6, 0.95, size=(2, 3))
     drift_dir = rng.normal(size=(2, 3))
@@ -145,7 +146,7 @@ def gen_sequence(config: SequenceConfig) -> SyntheticSequence:
             colors = np.clip(
                 target_colors + config.appearance_drift * t * drift_dir, 0, 1)
             _paint(frame, box, colors, 6)
-        frames.append(np.clip(frame, 0.0, 1.0))
+        frames.append(frame)
         boxes.append(box)
         distractors.append(dist_boxes)
         occluded.append(hidden)

@@ -32,7 +32,6 @@ from .update import MODES, TrackState
 class TrackConfig:
     update_mode: str = "p-mean"
     seed_confidence: float = 1.0
-    context_scale: float = 2.0
     oracle: bool = False   # score ground-truth boxes through the pipeline
 
     def __post_init__(self) -> None:
@@ -43,8 +42,6 @@ class TrackConfig:
                 f"expected one of {MODES}")
         if not 0.0 <= self.seed_confidence <= 1.0:
             raise ConfigError("seed_confidence must lie in [0, 1]")
-        if not 1.0 <= self.context_scale <= 100.0:
-            raise ConfigError("context_scale must lie in [1, 100]")
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,9 @@ class _Template(NamedTuple):
     box: Box           # box position inside the crop
 
 
-def make_template(frame: np.ndarray, box: Box, context: float,
-                  out_size: int) -> _Template:
+def make_template(frame: np.ndarray, box: Box, out_size: int) -> _Template:
     """Crop of `out_size` pixels around `box`, with the box in crop pixels."""
-    window = box_window(box, context, out_size)
+    window = box_window(box, out_size)
     return _Template(crop=crop_resize(frame, window),
                      box=window.to_crop(box))
 
@@ -82,10 +78,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     spec = net.spec
     first_box = sequence.boxes[0]
 
-    target = make_template(sequence.frames[0], first_box, cfg.context_scale,
-                           spec.target_size).crop
-    previous = make_template(sequence.frames[0], first_box, cfg.context_scale,
-                             spec.search_size)
+    target = make_template(sequence.frames[0], first_box, spec.target_size).crop
+    previous = make_template(sequence.frames[0], first_box, spec.search_size)
     state = TrackState(cfg.update_mode, cfg.seed_confidence)
     target_features = net.encode([target])
     previous_features = None   # encoded at the first forward that uses it
@@ -97,7 +91,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     records: list[FrameRecord] = []
     for t in range(1, len(sequence)):
         try:
-            search_window = box_window(last_box, cfg.context_scale, spec.search_size)
+            search_window = box_window(last_box, spec.search_size)
             search_crop = crop_resize(sequence.frames[t], search_window)
         except ValueError as exc:
             raise NumericError(f"cannot crop frame {t}: {exc}") from exc
@@ -123,7 +117,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
         if updated:
             try:
                 previous = make_template(sequence.frames[t], pred_box,
-                                         cfg.context_scale, spec.search_size)
+                                         spec.search_size)
             except ValueError as exc:
                 raise NumericError(
                     f"cannot crop the template at frame {t}: {exc}") from exc

@@ -16,10 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, require_finite
 from .heads import tracking_loss
-from .imageops import CropWindow, box_window, crop_resize, crop_window
+from .imageops import CONTEXT, CropWindow, box_window, crop_resize, crop_window
 from .model import TrackerNet
 from .optim import Adam
 from .synthetic import SyntheticSequence
+from .tracker import make_template
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class TrainConfig:
     lambda_giou: float = 1.5
     alpha: float = 0.75
     gamma: float = 2.0
-    context_scale: float = 2.0
     prev_center_jitter: float = 0.25
     prev_scale_jitter: float = 0.2
     search_center_jitter: float = 0.35
@@ -67,8 +67,6 @@ class TrainConfig:
             raise ConfigError("alpha must lie in [0, 1]")
         if not 0.0 <= self.gamma <= 5.0:
             raise ConfigError("gamma must lie in [0, 5]")
-        if not 1.0 <= self.context_scale <= 100.0:
-            raise ConfigError("context_scale must lie in [1, 100]")
         for name in ("prev_center_jitter", "prev_scale_jitter",
                      "search_center_jitter", "search_scale_jitter"):
             value = getattr(self, name)
@@ -78,10 +76,11 @@ class TrainConfig:
         # targets remain well defined. For a square box of side b the
         # worst-case box extent from the window center is
         # (0.5 + center_jitter) * b while the crop half-width is
-        # 0.5 * context * (1 - scale_jitter) * b.
+        # 0.5 * CONTEXT * (1 - scale_jitter) * b; at CONTEXT = 2 the bound
+        # reads center_jitter + scale_jitter < 0.5.
         for cj, sj in ((self.prev_center_jitter, self.prev_scale_jitter),
                        (self.search_center_jitter, self.search_scale_jitter)):
-            if 0.5 + cj >= 0.5 * self.context_scale * (1.0 - sj):
+            if 0.5 + cj >= 0.5 * CONTEXT * (1.0 - sj):
                 raise ConfigError(
                     "jitter can push the box outside the crop window")
 
@@ -98,17 +97,15 @@ def _contained(box, size: int) -> bool:
     return 0.0 <= x1 and 0.0 <= y1 and x2 <= size and y2 <= size
 
 
-def _jittered_window(rng: np.random.Generator, box, context: float,
-                     out_size: int, center_jitter: float,
-                     scale_jitter: float) -> CropWindow:
-    """Crop window around ``box`` with randomized center and side."""
+def _jittered_window(rng: np.random.Generator, box, out_size: int,
+                     center_jitter: float, scale_jitter: float) -> CropWindow:
+    """`box_window` with its center moved by up to `center_jitter` box widths
+    and heights, and its side scaled by 1 + u, u in +-`scale_jitter`."""
+    window = box_window(box, out_size)
     x1, y1, x2, y2 = box
-    bw = x2 - x1
-    bh = y2 - y1
-    cx = 0.5 * (x1 + x2) + rng.uniform(-center_jitter, center_jitter) * bw
-    cy = 0.5 * (y1 + y2) + rng.uniform(-center_jitter, center_jitter) * bh
-    side = context * float(np.sqrt(bw * bh))
-    side *= 1.0 + rng.uniform(-scale_jitter, scale_jitter)
+    cx = window.cx + rng.uniform(-center_jitter, center_jitter) * (x2 - x1)
+    cy = window.cy + rng.uniform(-center_jitter, center_jitter) * (y2 - y1)
+    side = window.size * (1.0 + rng.uniform(-scale_jitter, scale_jitter))
     return crop_window((cx, cy), side, out_size)
 
 
@@ -121,9 +118,8 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(net.parameters(), lr=cfg.lr)
 
-    template_window = box_window(sequence.boxes[0], cfg.context_scale,
-                                 spec.target_size)
-    target_crop = crop_resize(sequence.frames[0], template_window)
+    target_crop = make_template(sequence.frames[0], sequence.boxes[0],
+                                spec.target_size).crop
 
     losses: list[float] = []
     for step in range(cfg.steps):
@@ -131,23 +127,22 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
         prev = int(rng.integers(0, cur))
 
         prev_window = _jittered_window(
-            rng, sequence.boxes[prev], cfg.context_scale, spec.search_size,
+            rng, sequence.boxes[prev], spec.search_size,
             cfg.prev_center_jitter, cfg.prev_scale_jitter)
         prev_crop = crop_resize(sequence.frames[prev], prev_window)
         prev_box = prev_window.to_crop(sequence.boxes[prev])
 
         search_window = _jittered_window(
-            rng, sequence.boxes[cur], cfg.context_scale, spec.search_size,
+            rng, sequence.boxes[cur], spec.search_size,
             cfg.search_center_jitter, cfg.search_scale_jitter)
         gt_box = search_window.to_crop(sequence.boxes[cur])
         if not _contained(gt_box, spec.search_size):
             # The jitter bound holds for square boxes; the centered window, of side
-            # context_scale * sqrt(w * h), holds aspect ratios up to context_scale ** 2.
-            search_window = box_window(sequence.boxes[cur],
-                                       cfg.context_scale, spec.search_size)
+            # CONTEXT * sqrt(w * h), holds aspect ratios up to CONTEXT ** 2.
+            search_window = box_window(sequence.boxes[cur], spec.search_size)
             gt_box = search_window.to_crop(sequence.boxes[cur])
             if not _contained(gt_box, spec.search_size):
-                raise ConfigError(f"frame {cur}: box aspect ratio above context_scale**2")
+                raise ConfigError(f"frame {cur}: box aspect ratio above {CONTEXT ** 2:g}")
         search_crop = crop_resize(sequence.frames[cur], search_window)
 
         outputs = net.forward(net.encode([target_crop, prev_crop, search_crop], prev_box))

@@ -57,13 +57,13 @@ def _model_sections(draw):
 @st.composite
 def _train_sections(draw):
     steps = draw(st.integers(1, 10_000))
-    jitters = {name: draw(st.floats(0.0, 0.5, exclude_max=True))
-               for name in ("prev_center_jitter", "prev_scale_jitter",
-                            "search_center_jitter", "search_scale_jitter")}
-    # the smallest context that keeps the box inside both jittered crops
-    need = max((0.5 + jitters[f"{k}_center_jitter"])
-               / (0.5 * (1.0 - jitters[f"{k}_scale_jitter"]))
-               for k in ("prev", "search"))
+    # each pair keeps the box inside its jittered crop: center jitter plus
+    # scale jitter below 0.5, with a margin for rounding
+    jitters = {}
+    for k in ("prev", "search"):
+        center = draw(st.floats(0.0, 0.49))
+        jitters[f"{k}_center_jitter"] = center
+        jitters[f"{k}_scale_jitter"] = draw(st.floats(0.0, 0.99 * (0.5 - center)))
     return {
         "steps": steps, "lr": draw(st.floats(0.0, 1.0)),
         "seed": draw(st.integers(0, 2**32)),
@@ -71,7 +71,6 @@ def _train_sections(draw):
         "lambda_cls": draw(st.floats(0.0, 10.0)),
         "lambda_giou": draw(st.floats(0.0, 10.0)),
         "alpha": draw(_unit()), "gamma": draw(st.floats(0.0, 5.0)),
-        "context_scale": need * draw(st.floats(1.01, 4.0)),
         **jitters,
     }
 
@@ -95,7 +94,6 @@ def _sequence_sections(draw):
 _TRACK_SECTIONS = st.fixed_dictionaries({
     "update_mode": st.sampled_from(["never", "always-last", "mean", "p-mean"]),
     "seed_confidence": _unit(),
-    "context_scale": st.floats(1.0, 100.0),
     "oracle": st.booleans(),
 })
 
@@ -124,11 +122,11 @@ def test_every_knob_appears_in_dump():
                 "heads", "window", "final_keys"):
         assert key in dump["model"]
     for key in ("steps", "lr", "seed", "final_lr_scale", "lambda_cls",
-                "lambda_giou", "alpha", "gamma", "context_scale",
+                "lambda_giou", "alpha", "gamma",
                 "prev_center_jitter", "prev_scale_jitter",
                 "search_center_jitter", "search_scale_jitter"):
         assert key in dump["train"]
-    for key in ("update_mode", "seed_confidence", "context_scale", "oracle"):
+    for key in ("update_mode", "seed_confidence", "oracle"):
         assert key in dump["track"]
     for key in ("seed", "num_frames", "frame_size", "box_size", "step_sigma",
                 "num_distractors", "appearance_drift", "occlusion_start",
@@ -172,6 +170,10 @@ def test_unknown_key_rejected():
         config_from_dict({"model": {"depth": 3}})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"train": {"warmup_steps": 0}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"train": {"context_scale": 2.0}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"track": {"context_scale": 2.0}})
 
 
 def test_unknown_preset_rejected():
@@ -238,8 +240,8 @@ def test_repeated_key_rejected(tmp_path, text, key):
 # like `x < 0` let NaN through
 _FLOAT_FIELDS = [(TrainConfig, name) for name in
                  ("lr", "final_lr_scale", "lambda_cls", "lambda_giou",
-                  "context_scale", "alpha", "gamma")] + \
-                [(TrackConfig, "context_scale"),
+                  "alpha", "gamma")] + \
+                [(TrackConfig, "seed_confidence"),
                  (SequenceConfig, "step_sigma"),
                  (SequenceConfig, "appearance_drift")]
 

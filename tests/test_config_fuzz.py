@@ -44,7 +44,6 @@ _FIELDS = {
         "lambda_giou": (st.floats(0.0, 3.0), _FLOAT),
         "alpha": (st.floats(0.0, 1.0), _FLOAT),
         "gamma": (st.floats(0.0, 5.0), _FLOAT),
-        "context_scale": (st.floats(2.0, 4.0), _FLOAT),
         "prev_center_jitter": (st.floats(0.0, 0.3), _FLOAT),
         "prev_scale_jitter": (st.floats(0.0, 0.2), _FLOAT),
         "search_center_jitter": (st.floats(0.0, 0.4), _FLOAT),
@@ -54,7 +53,6 @@ _FIELDS = {
         "update_mode": (st.sampled_from(["never", "always-last", "mean", "p-mean"]),
                         st.sampled_from(["", "often", 1e300])),
         "seed_confidence": (st.floats(0.0, 1.0), _FLOAT),
-        "context_scale": (st.floats(1.0, 4.0), _FLOAT),
         "oracle": (st.booleans(), _FLOAT),
     },
     "sequence": {

@@ -80,7 +80,7 @@ class TestCropWindow:
         rng = np.random.default_rng(1)
         for _ in range(50):
             box = (20.0, 24.0, 44.0, 48.0)
-            win = box_window(box, 2.0, 64)
+            win = box_window(box, 64)
             crop_box = np.array(win.to_crop(box))
             rounded = np.round(crop_box)
             back = np.array(win.to_frame(tuple(rounded)))
@@ -88,13 +88,13 @@ class TestCropWindow:
             box = tuple(np.sort(rng.uniform(0, 60, size=4)).tolist())
             if box[2] - box[0] < 1 or box[3] - box[1] < 1:
                 continue
-            win = box_window(box, 2.0, 64)
+            win = box_window(box, 64)
             rounded = tuple(np.round(np.array(win.to_crop(box))))
             back = np.array(win.to_frame(rounded))
             assert np.max(np.abs(back - np.array(box))) <= 1.0 / win.scale + 1e-9
 
     def test_box_window_side(self):
-        win = box_window((0.0, 0.0, 8.0, 2.0), 2.0, 32)
+        win = box_window((0.0, 0.0, 8.0, 2.0), 32)
         assert win.size == pytest.approx(8.0)
         assert (win.cx, win.cy) == (4.0, 1.0)
 
@@ -104,9 +104,7 @@ class TestCropWindow:
         with pytest.raises(ValueError, match="multiple of 16"):
             crop_window((0, 0), 10.0, 60)
         with pytest.raises(ValueError, match="degenerate"):
-            box_window((5.0, 5.0, 5.0, 9.0), 2.0, 64)
-        with pytest.raises(ValueError, match="context"):
-            box_window((0.0, 0.0, 4.0, 4.0), -1.0, 64)
+            box_window((5.0, 5.0, 5.0, 9.0), 64)
 
 
 class TestCropResize:

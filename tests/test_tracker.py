@@ -34,8 +34,6 @@ class TestTrackConfig:
             TrackConfig(update_mode="sometimes")
         with pytest.raises(ConfigError, match="seed_confidence"):
             TrackConfig(seed_confidence=1.5)
-        with pytest.raises(ConfigError, match="context_scale"):
-            TrackConfig(context_scale=-2.0)
 
 
 class TestRunTracker:
@@ -146,13 +144,11 @@ class TestInference:
 
         monkeypatch.setattr(net, "forward", recording)
         seq = _sequence(num_frames=8)
-        cfg = TrackConfig()
-        records = run_tracker(net, seq, cfg)
+        records = run_tracker(net, seq)
         assert [r.updated for r in records] == [True, False, False, True,
                                                True, False, True]
 
-        template = make_template(seq.frames[0], seq.boxes[0],
-                                 cfg.context_scale, net.spec.search_size)
+        template = make_template(seq.frames[0], seq.boxes[0], net.spec.search_size)
         for record, (features, box) in zip(records, seen):
             with no_grad():
                 encoded = net.encode([template.crop], template.box)
@@ -160,7 +156,6 @@ class TestInference:
             assert features.tobytes() == encoded.tokens.data.tobytes()
             if record.updated:
                 template = make_template(seq.frames[record.frame], record.box,
-                                         cfg.context_scale,
                                          net.spec.search_size)
 
     def test_decoded_outputs_carry_no_tape(self, monkeypatch):

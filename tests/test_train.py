@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxtrack.errors import ConfigError, NumericError
+from ctxtrack.imageops import CONTEXT, box_window
 from ctxtrack.model import TrackerNet, toy_spec
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
-from ctxtrack.train import TrainConfig, _lr_at, toy_train
+from ctxtrack.train import TrainConfig, _jittered_window, _lr_at, toy_train
 
 
 def _static_sequence(num_frames=2, seed=0):
@@ -36,8 +37,6 @@ class TestTrainConfig:
             TrainConfig(lr=-1e-3)
         with pytest.raises(ConfigError, match="lr"):
             TrainConfig(lr=1e30)
-        with pytest.raises(ConfigError, match="context_scale"):
-            TrainConfig(context_scale=0.0)
         with pytest.raises(ConfigError, match="jitter"):
             TrainConfig(prev_center_jitter=0.5)
         with pytest.raises(ConfigError, match="outside the crop"):
@@ -138,3 +137,58 @@ def test_lr_schedule_decays_from_lr_to_its_floor(steps, final_lr_scale):
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
     if steps >= 2:
         assert lrs[-1] == cfg.lr * final_lr_scale
+
+
+class _Draws:
+    """Stands in for the generator: the k-th `uniform(lo, hi)` returns
+    lo + (hi - lo) * fractions[k], so a test can reach either end."""
+
+    def __init__(self, fractions):
+        self.fractions = iter(fractions)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * next(self.fractions)
+
+
+def _bits(window):
+    return [v.hex() for v in (window.cx, window.cy, window.size)], window.out_size
+
+
+_COORD = st.floats(-200.0, 200.0)
+_SIDE = st.floats(1.0, 100.0)
+_JITTER = st.floats(0.0, 0.5, exclude_max=True)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x1=_COORD, y1=_COORD, w=_SIDE, h=_SIDE, square=st.booleans(),
+       center_jitter=_JITTER, scale_jitter=_JITTER,
+       out_size=st.sampled_from([16, 64, 224]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_jittered_window_stays_within_its_jitter_of_the_box_window(
+        x1, y1, w, h, square, center_jitter, scale_jitter, out_size,
+        fractions, seed):
+    box = (x1, y1, x1 + w, y1 + (w if square else h))
+    base = box_window(box, out_size)
+    still = _jittered_window(np.random.default_rng(seed), box, out_size, 0.0, 0.0)
+    assert _bits(still) == _bits(base)
+
+    window = _jittered_window(_Draws(fractions), box, out_size,
+                              center_jitter, scale_jitter)
+    bw, bh = box[2] - box[0], box[3] - box[1]
+    # the bounds hold up to the rounding of one product and one sum
+    assert abs(window.cx - base.cx) <= center_jitter * bw + 1e-9
+    assert abs(window.cy - base.cy) <= center_jitter * bh + 1e-9
+    side = CONTEXT * np.sqrt(bw * bh)
+    assert (1.0 - scale_jitter) * side * (1.0 - 1e-12) <= window.size
+    assert window.size <= (1.0 + scale_jitter) * side * (1.0 + 1e-12)
+
+    try:
+        TrainConfig(search_center_jitter=center_jitter,
+                    search_scale_jitter=scale_jitter)
+    except ConfigError:
+        return
+    if square:
+        cx1, cy1, cx2, cy2 = window.to_crop(box)
+        slack = 1e-9 * out_size
+        assert min(cx1, cy1) >= -slack and max(cx2, cy2) <= out_size + slack
