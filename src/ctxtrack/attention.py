@@ -15,7 +15,7 @@ import numpy as np
 
 from .positional import PairwiseRegionBias, SegmentLayout, UntiedPositionBias
 from .tensor import (Module, Tensor, attention_sublayer, feed_forward_sublayer,
-                     layer_norm, linear, normal_parameter, parameter)
+                     grad_enabled, layer_norm, linear, normal_parameter, parameter)
 # perfbench's tracer patches `matmul` in each module that imports it
 from .tensor import matmul  # noqa: F401
 
@@ -143,6 +143,7 @@ class WindowAttentionBlock(_PreNormAttention):
         order, inverse = windows.order, windows.inverse
         x = self.norm1(tokens).permute_rows(order, inverse, (-1, win * win, dim))
         attn = self.attend(x, x).permute_rows(inverse, order, (-1, dim))
+        del x   # the feed-forward does not read it
         return self._residual(tokens, attn)
 
 
@@ -172,6 +173,7 @@ class CrossFrameAttention(_PreNormAttention):
         self.keys = keys
         # query rows, key rows and key segment names of the layer's role
         self.rows = layout.segment_slice("search") if keys else slice(0, layout.length)
+        self.query_names = ("search",) if keys else layout.names()
         templates = keys == "templates"
         self.key_rows = slice(0, self.rows.start if templates else layout.length)
         self.key_names = tuple(n for n in layout.names() if not templates or n != "search")
@@ -187,18 +189,27 @@ class CrossFrameAttention(_PreNormAttention):
         its key segments. The terms depend only on the weights."""
         if self.keys is None:
             return self.abs_bias.bias(), self.rel_bias.bias()
-        return (self.abs_bias.bias(("search",), self.key_names),
+        return (self.abs_bias.bias(self.query_names, self.key_names),
                 self.rel_bias.block("search", *self.key_names))
+
+    def _term_heads(self):
+        """Tape-free: the function of a slice of heads that builds those heads
+        of both `bias_terms()`, bit for bit, so that `attention_sublayer`
+        builds them one block of heads at a time."""
+        abs_heads = self.abs_bias.bias_heads(self.query_names, self.key_names)
+        rel_heads = self.rel_bias.bias_heads(self.query_names, self.key_names)
+        return lambda block: (abs_heads(block), rel_heads(block))
 
     def _select(self, tokens: Tensor, terms=None):
         """Normed query and key tokens and bias terms of the layer's role;
-        `terms`, when given, is `bias_terms()`, built once ahead."""
+        `terms`, when given, is `bias_terms()`, built once ahead. A tape-free
+        layer given none builds its terms block of heads by block of heads."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
         if terms is None:
-            terms = self.bias_terms()
+            terms = self.bias_terms() if grad_enabled() else self._term_heads()
         if self.keys is None:
             return x, x, terms
         return x[self.rows], x[self.key_rows], terms
@@ -212,13 +223,12 @@ class CrossFrameAttention(_PreNormAttention):
         when given, is `bias_terms()`."""
         if self.keys is not None:
             raise ValueError(f"a layer built with keys={self.keys!r} has no full forward")
-        xq, xk, biases = self._select(tokens, terms)
-        return self._residual(tokens, self.attend(xq, xk, biases))
+        # one expression, so the terms are dropped before the feed-forward
+        return self._residual(tokens, self.attend(*self._select(tokens, terms)))
 
     def forward_search_queries(self, tokens: Tensor, terms=None) -> Tensor:
         """Search-query attention; returns just the search-segment tokens.
         `terms`, when given, is `bias_terms()`."""
         if self.keys is None:
             raise ValueError("a full layer (keys=None) has no search-query forward")
-        xq, xk, biases = self._select(tokens, terms)
-        return self._residual(tokens[self.rows], self.attend(xq, xk, biases))
+        return self._residual(tokens[self.rows], self.attend(*self._select(tokens, terms)))

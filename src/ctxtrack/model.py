@@ -223,6 +223,7 @@ class TrackerNet(Module):
             raise ValueError(f"{len(boxes)} inputs carry a box embedding; only the "
                              "previous template's may")
         tokens = self.backbone_forward(*inputs, trace=trace, bias_terms=bias_terms)
+        del inputs   # concatenated into `tokens`; the neck does not need them
         features = self.neck_forward(tokens, boxes[0] if boxes else None, trace, bias_terms)
         return self.head(features)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -118,18 +119,34 @@ class UntiedPositionBias(Module):
         return matmul(table, weight).rearrange((rows, self.heads, head_dim), (1, 0, 2),
                                                (self.heads, rows, head_dim))
 
+    def _projected(self, queries: tuple[str, ...] | None,
+                   keys: tuple[str, ...] | None) -> tuple[Tensor, Tensor, float]:
+        """The (heads, rows, head_dim) projected position rows of the
+        `queries` and of the `keys` segments, and the logits' scale."""
+        names = self.layout.names()
+        queries, keys = queries or names, keys or names
+        q_table = self._table(queries)
+        k_table = q_table if keys == queries else self._table(keys)
+        return (self._project(q_table, self.u_query), self._project(k_table, self.u_key),
+                1.0 / np.sqrt(2.0 * (self.dim // self.heads)))
+
     def bias(self, queries: tuple[str, ...] | None = None,
              keys: tuple[str, ...] | None = None) -> Tensor:
         """(heads, L_q, L_k) absolute-position logits of the tokens of the
         `queries` segments against those of the `keys` segments, each a
         tuple of segment names, in the order given; None means every
         segment. Only those segments' tables are projected."""
-        names = self.layout.names()
-        queries, keys = queries or names, keys or names
-        q_table = self._table(queries)
-        k_table = q_table if keys == queries else self._table(keys)
-        pq, pk = self._project(q_table, self.u_query), self._project(k_table, self.u_key)
-        return matmul(pq, pk.swapaxes(1, 2)) * (1.0 / np.sqrt(2.0 * (self.dim // self.heads)))
+        pq, pk, scale = self._projected(queries, keys)
+        return matmul(pq, pk.swapaxes(1, 2)) * scale
+
+    def bias_heads(self, queries: tuple[str, ...] | None = None,
+                   keys: tuple[str, ...] | None = None) -> Callable[[slice], np.ndarray]:
+        """Tape-free: the function of a slice of heads that gives those heads
+        of `bias(queries, keys)`, bit for bit. The position tables are
+        projected once, here."""
+        pq, pk, scale = self._projected(queries, keys)
+        pq, pk_t = pq.data, pk.data.swapaxes(1, 2)
+        return lambda block: matmul(pq[block], pk_t[block]).data * scale
 
 
 @lru_cache(maxsize=16)
@@ -186,6 +203,14 @@ class PairwiseRegionBias(Module):
     def table(self, query_seg: str, key_seg: str) -> Tensor:
         return self.tables[self.pair_names.index((query_seg, key_seg))]
 
+    def _flat(self, queries: tuple[str, ...],
+              keys: tuple[str, ...]) -> tuple[list[Tensor], np.ndarray]:
+        """The pair tables of `queries` x `keys` in row-major pair order, and
+        their values flattened per head and concatenated, as `_gather_index`
+        indexes them."""
+        tables = [self.table(q, k) for q in queries for k in keys]
+        return tables, np.concatenate([t.data.reshape(self.heads, -1) for t in tables], axis=1)
+
     def _gather(self, queries: tuple[str, ...], keys: tuple[str, ...]) -> Tensor:
         """(heads, L_q, L_k) logits of `queries` x `keys` as one tape node.
 
@@ -195,8 +220,7 @@ class PairwiseRegionBias(Module):
         per-block gather.
         """
         index, sizes = _gather_index(self.layout, queries, keys)
-        tables = [self.table(q, k) for q in queries for k in keys]
-        flat = np.concatenate([t.data.reshape(self.heads, -1) for t in tables], axis=1)
+        tables, flat = self._flat(queries, keys)
         out = np.take(flat, index, axis=1)
         if not grad_enabled():
             return Tensor(out)
@@ -220,3 +244,12 @@ class PairwiseRegionBias(Module):
         """Full (heads, L, L) relative logits assembled from all regions."""
         names = self.layout.names()
         return self._gather(names, names)
+
+    def bias_heads(self, queries: tuple[str, ...],
+                   keys: tuple[str, ...]) -> Callable[[slice], np.ndarray]:
+        """Tape-free: the function of a slice of heads that gives those heads
+        of the (heads, L_q, L_k) logits of `queries` x `keys`, one gather
+        each."""
+        index, _ = _gather_index(self.layout, queries, keys)
+        flat = self._flat(queries, keys)[1]
+        return lambda block: np.take(flat[block], index, axis=1)

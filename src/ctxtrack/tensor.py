@@ -481,6 +481,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out, tuple(tensors), bwd)
 
 
+# byte budget of one block's buffer in a tape-free sublayer: the logits of
+# a block of heads in attention, or the tanh of a block of rows of the
+# feed-forward's hidden activations
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices over `count` items of `width` float64 values each,
+    as many items per slice as fit in `_BLOCK_BYTES`, and at least one."""
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
@@ -511,6 +524,19 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one expression, so numpy reuses each temporary in place
     return (((x * x * (3.0 * 0.044715) + 1.0) * x * _GELU_C * (1.0 - th) + 1.0)
             * (th + 1.0) * g * 0.5)
+
+
+def _gelu_in_place(x: np.ndarray) -> np.ndarray:
+    """`_gelu` of x written over x, one `_blocks` of its rows at a time, so
+    only one block's tanh is held beside it. x * (tanh + 1) rounds as
+    `_gelu`'s (tanh + 1) * x does, so every bit stays the same."""
+    for rows in _blocks(len(x), x[0].size):
+        part = x[rows]
+        th = _gelu_tanh(part)
+        th += 1.0
+        part *= th
+        part *= 0.5
+    return x
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -621,7 +647,8 @@ def _projections_backward(x: Tensor, weights: Sequence[Tensor],
 
 def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
                        w_out: Tensor, heads: int, scale: float,
-                       biases: Sequence[Tensor] = ()) -> Tensor:
+                       biases: Sequence[Tensor] | Callable[[slice], Sequence[np.ndarray]] = ()
+                       ) -> Tensor:
     """Multi-head attention of the tokens xq over xk, (..., Lq, dim), as one
     tape node.
 
@@ -635,19 +662,46 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
     so its values match it bit for bit. The backward hands each input one
     gradient: the projection weights of each input take theirs from one
     product, and so does the input.
+
+    Tape-free, `biases` may instead be a function that gives a slice of
+    heads of each (heads, Lq, Lk) term, and a 2-D xq, a joint layer's, is
+    walked in `_blocks` of heads, so no (heads, Lq, Lk) array is built whole.
+    Each block makes the very products that one head of the batched product
+    makes, so every bit stays the same.
     """
     xq, xk = as_tensor(xq), as_tensor(xk)
-    biases = tuple(as_tensor(b) for b in biases)
-    xqd, xkd, bias_data = xq.data, xk.data, [b.data for b in biases]
+    xqd, xkd = xq.data, xk.data
 
     def project(x: np.ndarray, w: Tensor) -> np.ndarray:
         return _split_heads(_linear_forward(x, w.data), heads)
 
     if not _GRAD_ENABLED:
-        # one expression, so each intermediate is freed once it is used
-        return Tensor._wrap(_linear_forward(_merge_heads(matmul(
-            _attention_softmax(project(xqd, w_query), project(xkd, w_key), scale, bias_data),
-            project(xkd, w_value)).data), w_out.data))
+        if callable(biases):
+            term_heads = biases
+        else:
+            held = [as_tensor(b).data for b in biases]
+
+            def term_heads(block: slice) -> list[np.ndarray]:
+                return [b[block] for b in held]
+
+        # a leading window axis keeps the whole product: each window is small
+        blocks = (_blocks(heads, xqd.shape[0] * xkd.shape[0]) if xqd.ndim == 2
+                  else [slice(None)])
+        if len(blocks) == 1:
+            # one expression, so each intermediate is freed once it is used
+            return Tensor._wrap(_linear_forward(_merge_heads(matmul(
+                _attention_softmax(project(xqd, w_query), project(xkd, w_key), scale,
+                                   term_heads(slice(None))),
+                project(xkd, w_value)).data), w_out.data))
+        q, k, v = project(xqd, w_query), project(xkd, w_key), project(xkd, w_value)
+        merged = np.empty(xqd.shape)
+        merged_heads = _split_heads(merged, heads)   # a view that writes into `merged`
+        for block in blocks:
+            merged_heads[block] = matmul(_attention_softmax(q[block], k[block], scale,
+                                                            term_heads(block)), v[block]).data
+        return Tensor._wrap(_linear_forward(merged, w_out.data))
+    biases = tuple(as_tensor(b) for b in biases)
+    bias_data = [b.data for b in biases]
     v = project(xkd, w_value)
     q, k = project(xqd, w_query), project(xkd, w_key)
     weights = _attention_softmax(q, k, scale, bias_data)
@@ -682,7 +736,7 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, w1: Tensor,
     res = tokens.data + attn.data
     if not _GRAD_ENABLED:
         # one expression, so each intermediate is freed once it is used
-        out = _linear_forward(_gelu(_linear_forward(
+        out = _linear_forward(_gelu_in_place(_linear_forward(
             _layer_norm_forward(res, gamma.data, beta.data)[0], w1.data, b1.data)),
             w2.data, b2.data)
         return Tensor._wrap(np.add(res, out, out=out))

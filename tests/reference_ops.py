@@ -135,7 +135,8 @@ def attention_blocks(layer, tokens: Tensor) -> dict[tuple[str, str], np.ndarray]
     """A `CrossFrameAttention` layer's post-softmax weights by (query
     segment, key segment): all of them for a full layer, else the search
     rows against the layer's own key set."""
-    xq, xk, biases = layer._select(tokens)
+    # whole terms, which a tape-free `_select` would otherwise build by heads
+    xq, xk, biases = layer._select(tokens, layer.bias_terms())
     layout = layer.layout
     query_names = layout.names() if layer.keys is None else ("search",)
     key_names = layer.key_names

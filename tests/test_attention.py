@@ -476,22 +476,24 @@ def test_layer_given_its_terms_builds_none(monkeypatch):
         terms = {each: each.bias_terms() for each in (layer, last)}
         own = [layer(tokens), last.forward_search_queries(tokens)]
     calls = []
-    original = UntiedPositionBias.bias
+    for name in ("bias", "bias_heads"):
+        original = getattr(UntiedPositionBias, name)
 
-    def counting(self, *args):
-        calls.append(id(self))
-        return original(self, *args)
+        def counting(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
 
-    monkeypatch.setattr(UntiedPositionBias, "bias", counting)
+        monkeypatch.setattr(UntiedPositionBias, name, counting)
     with no_grad():
         given = [layer(tokens, terms[layer]),
                  last.forward_search_queries(tokens, terms[last])]
     assert calls == []
     for out, want in zip(given, own):
         assert out.data.tobytes() == want.data.tobytes()
-    # a layer given no terms builds its own, taped or not
+    # a layer given no terms builds its own: taped, whole, and tape-free,
+    # one block of heads at a time from position rows projected once
     taped = layer.bias_terms()
-    assert taped[0].requires_grad and len(calls) == 1
+    assert taped[0].requires_grad and calls == ["bias"]
     with no_grad():
         last.forward_search_queries(tokens)
-    assert len(calls) == 2
+    assert calls == ["bias", "bias_heads"]

@@ -1,12 +1,13 @@
 """Tests for the staged network assembly and the neck."""
 
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from ctxtrack import tensor
-from ctxtrack.attention import WindowAttentionBlock
+from ctxtrack import positional, tensor
+from ctxtrack.attention import CrossFrameAttention, WindowAttentionBlock
 from ctxtrack.backbone import BoxEmbedding, Downsample, PatchEmbed
 from ctxtrack.model import STRIDE, ModelSpec, TrackerNet, small_spec, toy_spec
 from ctxtrack.positional import sine_embedding
@@ -207,6 +208,76 @@ def test_tape_free_forward_makes_one_window_call_per_local_block(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# tape-free blocks
+# ----------------------------------------------------------------------
+
+def _tape_free_bytes(net, images, held):
+    """Head outputs and every traced layer's tokens of one tape-free
+    forward, as bytes; `held` passes `bias_terms()`."""
+    with no_grad():
+        trace = []
+        out = net.forward(*with_box(net, images), trace=trace,
+                          bias_terms=net.bias_terms() if held else None)
+    return [t.data.tobytes() for t in (out.cls, out.reg, *trace)]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["own-terms", "held-terms"])
+@pytest.mark.parametrize("final_keys", ["templates", "all"])
+def test_tape_free_blocks_give_the_one_block_bytes(monkeypatch, final_keys, held):
+    # toy shapes fit one block; a smaller budget makes each feed-forward's
+    # gelu walk 1, 3, L - 1, L and L + 1 of a joint layer's L rows at a
+    # time, and each joint layer's attention 1 of its 4 heads at a time,
+    # or a full layer's 3 and then 1
+    net, spec = toy_net(seed=19, heads=4, final_keys=final_keys)
+    images = toy_images(np.random.default_rng(19))
+    whole = _tape_free_bytes(net, images, held)
+    length = net.layout.length
+    for rows in (1, 3, length - 1, length, length + 1):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * 4 * spec.dim * rows)
+        assert _tape_free_bytes(net, images, held) == whole, rows
+
+
+def test_tape_free_joint_layers_build_one_block_at_a_time(monkeypatch):
+    net, spec = toy_net(seed=20)
+    rows = 3
+    # one head of a joint layer's logits, and the tanh of 3 hidden rows
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * 4 * spec.dim * rows)
+    inside, products, tanhs = [], [], []
+    for name in ("forward", "forward_search_queries"):
+        def entered(self, *args, _original=getattr(CrossFrameAttention, name), **kwargs):
+            inside.append(self)
+            try:
+                return _original(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(CrossFrameAttention, name, entered)
+    for module in (tensor, positional):
+        def recording(a, b, _original=module.matmul):
+            out = _original(a, b)
+            if inside:
+                products.append(out.shape)
+            return out
+
+        monkeypatch.setattr(module, "matmul", recording)
+
+    def tanh(x, _original=tensor._gelu_tanh):
+        if inside:
+            tanhs.append(x.shape)
+        return _original(x)
+
+    monkeypatch.setattr(tensor, "_gelu_tanh", tanh)
+    run_tracker(net, gen_sequence(SequenceConfig(seed=0, num_frames=2)))
+    # every joint layer's logits, absolute term and weighted values come
+    # one head at a time; so does the gather of its relative term, which
+    # makes no product
+    per_head = [shape for shape in products if len(shape) == 3]
+    assert len(per_head) == 3 * spec.heads * (spec.n1 + spec.n3)
+    assert {shape[0] for shape in per_head} == {1}
+    assert tanhs and max(shape[0] for shape in tanhs) == rows
+
+
+# ----------------------------------------------------------------------
 # neck
 # ----------------------------------------------------------------------
 
@@ -298,6 +369,31 @@ def test_forward_on_encoded_templates_is_byte_identical():
              net.forward(net.encode([target]), boxed, net.encode([search])))):
         assert direct.cls.data.tobytes() == cached.cls.data.tobytes()
         assert direct.reg.data.tobytes() == cached.reg.data.tobytes()
+
+
+def test_forward_drops_the_search_encoding_before_the_neck(monkeypatch):
+    net, _ = toy_net(seed=13)
+    target, previous, search = toy_images(np.random.default_rng(13))
+    freed = []
+    original = TrackerNet.neck_forward
+
+    def neck(self, *args, **kwargs):
+        freed.append(search_tokens() is None)
+        return original(self, *args, **kwargs)
+
+    def encoded_search():
+        nonlocal search_tokens
+        encoded = net.encode([search])
+        search_tokens = weakref.ref(encoded.tokens.data)
+        return encoded
+
+    search_tokens = None
+    monkeypatch.setattr(TrackerNet, "neck_forward", neck)
+    with no_grad():
+        net.forward(net.encode([target]), net.encode([previous], (16, 16, 48, 48)),
+                    encoded_search())
+    # the backbone concatenated its rows; nothing holds them through the neck
+    assert freed == [True]
 
 
 def test_forward_rejects_two_box_embeddings():

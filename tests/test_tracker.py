@@ -222,8 +222,10 @@ class TestReusedBiasTerms:
     def _count_bias_calls(monkeypatch):
         calls = Counter()
         for cls, name in ((UntiedPositionBias, "bias"),
+                          (UntiedPositionBias, "bias_heads"),
                           (PairwiseRegionBias, "bias"),
-                          (PairwiseRegionBias, "block")):
+                          (PairwiseRegionBias, "block"),
+                          (PairwiseRegionBias, "bias_heads")):
             original = getattr(cls, name)
 
             def counting(self, *args, _original=original, _name=name):
@@ -264,6 +266,8 @@ class TestReusedBiasTerms:
             {id(layer.rel_bias) for layer in layers[:-1]}
         assert calls[(id(net.neck_last.rel_bias), "block",
                       ("search", "target", "previous"))] == 1
+        # forwards given the held terms build none of their own
+        assert not [key for key in calls if key[1] == "bias_heads"]
         assert set(calls.values()) == {1}
 
     def test_two_frame_sequence_holds_nothing(self, monkeypatch):
@@ -273,7 +277,12 @@ class TestReusedBiasTerms:
         monkeypatch.setattr(net, "bias_terms", lambda: pytest.fail("built terms ahead"))
         run_tracker(net, _sequence(num_frames=2))
         assert passed == [None]
-        assert len([key for key in calls if key[1] == "bias"]) == 13
+        # the one forward builds each layer's two terms once, one block of
+        # heads at a time, and no whole term
+        layers = _joint_layers(net)
+        assert {key[:2] for key in calls} == \
+            {(id(layer.abs_bias), "bias_heads") for layer in layers} | \
+            {(id(layer.rel_bias), "bias_heads") for layer in layers}
         assert set(calls.values()) == {1}
 
     def test_terms_are_dropped_on_return(self, monkeypatch):
