@@ -184,32 +184,35 @@ class CrossFrameAttention(_PreNormAttention):
         self.rel_bias = PairwiseRegionBias(self.layout, self.heads, rng)
 
     def bias_terms(self) -> tuple[Tensor, Tensor]:
-        """Absolute and relative logit terms of the layer's query and key
-        segments: a search-query layer builds only its search rows against
-        its key segments. The terms depend only on the weights."""
+        """Taped: the absolute and relative logit terms of the layer's query
+        and key segments, whole, so that the bias tables get gradients; a
+        search-query layer builds only its search rows against its key
+        segments. The terms depend only on the weights."""
         if self.keys is None:
             return self.abs_bias.bias(), self.rel_bias.bias()
         return (self.abs_bias.bias(self.query_names, self.key_names),
                 self.rel_bias.block("search", *self.key_names))
 
-    def _term_heads(self):
+    def term_heads(self):
         """Tape-free: the function of a slice of heads that builds those heads
         of both `bias_terms()`, bit for bit, so that `attention_sublayer`
-        builds them one block of heads at a time."""
+        builds them one block of heads at a time. It holds the projected
+        position rows, not the terms, and depends only on the weights."""
         abs_heads = self.abs_bias.bias_heads(self.query_names, self.key_names)
         rel_heads = self.rel_bias.bias_heads(self.query_names, self.key_names)
         return lambda block: (abs_heads(block), rel_heads(block))
 
     def _select(self, tokens: Tensor, terms=None):
         """Normed query and key tokens and bias terms of the layer's role;
-        `terms`, when given, is `bias_terms()`, built once ahead. A tape-free
-        layer given none builds its terms block of heads by block of heads."""
+        `terms`, when given, is `term_heads()`, built once ahead. A layer
+        given none builds its own: `bias_terms()` taped, `term_heads()`
+        tape-free."""
         if tokens.shape != (self.layout.length, self.dim):
             raise ValueError(f"token shape {tokens.shape} does not match layout "
                              f"{(self.layout.length, self.dim)}")
         x = self.norm1(tokens)
         if terms is None:
-            terms = self.bias_terms() if grad_enabled() else self._term_heads()
+            terms = self.bias_terms() if grad_enabled() else self.term_heads()
         if self.keys is None:
             return x, x, terms
         return x[self.rows], x[self.key_rows], terms
@@ -220,7 +223,7 @@ class CrossFrameAttention(_PreNormAttention):
 
     def forward(self, tokens: Tensor, terms=None) -> Tensor:
         """Full joint attention; output layout equals input layout. `terms`,
-        when given, is `bias_terms()`."""
+        when given, is `term_heads()`."""
         if self.keys is not None:
             raise ValueError(f"a layer built with keys={self.keys!r} has no full forward")
         # one expression, so the terms are dropped before the feed-forward
@@ -228,7 +231,7 @@ class CrossFrameAttention(_PreNormAttention):
 
     def forward_search_queries(self, tokens: Tensor, terms=None) -> Tensor:
         """Search-query attention; returns just the search-segment tokens.
-        `terms`, when given, is `bias_terms()`."""
+        `terms`, when given, is `term_heads()`."""
         if self.keys is None:
             raise ValueError("a full layer (keys=None) has no search-query forward")
         return self._residual(tokens[self.rows], self.attend(*self._select(tokens, terms)))

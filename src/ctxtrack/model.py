@@ -11,18 +11,18 @@ it in one pass over a list of images, with the embedding of the previous
 template's box when given, and `forward(*encoded)` runs the rest on
 encodings whose rows hold the target, previous and search images in that
 order. A template that stays fixed is thus encoded once, and `bias_terms`
-gives the joint layers' weight-only terms once. The neck stacks more joint
-layers, adding the box embedding to the previous-template rows once at
-entry, and ends with a layer where only search tokens act as queries. Its
-rows, shaped into the search grid plus a fixed sine embedding of each
-cell's position, go to the heads, which give per-position scores and box
-distances.
+gives once the functions that build the joint layers' weight-only terms.
+The neck stacks more joint layers, adding the box embedding to the
+previous-template rows once at entry, and ends with a layer where only
+search tokens act as queries. Its rows, shaped into the search grid plus a
+fixed sine embedding of each cell's position, go to the heads, which give
+per-position scores and box distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -151,11 +151,12 @@ class TrackerNet(Module):
         return Encoded(tokens, None if box is None else self.box_embed(box))
 
     @no_grad()
-    def bias_terms(self) -> dict[CrossFrameAttention, tuple[Tensor, Tensor]]:
-        """Every joint layer's weight-only position-bias terms, tape-free, by
-        layer: one map serves every tape-free forward until the weights
-        change."""
-        return {layer: layer.bias_terms()
+    def bias_terms(self) -> dict[CrossFrameAttention, Callable]:
+        """Every joint layer's `term_heads()`, by layer: the function that
+        builds its weight-only position terms one block of heads at a time,
+        the very one the layer builds for itself when given none. One map
+        serves every tape-free forward until the weights change."""
+        return {layer: layer.term_heads()
                 for layer in [*self.stage3_joint, *self.neck_full, self.neck_last]}
 
     def backbone_forward(self, *inputs: Encoded, trace: list | None = None,

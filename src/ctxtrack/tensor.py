@@ -16,6 +16,7 @@ pass and freed by the sweep that walks it; there is no graph reuse.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -507,17 +508,8 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(out, out=out)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """x * (tanh(...) + 1) * 0.5 on an array, in one fresh array."""
-    out = _gelu_tanh(x)
-    out += 1.0
-    out *= x
-    out *= 0.5
-    return out
-
-
 def _gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x's gradient of `_gelu` in closed form, with th its tanh, recomputed:
+    """x's gradient of gelu in closed form, with th its tanh, recomputed:
     g*(0.5*(1 + th) + 0.5*x*(1 - th*th)*c*(1 + 3*0.044715*x*x)), taken as
     g*(1 + th)*(1 + (1 - th)*x*(1 + 3*0.044715*x*x)*c)*0.5."""
     th = _gelu_tanh(x)
@@ -527,10 +519,9 @@ def _gelu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_in_place(x: np.ndarray) -> np.ndarray:
-    """`_gelu` of x written over x, one `_blocks` of its rows at a time, so
-    only one block's tanh is held beside it. x * (tanh + 1) rounds as
-    `_gelu`'s (tanh + 1) * x does, so every bit stays the same."""
-    for rows in _blocks(len(x), x[0].size):
+    """Smooth gelu, x * (tanh(...) + 1) * 0.5, written over x, one `_blocks`
+    of its rows at a time, so only one block's tanh is held beside it."""
+    for rows in _blocks(len(x), math.prod(x.shape[1:])):
         part = x[rows]
         th = _gelu_tanh(part)
         th += 1.0
@@ -549,7 +540,7 @@ def gelu(t: Tensor) -> Tensor:
     """
     t = as_tensor(t)
     x = t.data
-    out = _gelu(x)
+    out = _gelu_in_place(x.copy())
     if not _GRAD_ENABLED:
         return Tensor._wrap(out)
     return Tensor._make(out, (t,), lambda g: t.accumulate_grad(_gelu_backward(g, x)))
@@ -663,11 +654,11 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
     gradient: the projection weights of each input take theirs from one
     product, and so does the input.
 
-    Tape-free, `biases` may instead be a function that gives a slice of
-    heads of each (heads, Lq, Lk) term, and a 2-D xq, a joint layer's, is
-    walked in `_blocks` of heads, so no (heads, Lq, Lk) array is built whole.
-    Each block makes the very products that one head of the batched product
-    makes, so every bit stays the same.
+    Tape-free, `biases` is either empty or a function that gives a slice of
+    heads of each (heads, Lq, Lk) term, never the terms themselves, and a
+    2-D xq, a joint layer's, is walked in `_blocks` of heads, so no
+    (heads, Lq, Lk) array is built whole. Each block makes the very products
+    that one head of the batched product makes, so every bit stays the same.
     """
     xq, xk = as_tensor(xq), as_tensor(xk)
     xqd, xkd = xq.data, xk.data
@@ -676,14 +667,10 @@ def attention_sublayer(xq, xk, w_query: Tensor, w_key: Tensor, w_value: Tensor,
         return _split_heads(_linear_forward(x, w.data), heads)
 
     if not _GRAD_ENABLED:
-        if callable(biases):
-            term_heads = biases
-        else:
-            held = [as_tensor(b).data for b in biases]
-
-            def term_heads(block: slice) -> list[np.ndarray]:
-                return [b[block] for b in held]
-
+        if not callable(biases) and len(biases):
+            raise ValueError("tape-free attention takes its bias terms as a "
+                             "function of a slice of heads")
+        term_heads = biases or (lambda block: ())
         # a leading window axis keeps the whole product: each window is small
         blocks = (_blocks(heads, xqd.shape[0] * xkd.shape[0]) if xqd.ndim == 2
                   else [slice(None)])
@@ -742,7 +729,7 @@ def feed_forward_sublayer(tokens, attn, gamma: Tensor, beta: Tensor, w1: Tensor,
         return Tensor._wrap(np.add(res, out, out=out))
     normed, c, inv = _layer_norm_forward(res, gamma.data, beta.data)
     hidden = _linear_forward(normed, w1.data, b1.data)
-    act = _gelu(hidden)
+    act = _gelu_in_place(hidden.copy())
     out = _linear_forward(act, w2.data, b2.data)
 
     def bwd(g):

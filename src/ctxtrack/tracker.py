@@ -9,7 +9,8 @@ builds no autodiff tape, and each template is encoded only when it
 changes: the target once per sequence, the previous template, with its
 box, at the first frame after each replacement. The joint layers'
 position-bias terms depend only on the weights, so a sequence with two or
-more frames to track builds them once for all its forwards.
+more frames to track builds each layer's function of a slice of heads that
+gives them, `TrackerNet.bias_terms()`, once for all its forwards.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
     state = TrackState(cfg.update_mode, cfg.seed_confidence)
     target_features = net.encode([target])
     previous_features = None   # encoded at the first forward that uses it
-    # shared terms pay off once two or more forwards use them; for a single
-    # forward, building every layer's terms ahead would only hold memory
+    # shared head functions pay off once two or more forwards use them; for
+    # a single forward, building every layer's ahead would only hold memory
     bias_terms = net.bias_terms() if len(sequence) > 2 else None
 
     last_box = first_box

@@ -473,8 +473,11 @@ def test_layer_given_its_terms_builds_none(monkeypatch):
     last, _, _ = toy_layer(seed=25, keys="templates")
     tokens = Tensor(rng.normal(size=(9, 8)))
     with no_grad():
-        terms = {each: each.bias_terms() for each in (layer, last)}
+        terms = {each: each.term_heads() for each in (layer, last)}
         own = [layer(tokens), last.forward_search_queries(tokens)]
+        # whole terms are the taped form; tape-free, they are refused
+        with pytest.raises(ValueError, match="function of a slice of heads"):
+            layer(tokens, layer.bias_terms())
     calls = []
     for name in ("bias", "bias_heads"):
         original = getattr(UntiedPositionBias, name)

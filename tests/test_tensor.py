@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ctxtrack import tensor
 from ctxtrack.tensor import (
     Module, Tensor, _unbroadcast, attention_sublayer, concat, feed_forward_sublayer,
-    gelu, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
+    gelu, grad_enabled, layer_norm, linear, matmul, maximum, minimum, no_grad, parameter,
 )
 from ctxtrack.optim import Adam
 from ctxtrack.positional import PairwiseRegionBias, SegmentLayout
@@ -660,6 +661,12 @@ def test_gelu_is_one_tape_node():
     assert out._parents == (x,)
 
 
+def test_gelu_of_no_rows_is_empty():
+    for grad in (nullcontext, no_grad):
+        with grad():
+            assert gelu(parameter(np.zeros((0, 3)))).shape == (0, 3)
+
+
 def _ln_run(op, x0, g0, b0, upstream, residual, seed=None):
     p = parameter(x0.copy())
     gamma, beta = parameter(g0.copy()), parameter(b0.copy())
@@ -895,6 +902,14 @@ def _fused_case(name, rng):
     wq, wk, wv, wo = (parameter(rng.normal(size=(4, 4))) for _ in range(4))
     w2 = parameter(rng.normal(size=(5, 4)))
     b4 = b[:4]   # sliced here, so that `Tensor._make` sees only the op itself
+    # a joint layer's 2-D tokens, whose heads a tape-free call walks in
+    # blocks; tape-free, the term comes as the function of a slice of heads
+    xq, xk = parameter(x.data[0]), parameter(y.data[0])
+
+    def attend():
+        terms = [bias] if grad_enabled() else lambda heads: [bias.data[heads]]
+        return attention_sublayer(xq, xk, wq, wk, wv, wo, 2, 0.5, terms)
+
     return {
         "linear": lambda: linear(x, w, b),
         "linear_no_bias": lambda: linear(x, w),
@@ -902,8 +917,7 @@ def _fused_case(name, rng):
         "layer_norm": lambda: layer_norm(x, g, b4),
         "gelu": lambda: gelu(x),
         "concat": lambda: concat([x, y], axis=1),
-        "attention_sublayer": lambda: attention_sublayer(x, y, wq, wk, wv, wo, 2, 0.5,
-                                                         [bias]),
+        "attention_sublayer": attend,
         "feed_forward_sublayer": lambda: feed_forward_sublayer(x, y, g, b4, w, b, w2, b4),
     }[name]
 
@@ -919,6 +933,10 @@ def test_tape_free_fused_op_matches_taped_bytes_and_builds_no_node(monkeypatch, 
     original = Tensor._make
     monkeypatch.setattr(Tensor, "_make", staticmethod(
         lambda *args: made.append(1) or original(*args)))
+    if name == "attention_sublayer":
+        # a budget of one head's 3 x 3 logits splits the 2 heads
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * 3 * 3)
+        assert len(tensor._blocks(2, 3 * 3)) == 2
     with no_grad():
         free = op()
     assert free.data.tobytes() == taped.data.tobytes()

@@ -1,6 +1,7 @@
 """Tracker loop, metrics, and update-simulation tests."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import ctxtrack.tracker as tracker_mod
 from ctxtrack.backbone import PatchEmbed
 from ctxtrack.errors import ConfigError, NumericError
 from ctxtrack.heads import HeadOutputs
-from ctxtrack.model import TrackerNet, toy_spec
+from ctxtrack.model import TrackerNet, small_spec, toy_spec
 from ctxtrack.positional import PairwiseRegionBias, UntiedPositionBias
 from ctxtrack.synthetic import SequenceConfig, gen_sequence
 from ctxtrack.tensor import Tensor, no_grad
@@ -259,15 +260,13 @@ class TestReusedBiasTerms:
         net = _net()
         run_tracker(net, _sequence(num_frames=5), TrackConfig(update_mode=mode))
         layers = _joint_layers(net)
-        # every layer builds its absolute term; the last layer gathers its
-        # search-row relative term in one call instead of the full term
-        assert {key[0] for key in calls if key[1] == "bias"} == \
-            {id(layer.abs_bias) for layer in layers} | \
-            {id(layer.rel_bias) for layer in layers[:-1]}
-        assert calls[(id(net.neck_last.rel_bias), "block",
-                      ("search", "target", "previous"))] == 1
-        # forwards given the held terms build none of their own
-        assert not [key for key in calls if key[1] == "bias_heads"]
+        # each bias module makes its head function once, for the layer's
+        # own queries and keys; no whole term is built while tracking
+        assert {key[:2] for key in calls} == \
+            {(id(layer.abs_bias), "bias_heads") for layer in layers} | \
+            {(id(layer.rel_bias), "bias_heads") for layer in layers}
+        assert calls[(id(net.neck_last.rel_bias), "bias_heads",
+                      (("search",), ("target", "previous")))] == 1
         assert set(calls.values()) == {1}
 
     def test_two_frame_sequence_holds_nothing(self, monkeypatch):
@@ -359,14 +358,28 @@ class TestReusedBiasTerms:
         layers = _joint_layers(net)
         assert list(terms) == layers and len(layers) == 7
         for i, layer in enumerate(layers):
-            shared, own = terms[layer], layer.bias_terms()
-            assert not any(t.requires_grad for t in shared), i
+            # each held head function, over every head, gives the layer's
+            # whole taped terms byte for byte
+            shared, own = terms[layer](slice(None)), layer.bias_terms()
+            assert all(isinstance(t, np.ndarray) for t in shared), i
             assert [t.shape for t in shared] == [t.shape for t in own], i
-            assert [t.data.tobytes() for t in shared] == \
+            assert [t.tobytes() for t in shared] == \
                 [t.data.tobytes() for t in own], i
-        # the last layer's search rows are a copy, not a view of its full term
-        assert all(t.data.flags.c_contiguous and t.data.base is None
-                   for t in terms[net.neck_last])
+
+    def test_held_terms_keep_less_than_one_whole_term_per_layer(self):
+        net = TrackerNet(small_spec(), np.random.default_rng(0))
+        length, heads = net.layout.length, net.spec.heads
+        whole = 8 * heads * length * length   # bytes of one (heads, L, L) term
+        tracemalloc.start()
+        try:
+            terms = net.bias_terms()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(terms) == 7
+        # whole terms, two per layer, would keep about 117 MB; the head
+        # functions keep the projected position rows, about 20 MB
+        assert kept < 7 * whole / 2, kept
 
 
 class TestComputeMetrics:

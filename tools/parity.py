@@ -38,6 +38,13 @@ The battery (about 50 s per tree; the two trees run at once):
                    the same on a 2-frame sequence, the benchmark's
                    track_small shape, whose one forward builds each layer's
                    own terms
+  forward.small    one tape-free forward of that net on random images, each
+                   encoded on its own as the tracker encodes them: the cls
+                   and reg outputs and the tokens of every traced joint
+                   layer, each layer building its own terms, so that a
+                   last-bit change the records round away still shows
+  forward.small.held
+                   the same forward given `bias_terms()`
   cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
                    then `ctxtrack track` and `ctxtrack respmap --frame 3`
                    with those parameters: the metrics CSV and every PGM
@@ -131,6 +138,7 @@ def battery() -> dict[str, str]:
     from ctxtrack.heads import tracking_loss
     from ctxtrack.model import TrackerNet, small_spec, toy_spec
     from ctxtrack.synthetic import SequenceConfig, gen_sequence
+    from ctxtrack.tensor import no_grad
     from ctxtrack.tracker import TrackConfig, run_tracker
     from ctxtrack.train import TrainConfig, toy_train
     from ctxtrack.update import MODES
@@ -145,7 +153,18 @@ def battery() -> dict[str, str]:
         out[name] = _records_digest([run_tracker(
             small, gen_sequence(SequenceConfig(num_frames=frames)),
             TrackConfig(update_mode="always-last"))])
-    del small
+    rng, t, s = np.random.default_rng(0), small.spec.target_size, small.spec.search_size
+    with no_grad():
+        inputs = (small.encode([rng.random((t, t, 3))]),
+                  small.encode([rng.random((s, s, 3))], (0.3 * s, 0.3 * s, 0.6 * s, 0.6 * s)),
+                  small.encode([rng.random((s, s, 3))]))
+        for name, held in (("forward.small", False), ("forward.small.held", True)):
+            trace = []
+            outputs = small.forward(*inputs, trace=trace,
+                                    bias_terms=small.bias_terms() if held else None)
+            out[name] = _arrays_digest([("cls", outputs.cls.data), ("reg", outputs.reg.data),
+                                        *((f"joint{i}", x.data) for i, x in enumerate(trace))])
+    del small, inputs
 
     net = TrackerNet(toy_spec(), np.random.default_rng(0))
     rng = np.random.default_rng(0)
