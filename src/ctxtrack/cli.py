@@ -24,7 +24,6 @@ from .respmap import response_maps, write_response_maps
 from .synthetic import gen_sequence
 from .tracker import compute_metrics, make_template, run_tracker, simulate_updates
 from .train import toy_train
-from .update import MODES
 
 METRICS_HEADER = ["sequence_id", "frame", "iou", "confidence", "threshold",
                   "updated"]
@@ -165,11 +164,9 @@ def _read_trace(path) -> list[float]:
 def _cmd_update_sim(args) -> int:
     _check_outputs(args.out, inputs=[args.config, args.trace])
     cfg = _load(args)
-    mode = args.mode if args.mode is not None else cfg.track.update_mode
-    seed_conf = (args.seed_confidence if args.seed_confidence is not None
-                 else cfg.track.seed_confidence)
+    mode = cfg.track.update_mode
     trace = _read_trace(args.trace)
-    decisions = simulate_updates(trace, mode, seed_conf)
+    decisions = simulate_updates(trace, mode)
     rows = [[str(i), format_float(c), format_float(d.threshold),
              str(int(d.update))]
             for i, (c, d) in enumerate(zip(trace, decisions))]
@@ -255,15 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identifier written to the metrics CSV")
 
     p = add("update-sim", "replay a confidence trace through the update "
-                          "policy alone", _cmd_update_sim)
+                          "policy of track.update_mode alone", _cmd_update_sim)
     p.add_argument("--trace", required=True,
                    help="text file, one confidence in [0, 1] per line")
     p.add_argument("--out", required=True, help="output decision CSV")
-    p.add_argument("--mode", default=None,
-                   choices=MODES,
-                   help="override the config's update mode")
-    p.add_argument("--seed-confidence", type=float, default=None,
-                   help="override the config's seed confidence")
 
     p = add("respmap", "write per-layer, per-segment response maps as PGM "
                        "images", _cmd_respmap)

@@ -61,10 +61,6 @@ def _build(cls, base, section: dict, name: str):
             if not math.isfinite(number):
                 raise ConfigError(f"{name}.{key} must be finite, got {number}")
             coerced[key] = number if want is float else value
-        elif want is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}.{key} must be true or false")
-            coerced[key] = value
         elif want is str:
             if not isinstance(value, str):
                 raise ConfigError(f"{name}.{key} must be a string")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, require_finite
+from .errors import ConfigError, NumericError
 from .heads import decode_box
 from .imageops import Box, box_iou, box_window, crop_resize
 from .model import TrackerNet
@@ -32,17 +32,12 @@ from .update import MODES, TrackState
 @dataclass(frozen=True)
 class TrackConfig:
     update_mode: str = "p-mean"
-    seed_confidence: float = 1.0
-    oracle: bool = False   # score ground-truth boxes through the pipeline
 
     def __post_init__(self) -> None:
-        require_finite(self)
         if self.update_mode not in MODES:
             raise ConfigError(
                 f"unknown update mode {self.update_mode!r}, "
                 f"expected one of {MODES}")
-        if not 0.0 <= self.seed_confidence <= 1.0:
-            raise ConfigError("seed_confidence must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
 
     target = make_template(sequence.frames[0], first_box, spec.target_size).crop
     previous = make_template(sequence.frames[0], first_box, spec.search_size)
-    state = TrackState(cfg.update_mode, cfg.seed_confidence)
+    state = TrackState(cfg.update_mode)
     target_features = net.encode([target])
     previous_features = None   # encoded at the first forward that uses it
     # shared head functions pay off once two or more forwards use them; for
@@ -110,8 +105,6 @@ def run_tracker(net: TrackerNet, sequence: SyntheticSequence,
             pred_box = last_box   # hold position rather than collapse
         else:
             pred_box = search_window.to_frame(decoded.box)
-        if cfg.oracle:
-            pred_box = sequence.boxes[t]
 
         decision = state.should_update(confidence)
         updated = decision.update and not decoded.degenerate
@@ -150,13 +143,13 @@ def compute_metrics(ious: list[float]) -> TrackMetrics:
                         sr75=float((values > 0.75).mean()))
 
 
-def simulate_updates(trace, mode: str, seed_confidence: float = 1.0):
+def simulate_updates(trace, mode: str):
     """Replay a confidence trace through the update policy.
 
     Returns one (update, threshold) decision per trace element, in order.
     """
     try:
-        state = TrackState(mode, seed_confidence)
+        state = TrackState(mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     decisions = []

@@ -51,15 +51,16 @@ class UpdateDecision(NamedTuple):
 
 
 class TrackState:
-    """Update policy for one sequence: a mode plus the confidence history,
-    started from the seed confidence."""
+    """Update policy for one sequence: a mode plus the confidence history."""
 
-    def __init__(self, mode: str = "p-mean", seed_confidence: float = 1.0):
+    def __init__(self, mode: str = "p-mean"):
         if mode not in MODES:
             raise ValueError(f"unknown update mode: {mode!r} (expected one of {MODES})")
         self.mode = mode
         self.history = ConfidenceHistory()
-        self.history.append(seed_confidence)
+        # the first frame's box is the given ground truth, so its
+        # confidence is 1 by construction
+        self.history.append(1.0)
 
     def threshold(self) -> float:
         """Current decision threshold; nan for never/always-last."""

@@ -140,8 +140,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, value):
         # Python's json reads and writes NaN, Infinity and -Infinity
-        config = _write_config(tmp_path, train={"lr": value},
-                               track={"seed_confidence": value})
+        config = _write_config(tmp_path, train={"lr": value})
         assert main(["track", "--config", config,
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert "error: train.lr must be finite" in capsys.readouterr().err
@@ -456,8 +455,9 @@ class TestUpdateSim(object):
         trace.write_text("# confidences\n0.4\n0.9\n\n0.9\n0.2\n0.8\n",
                          encoding="utf-8")
         out = tmp_path / "decisions.csv"
-        assert main(["update-sim", "--trace", str(trace), "--out", str(out),
-                     "--mode", "mean"]) == 0
+        config = _write_config(tmp_path, track={"update_mode": "mean"})
+        assert main(["update-sim", "--config", config, "--trace", str(trace),
+                     "--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["index", "confidence", "threshold", "updated"]
         assert [r[3] for r in rows] == ["0", "1", "1", "0", "1"]
@@ -467,11 +467,23 @@ class TestUpdateSim(object):
         trace = tmp_path / "trace.txt"
         trace.write_text("0.5\n", encoding="utf-8")
         out = tmp_path / "never.csv"
-        assert main(["update-sim", "--trace", str(trace), "--out", str(out),
-                     "--mode", "never"]) == 0
+        config = _write_config(tmp_path, track={"update_mode": "never"})
+        assert main(["update-sim", "--config", config, "--trace", str(trace),
+                     "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert rows[0][2] == "nan"
         assert rows[0][3] == "0"
+
+    @pytest.mark.parametrize("flag", [["--mode", "mean"], ["--seed-confidence", "0.5"]],
+                             ids=["mode", "seed-confidence"])
+    def test_dropped_flag_is_config_error(self, tmp_path, capsys, flag):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0.5\n", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        assert main(["update-sim", "--trace", str(trace), "--out", str(out), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_trace_rejected(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"

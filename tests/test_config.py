@@ -93,8 +93,6 @@ def _sequence_sections(draw):
 
 _TRACK_SECTIONS = st.fixed_dictionaries({
     "update_mode": st.sampled_from(["never", "always-last", "mean", "p-mean"]),
-    "seed_confidence": _unit(),
-    "oracle": st.booleans(),
 })
 
 
@@ -126,8 +124,7 @@ def test_every_knob_appears_in_dump():
                 "prev_center_jitter", "prev_scale_jitter",
                 "search_center_jitter", "search_scale_jitter"):
         assert key in dump["train"]
-    for key in ("update_mode", "seed_confidence", "oracle"):
-        assert key in dump["track"]
+    assert list(dump["track"]) == ["update_mode"]
     for key in ("seed", "num_frames", "frame_size", "box_size", "step_sigma",
                 "num_distractors", "appearance_drift", "occlusion_start",
                 "occlusion_end"):
@@ -148,11 +145,11 @@ def test_small_preset_and_override():
 def test_section_overrides():
     cfg = config_from_dict({
         "train": {"lr": 0.01, "steps": 7},
-        "track": {"update_mode": "mean", "oracle": True},
+        "track": {"update_mode": "mean"},
         "sequence": {"num_frames": 5, "box_size": 12},
     })
     assert cfg.train.lr == 0.01 and cfg.train.steps == 7
-    assert cfg.track.update_mode == "mean" and cfg.track.oracle is True
+    assert cfg.track.update_mode == "mean"
     assert cfg.sequence.num_frames == 5
     assert cfg.sequence.box_size == 12.0
     assert isinstance(cfg.sequence.box_size, float)
@@ -174,6 +171,10 @@ def test_unknown_key_rejected():
         config_from_dict({"train": {"context_scale": 2.0}})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"track": {"context_scale": 2.0}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"track": {"oracle": True}})
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"track": {"seed_confidence": 1.0}})
 
 
 def test_unknown_preset_rejected():
@@ -192,8 +193,6 @@ def test_type_errors_rejected():
         config_from_dict({"train": {"steps": 2.5}})
     with pytest.raises(ConfigError, match="must be a number"):
         config_from_dict({"train": {"lr": "fast"}})
-    with pytest.raises(ConfigError, match="must be true or false"):
-        config_from_dict({"track": {"oracle": "yes"}})
     with pytest.raises(ConfigError, match="must be a string"):
         config_from_dict({"track": {"update_mode": 3}})
     with pytest.raises(ConfigError, match="must be a JSON object"):
@@ -241,8 +240,7 @@ def test_repeated_key_rejected(tmp_path, text, key):
 _FLOAT_FIELDS = [(TrainConfig, name) for name in
                  ("lr", "final_lr_scale", "lambda_cls", "lambda_giou",
                   "alpha", "gamma")] + \
-                [(TrackConfig, "seed_confidence"),
-                 (SequenceConfig, "step_sigma"),
+                [(SequenceConfig, "step_sigma"),
                  (SequenceConfig, "appearance_drift")]
 
 
@@ -257,11 +255,11 @@ def test_validate_rejects_non_finite_field(cls, name, value):
         replace(cls(), **{name: value})
 
 
-# the same holds for every range check, in all four config dataclasses
+# the same holds for every value check, in all four config dataclasses
 _OUT_OF_RANGE = [
     (ModelSpec, "heads", 3, "not divisible by heads"),
     (TrainConfig, "steps", 0, "steps must be at least 1"),
-    (TrackConfig, "seed_confidence", 1.5, "seed_confidence must lie in"),
+    (TrackConfig, "update_mode", "often", "unknown update mode 'often'"),
     (SequenceConfig, "num_frames", 0, "num_frames must be at least 1"),
 ]
 

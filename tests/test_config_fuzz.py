@@ -52,8 +52,6 @@ _FIELDS = {
     "track": {
         "update_mode": (st.sampled_from(["never", "always-last", "mean", "p-mean"]),
                         st.sampled_from(["", "often", 1e300])),
-        "seed_confidence": (st.floats(0.0, 1.0), _FLOAT),
-        "oracle": (st.booleans(), _FLOAT),
     },
     "sequence": {
         "seed": (st.integers(0, 3), _INT_EXTREMES),

@@ -33,8 +33,6 @@ class TestTrackConfig:
     def test_rejections(self):
         with pytest.raises(ConfigError, match="update mode"):
             TrackConfig(update_mode="sometimes")
-        with pytest.raises(ConfigError, match="seed_confidence"):
-            TrackConfig(seed_confidence=1.5)
 
 
 class TestRunTracker:
@@ -47,12 +45,6 @@ class TestRunTracker:
             assert 0.0 < r.confidence < 1.0
             x1, y1, x2, y2 = r.box
             assert x1 < x2 and y1 < y2
-
-    def test_oracle_mode_scores_perfectly(self):
-        seq = _sequence()
-        records = run_tracker(_net(), seq, TrackConfig(oracle=True))
-        assert all(r.iou == 1.0 for r in records)
-        assert compute_metrics([r.iou for r in records]).ao == 1.0
 
     def test_single_frame_sequence_has_no_records(self):
         assert run_tracker(_net(), _sequence(num_frames=1)) == []
@@ -72,8 +64,7 @@ class TestRunTracker:
     def test_first_threshold_is_seed_confidence(self):
         for mode in ("mean", "p-mean"):
             records = run_tracker(_net(), _sequence(),
-                                  TrackConfig(update_mode=mode,
-                                              seed_confidence=1.0))
+                                  TrackConfig(update_mode=mode))
             assert records[0].threshold == 1.0
             # Seeded at the maximum, the first frame can never update.
             assert not records[0].updated
@@ -403,8 +394,7 @@ class TestComputeMetrics:
 
 class TestSimulateUpdates:
     def test_mean_mode_worked_example(self):
-        decisions = simulate_updates([0.4, 0.9, 0.9, 0.2, 0.8], "mean",
-                                     seed_confidence=1.0)
+        decisions = simulate_updates([0.4, 0.9, 0.9, 0.2, 0.8], "mean")
         assert [d.update for d in decisions] == [False, True, True, False, True]
         assert decisions[0].threshold == 1.0
         assert decisions[1].threshold == pytest.approx(0.7)

@@ -106,16 +106,19 @@ def test_decreasing_trace_penalized_mean_dominates():
 # update policy
 # ----------------------------------------------------------------------
 
-def test_should_update_mean_examples():
-    state = TrackState(mode="mean", seed_confidence=0.9)
-    state.history.append(0.7)  # history now [0.9, 0.7], mean 0.8
-    decision = state.should_update(0.85)
-    assert decision.update and decision.threshold == pytest.approx(0.8)
+def _mean_state(*values):
+    """A mean-mode state whose history is the 1.0 seed, then `values`."""
+    state = TrackState(mode="mean")
+    for value in values:
+        state.history.append(value)
+    return state
 
-    state = TrackState(mode="mean", seed_confidence=0.9)
-    state.history.append(0.7)
-    decision = state.should_update(0.75)
-    assert not decision.update
+
+def test_should_update_mean_examples():
+    # history [1.0, 0.9, 0.5], mean 0.8
+    decision = _mean_state(0.9, 0.5).should_update(0.85)
+    assert decision.update and decision.threshold == pytest.approx(0.8)
+    assert not _mean_state(0.9, 0.5).should_update(0.75).update
 
 
 def test_never_and_always_last_modes():
@@ -129,13 +132,12 @@ def test_never_and_always_last_modes():
 
 
 def test_decision_excludes_current_frame():
-    # with history [0.5], a confidence of 0.6 beats the threshold 0.5 even
-    # though including it would push the mean to 0.55 (still below, but the
-    # boundary case 0.5 itself shows the exclusion: 0.5 > 0.5 is false)
-    state = TrackState(mode="mean", seed_confidence=0.5)
-    assert state.should_update(0.6).threshold == 0.5
-    state = TrackState(mode="mean", seed_confidence=0.5)
-    assert not state.should_update(0.5).update  # strict inequality
+    # with history [1.0, 0.5, 0.0], mean exactly 0.5, a confidence of 0.6
+    # beats the threshold 0.5 even though including it would move the
+    # mean (the boundary case 0.5 itself shows the exclusion: 0.5 > 0.5 is
+    # false)
+    assert _mean_state(0.5, 0.0).should_update(0.6).threshold == 0.5
+    assert not _mean_state(0.5, 0.0).should_update(0.5).update  # strict inequality
 
 
 def test_seed_makes_first_comparison_unbeatable():

@@ -45,6 +45,8 @@ The battery (about 50 s per tree; the two trees run at once):
                    last-bit change the records round away still shows
   forward.small.held
                    the same forward given `bias_terms()`
+  forward.toy, forward.toy.held
+                   the same two forwards of the untrained toy net seed 0
   cli.*            a 20-step `ctxtrack train` parameter file and loss CSV,
                    then `ctxtrack track` and `ctxtrack respmap --frame 3`
                    with those parameters: the metrics CSV and every PGM
@@ -153,18 +155,20 @@ def battery() -> dict[str, str]:
         out[name] = _records_digest([run_tracker(
             small, gen_sequence(SequenceConfig(num_frames=frames)),
             TrackConfig(update_mode="always-last"))])
-    rng, t, s = np.random.default_rng(0), small.spec.target_size, small.spec.search_size
-    with no_grad():
-        inputs = (small.encode([rng.random((t, t, 3))]),
-                  small.encode([rng.random((s, s, 3))], (0.3 * s, 0.3 * s, 0.6 * s, 0.6 * s)),
-                  small.encode([rng.random((s, s, 3))]))
-        for name, held in (("forward.small", False), ("forward.small.held", True)):
-            trace = []
-            outputs = small.forward(*inputs, trace=trace,
-                                    bias_terms=small.bias_terms() if held else None)
-            out[name] = _arrays_digest([("cls", outputs.cls.data), ("reg", outputs.reg.data),
-                                        *((f"joint{i}", x.data) for i, x in enumerate(trace))])
-    del small, inputs
+    toy = TrackerNet(toy_spec(), np.random.default_rng(0))
+    for preset, net in (("small", small), ("toy", toy)):
+        rng, t, s = np.random.default_rng(0), net.spec.target_size, net.spec.search_size
+        with no_grad():
+            inputs = (net.encode([rng.random((t, t, 3))]),
+                      net.encode([rng.random((s, s, 3))], (0.3 * s, 0.3 * s, 0.6 * s, 0.6 * s)),
+                      net.encode([rng.random((s, s, 3))]))
+            for name, held in ((f"forward.{preset}", False), (f"forward.{preset}.held", True)):
+                trace = []
+                outputs = net.forward(*inputs, trace=trace,
+                                      bias_terms=net.bias_terms() if held else None)
+                out[name] = _arrays_digest([("cls", outputs.cls.data), ("reg", outputs.reg.data),
+                                            *((f"joint{i}", x.data) for i, x in enumerate(trace))])
+    del small, toy, net, inputs
 
     net = TrackerNet(toy_spec(), np.random.default_rng(0))
     rng = np.random.default_rng(0)
