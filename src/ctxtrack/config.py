@@ -61,11 +61,9 @@ def _build(cls, base, section: dict, name: str):
             if not math.isfinite(number):
                 raise ConfigError(f"{name}.{key} must be finite, got {number}")
             coerced[key] = number if want is float else value
-        elif want is str:
+        else:
             if not isinstance(value, str):
                 raise ConfigError(f"{name}.{key} must be a string")
-            coerced[key] = value
-        else:
             coerced[key] = value
     # the section's own checks name a field or a rule, not the section
     try:

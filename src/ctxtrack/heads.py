@@ -92,6 +92,14 @@ def _ltrb_to_boxes_tensor(reg: Tensor) -> Tensor:
 # losses
 # ----------------------------------------------------------------------
 
+# VarifocalNet's alpha and gamma (Zhang et al., CVPR 2021), and the weights
+# of the classification and GIoU terms in the total loss
+ALPHA = 0.75
+GAMMA = 2.0
+LAMBDA_CLS = 1.5
+LAMBDA_GIOU = 1.5
+
+
 def _overlap(pred: Tensor, gt: Box) -> tuple[tuple[Tensor, ...], Tensor, Tensor]:
     """Corners of predicted boxes (..., 4), and their intersection and union
     with one validated box."""
@@ -123,12 +131,11 @@ def giou_loss(pred: Tensor, gt_box: Box) -> Tensor:
     return 1.0 - giou_values(pred, gt_box)
 
 
-def varifocal_loss(p: Tensor, q: np.ndarray, alpha: float = 0.75,
-                   gamma: float = 2.0) -> Tensor:
+def varifocal_loss(p: Tensor, q: np.ndarray) -> Tensor:
     """IoU-aware focal classification loss.
 
     Positions with target q > 0 pay a cross-entropy against q weighted by q;
-    negatives pay -alpha * p**gamma * log(1 - p). The sum is normalized by
+    negatives pay -ALPHA * p**GAMMA * log(1 - p). The sum is normalized by
     the positive count (at least 1). Predictions must lie strictly inside
     (0, 1) and targets in [0, 1].
     """
@@ -144,7 +151,7 @@ def varifocal_loss(p: Tensor, q: np.ndarray, alpha: float = 0.75,
     log_p = p.log()
     log_not_p = (1.0 - p).log()
     pos_term = (q * log_p + (1.0 - q) * log_not_p) * (-q)
-    neg_term = (p ** gamma) * log_not_p * (-alpha)
+    neg_term = (p ** GAMMA) * log_not_p * (-ALPHA)
     total = (pos_term * pos + neg_term * (1.0 - pos)).sum()
     return total / max(1.0, float(pos.sum()))
 
@@ -178,18 +185,16 @@ def build_targets(gt_box: Box, boxes: Tensor) -> TrainingTarget:
     return TrainingTarget(q=q, positives=positives, box=box, sides=sides)
 
 
-def total_loss(cls_term, giou_term, lambda_cls: float = 1.5,
-               lambda_giou: float = 1.5):
-    """Weighted sum of the classification and GIoU terms."""
-    return cls_term * lambda_cls + giou_term * lambda_giou
+def total_loss(cls_term, giou_term):
+    """The classification and GIoU terms weighted by LAMBDA_CLS and
+    LAMBDA_GIOU."""
+    return cls_term * LAMBDA_CLS + giou_term * LAMBDA_GIOU
 
 
-def tracking_loss(outputs: HeadOutputs, gt_box: Box,
-                  alpha: float = 0.75, gamma: float = 2.0,
-                  lambda_cls: float = 1.5, lambda_giou: float = 1.5
+def tracking_loss(outputs: HeadOutputs, gt_box: Box
                   ) -> tuple[Tensor, dict[str, float], TrainingTarget]:
-    """Full objective for one frame: weighted cls + giou, plus l1 at weight
-    1, over positives.
+    """Full objective for one frame: `total_loss` of the varifocal and GIoU
+    terms, plus l1 at weight 1, over positives.
 
     The l1 term sums, over the four sides, sqrt(d^2 + 1e-12) of the gap d
     between the predicted distance and `ltrb_map` of the ground truth, a
@@ -199,7 +204,7 @@ def tracking_loss(outputs: HeadOutputs, gt_box: Box,
     """
     boxes = _ltrb_to_boxes_tensor(outputs.reg)
     target = build_targets(gt_box, boxes)
-    cls_term = varifocal_loss(outputs.cls, target.q, alpha, gamma)
+    cls_term = varifocal_loss(outputs.cls, target.q)
     if target.positives.any():
         gt_grid = tuple(v / STRIDE for v in target.box)
         mask = target.positives.astype(np.float64)
@@ -210,7 +215,7 @@ def tracking_loss(outputs: HeadOutputs, gt_box: Box,
         l1_term = (per_side.sum(axis=-1) * mask).sum() / count
     else:
         giou_term = l1_term = as_tensor(0.0)
-    total = total_loss(cls_term, giou_term, lambda_cls, lambda_giou) + l1_term
+    total = total_loss(cls_term, giou_term) + l1_term
     parts = {"cls": float(cls_term.data), "giou": float(giou_term.data),
              "l1": float(l1_term.data)}
     return total, parts, target

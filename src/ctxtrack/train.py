@@ -36,10 +36,6 @@ class TrainConfig:
     lr: float = 3e-3
     seed: int = 0
     final_lr_scale: float = 0.1   # cosine-decay endpoint, as a fraction of lr
-    lambda_cls: float = 1.5
-    lambda_giou: float = 1.5
-    alpha: float = 0.75
-    gamma: float = 2.0
     prev_center_jitter: float = 0.25
     prev_scale_jitter: float = 0.2
     search_center_jitter: float = 0.35
@@ -57,16 +53,6 @@ class TrainConfig:
             raise ConfigError("lr must lie in [0, 1]")
         if not 0.0 < self.final_lr_scale <= 1.0:
             raise ConfigError("final_lr_scale must lie in (0, 1]")
-        # a weight far above the default 1.5 overflows Adam's moments
-        for name in ("lambda_cls", "lambda_giou"):
-            if not 0.0 <= getattr(self, name) <= 100.0:
-                raise ConfigError(f"{name} must lie in [0, 100]")
-        # alpha scales the varifocal loss's negative term and gamma is its
-        # focusing power; focal loss was studied for gamma in [0, 5]
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.gamma <= 5.0:
-            raise ConfigError("gamma must lie in [0, 5]")
         for name in ("prev_center_jitter", "prev_scale_jitter",
                      "search_center_jitter", "search_scale_jitter"):
             value = getattr(self, name)
@@ -148,9 +134,7 @@ def toy_train(net: TrackerNet, sequence: SyntheticSequence,
         outputs = net.forward(net.encode([target_crop, prev_crop, search_crop], prev_box))
         if np.any(outputs.cls.data <= 0.0) or np.any(outputs.cls.data >= 1.0):
             raise NumericError(f"saturated classification output at step {step}")
-        loss, _, _ = tracking_loss(
-            outputs, gt_box, alpha=cfg.alpha, gamma=cfg.gamma,
-            lambda_cls=cfg.lambda_cls, lambda_giou=cfg.lambda_giou)
+        loss, _, _ = tracking_loss(outputs, gt_box)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {step}")

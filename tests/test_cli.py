@@ -161,32 +161,17 @@ class TestExitCodes:
         assert "error: cannot build the model" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("alpha", 1e300, "alpha must lie in [0, 1]"),
-        ("alpha", -5.0, "alpha must lie in [0, 1]"),
-        ("gamma", -3.0, "gamma must lie in [0, 5]"),
-        ("gamma", 5.5, "gamma must lie in [0, 5]")])
-    def test_varifocal_weight_out_of_range_is_config_error(
-            self, tmp_path, capsys, field, value, message):
-        # alpha 1e300 overflowed Adam, alpha -5 trained to a negative loss,
-        # and gamma -3 trained; each exited 0 and wrote parameters
-        params = tmp_path / "p.params"
-        config = _write_config(tmp_path, train={field: value})
-        assert main(["train", "--config", config, "--params", str(params)]) == 1
-        assert f"error: train: {message}" in capsys.readouterr().err
-        assert not params.exists()
-
     @pytest.mark.parametrize("field,value", [
-        ("lambda_cls", 1e300), ("lambda_giou", 1e300), ("lambda_cls", 100.5),
-        ("lambda_giou", -1.0)])
-    def test_loss_weight_out_of_range_is_config_error(self, tmp_path, capsys,
-                                                      field, value):
-        # lambda_cls 1e300 overflowed Adam's moments with a RuntimeWarning,
-        # reported a loss near 5.7e303, exited 0 and wrote parameters
+        ("alpha", 0.75), ("gamma", 2.0), ("lambda_cls", 1.5), ("lambda_giou", 1.5)])
+    def test_dropped_loss_key_is_config_error(self, tmp_path, capsys, field, value):
+        # alpha, gamma and the term weights are constants in ctxtrack.heads,
+        # so naming one, even at its fixed value, is an unknown key
         params = tmp_path / "p.params"
         config = _write_config(tmp_path, train={field: value})
         assert main(["train", "--config", config, "--params", str(params)]) == 1
-        assert f"error: train: {field} must lie in [0, 100]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unknown key(s) in section 'train': {field}" in err.splitlines()
+        assert "Traceback" not in err
         assert not params.exists()
 
     @pytest.mark.parametrize("command,section", [

@@ -40,10 +40,6 @@ _FIELDS = {
         "lr": (st.floats(0.0, 0.01), _FLOAT),
         "seed": (st.integers(0, 3), _INT_EXTREMES),
         "final_lr_scale": (st.floats(0.01, 1.0), _FLOAT),
-        "lambda_cls": (st.floats(0.0, 3.0), _FLOAT),
-        "lambda_giou": (st.floats(0.0, 3.0), _FLOAT),
-        "alpha": (st.floats(0.0, 1.0), _FLOAT),
-        "gamma": (st.floats(0.0, 5.0), _FLOAT),
         "prev_center_jitter": (st.floats(0.0, 0.3), _FLOAT),
         "prev_scale_jitter": (st.floats(0.0, 0.2), _FLOAT),
         "search_center_jitter": (st.floats(0.0, 0.4), _FLOAT),
@@ -85,9 +81,6 @@ def _configs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(data=_configs())
-# a loss weight of 1e300 trained to an overflowing loss with exit 0
-@example(data={"model": {"preset": "toy"}, "train": {"steps": 2, "lambda_cls": 1e300},
-               "track": {}, "sequence": {"num_frames": 2}})
 # an lr of 1e30 overflowed the second step's forward
 @example(data={"model": {"preset": "toy"}, "train": {"steps": 2, "lr": 1e30},
                "track": {}, "sequence": {"num_frames": 2}})

@@ -164,7 +164,7 @@ def test_giou_gradcheck():
 def test_varifocal_negative_example():
     p = Tensor(np.array([0.5]))
     q = np.array([0.0])
-    loss = varifocal_loss(p, q, alpha=0.75, gamma=2.0)
+    loss = varifocal_loss(p, q)
     assert loss.item() == pytest.approx(-0.75 * 0.25 * np.log(0.5), abs=1e-9)
     assert loss.item() == pytest.approx(0.12997, abs=5e-6)
 
